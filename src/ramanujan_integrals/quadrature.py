@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .specfun import _theta_rel
+from .specfun import _kummer_scaled, _theta_rel
 
 __all__ = [
     "AccuracyError",
@@ -67,7 +67,11 @@ class QuadResult:
 
 
 class AccuracyError(ArithmeticError):
-    """Requested tolerance not reached; ``result`` carries the best estimate."""
+    """Requested tolerance not reached; ``result`` carries the best estimate.
+
+    The message says what stopped the quadrature: the level budget ran out,
+    or the roundoff floor of the integrand alone exceeds the tolerance.
+    """
 
     def __init__(self, message: str, result: QuadResult):
         super().__init__(message)
@@ -159,9 +163,13 @@ def _tanhsinh_nodes(level: int) -> tuple[tuple[float, float], ...]:
 # --------------------------------------------------------------------------
 
 
-def _sweep(values) -> tuple[float, int]:
-    """Sum weighted samples until the tail is negligible for this sweep."""
+def _sweep(values) -> tuple[float, float, int]:
+    """Sum weighted samples until the tail is negligible for this sweep.
+
+    Returns the sum, the sum of magnitudes and the sample count.
+    """
     total = 0.0
+    mass = 0.0
     count = 0
     peak = 0.0
     small = 0
@@ -169,6 +177,7 @@ def _sweep(values) -> tuple[float, int]:
         total += v
         count += 1
         av = abs(v)
+        mass += av
         if av > peak:
             peak = av
             small = 0
@@ -178,60 +187,78 @@ def _sweep(values) -> tuple[float, int]:
                 break
         else:
             small = 0
-    return total, count
+    return total, mass, count
 
 
-def _level_sum_expsinh(f: Callable[[float], float], lower: float, level: int) -> tuple[float, int]:
+def _level_sum_expsinh(
+    f: Callable[[float], float], lower: float, level: int
+) -> tuple[float, float, int]:
     pos, neg = _expsinh_nodes(level)
-    s1, n1 = _sweep(w * f(lower + e) for e, w in pos)
-    s2, n2 = _sweep(w * f(lower + e) for e, w in neg)
-    return s1 + s2, n1 + n2
+    s1, m1, n1 = _sweep(w * f(lower + e) for e, w in pos)
+    s2, m2, n2 = _sweep(w * f(lower + e) for e, w in neg)
+    return s1 + s2, m1 + m2, n1 + n2
 
 
 def _level_sum_tanhsinh(
     f: Callable[[float], float], a: float, b: float, half: float, level: int
-) -> tuple[float, int]:
+) -> tuple[float, float, int]:
     nodes = _tanhsinh_nodes(level)
     total = 0.0
     count = 0
     if level == 0:
         total = _HALF_PI * f(a + half)                 # t = 0: midpoint, weight pi/2
         count = 1
-    s, n = _sweep(w * (f(a + half * d) + f(b - half * d)) for d, w in nodes)
-    return total + s, count + 2 * n
+    s, m, n = _sweep(w * (f(a + half * d) + f(b - half * d)) for d, w in nodes)
+    return total + s, abs(total) + m, count + 2 * n
 
 
-def _refine(level_sum, scale: float, tol: float, rel_tol: float, max_level: int) -> QuadResult:
+def _refine(
+    level_sum, scale: float, tol: float, rel_tol: float, max_level: int, roundoff: float = 0.0
+) -> QuadResult:
+    """Add levels until the error estimate meets ``max(tol, rel_tol*|value|)``.
+
+    The estimate never drops below the roundoff floor: a few ulps of the
+    value, and ``roundoff`` ulps of h*sum|w*f|, the size of the integrand's
+    own rounding error when each sample carries ``roundoff`` ulps of it.
+    """
     total = 0.0
+    mass = 0.0
     evaluations = 0
     previous = None
     d_prev = None
     value = 0.0
     err = math.inf
     for level in range(max_level + 1):
-        s, n = level_sum(level)
+        s, m, n = level_sum(level)
         total += s
+        mass += m
         evaluations += n
         value = total * (0.5 ** level) * scale
+        floor = max(4.0 * _EPS * abs(value), roundoff * _EPS * mass * (0.5 ** level) * scale)
+        target = max(tol, rel_tol * abs(value))
         if previous is not None:
             d1 = abs(value - previous)
             err = d1 if d_prev is None else max(d1, 0.1 * d_prev)
-            # successive differences cannot certify below a few ulps
-            err = max(err, 4.0 * _EPS * abs(value))
-            if level >= _MIN_LEVEL and err <= max(tol, rel_tol * abs(value)):
+            # successive differences cannot certify below the roundoff floor
+            err = max(err, floor)
+            if level >= _MIN_LEVEL and err <= target:
                 return QuadResult(value, err, evaluations)
             d_prev = d1
         previous = value
+    if floor > target:
+        why = f"the roundoff floor {floor:g} exceeds it"
+    else:
+        why = f"the level budget ran out at level {max_level}"
     raise AccuracyError(
-        f"quadrature did not reach tolerance {tol:g} "
+        f"quadrature did not reach tolerance {target:g}: {why} "
         f"(best estimate {value:.17g} +- {err:g} after {evaluations} evaluations)",
         QuadResult(value, err, evaluations),
     )
 
 
-def _integrate_expsinh(f, lower, tol, rel_tol, max_level) -> QuadResult:
+def _integrate_expsinh(f, lower, tol, rel_tol, max_level, roundoff=0.0) -> QuadResult:
     return _refine(
-        lambda level: _level_sum_expsinh(f, lower, level), 1.0, tol, rel_tol, max_level
+        lambda level: _level_sum_expsinh(f, lower, level), 1.0, tol, rel_tol, max_level, roundoff
     )
 
 
@@ -258,8 +285,9 @@ def integrate(
     never sampled exactly.
 
     Raises:
-        AccuracyError: target not reached within the level budget; the
-            exception's ``result`` holds the best estimate.
+        AccuracyError: target not reached within the level budget, or below
+            the roundoff floor of a few ulps of the value; the exception's
+            ``result`` holds the best estimate.
     """
     if not math.isfinite(lower):
         raise ValueError("lower limit must be finite")
@@ -311,39 +339,54 @@ def _bose_factor(x: float) -> float:
     Below x = 1e-4 the Bernoulli series (1 - s/2 + s^2/12 - s^4/720)/(2*pi)
     with s = 2*pi*x is used; its truncation error at the switch point is
     below 1e-23, far inside one ulp.  Above, the exp(-2*pi*x) form avoids
-    overflow for any x.
+    overflow for any x, and ``expm1`` forms 1 - exp(-2*pi*x) without the
+    cancellation a subtraction suffers just above the switch point.
     """
     if x < 1e-4:
         s = 2.0 * math.pi * x
         s2 = s * s
         return (1.0 - s / 2.0 + s2 / 12.0 - s2 * s2 / 720.0) / (2.0 * math.pi)
     em = math.exp(-2.0 * math.pi * x)
-    return x * em / (1.0 - em)
+    return x * em / -math.expm1(-2.0 * math.pi * x)
+
+
+def _index_roundoff(n: int) -> float:
+    """Relative rounding error, in ulps, of the J and eps integrands at index n.
+
+    Both carry a factor whose rounding error grows linearly in n: the
+    Laguerre recurrence for 1F1(-n; 3/2; z) and the power r**n.  Against
+    32-digit mpmath references at 0.1 <= a <= 10, the true errors reached
+    245 ulps of h*sum|w*f| for J (n = 200) and 136 for eps (n = 1736), and
+    at most 1.2(n + 8) ulps at any n.
+    """
+    return 2.0 * (n + 8)
 
 
 def j_integral(p: IntegralParams) -> QuadResult:
-    """J_n(a) = integral_0^inf x e^(-pi a x^2)/(e^(2 pi x)-1) 1F1(-n;3/2;2 pi a x^2) dx."""
+    """J_n(a) = integral_0^inf x e^(-pi a x^2)/(e^(2 pi x)-1) 1F1(-n;3/2;2 pi a x^2) dx.
+
+    The Kummer factor is evaluated by the stable Laguerre recurrence with the
+    Bose factor and the Gaussian e^(-z/2) folded into its start values, so no
+    intermediate value overflows and the cost per sample is O(n) at full
+    accuracy for every n.  The error estimate is never below the integrand's
+    roundoff floor, 2(n + 8) ulps of integral |f|.
+    """
     n, a = p.n, p.a
+    c = 2.0 * math.pi * a
 
     def f(x: float) -> float:
-        g = math.exp(-math.pi * a * x * x)
-        if g == 0.0:
+        z = c * x * x
+        scale = math.exp(-0.5 * z)
+        if scale == 0.0:
             return 0.0
-        b = _bose_factor(x)
-        if b == 0.0:
+        scale *= _bose_factor(x)
+        if scale == 0.0:
             return 0.0
-        # Kummer sum with the Gaussian folded into the leading term; keeps
-        # intermediate terms in range when n*log(z) alone would overflow.
-        z = 2.0 * math.pi * a * x * x
-        total = term = g
-        for r in range(n):
-            term *= (r - n) * z / ((r + 1.5) * (r + 1.0))
-            total += term
-        return b * total
+        return _kummer_scaled(n, z, scale)
 
     # p.tol is an absolute request and is enforced as such: an unattainable
     # tolerance raises instead of quietly settling at the roundoff floor.
-    return _integrate_expsinh(f, 0.0, p.tol, 0.0, _MAX_LEVEL)
+    return _integrate_expsinh(f, 0.0, p.tol, 0.0, _MAX_LEVEL, _index_roundoff(n))
 
 
 def epsilon_integral(p: IntegralParams) -> QuadResult:
@@ -382,7 +425,7 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
         return QuadResult(0.0 * f(1.0), 0.0, 1)
 
     c = 1.0 / (4.0 * math.pi * a)
-    res = _integrate_expsinh(f, 0.0, p.tol / c, 0.0, _MAX_LEVEL)
+    res = _integrate_expsinh(f, 0.0, p.tol / c, 0.0, _MAX_LEVEL, _index_roundoff(n))
     return QuadResult(res.value * c, res.abs_error_estimate * c, res.evaluations)
 
 

@@ -30,10 +30,24 @@ from reference_tables import fourth_digit_tol
 PI = math.pi
 
 
+def _bound_40_digits(n, a):
+    """B_n(a) evaluated independently from its formula at 40 digits, with
+    G_n = n! U(n+1, 1/2, z)."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        def energy(x):
+            lam = 1 + mp.exp(-3 * mp.pi * x) + mp.exp(-2 * mp.pi * x) / (1 - mp.exp(-mp.pi * x))
+            g = mp.factorial(n) * mp.hyperu(n + 1, mp.mpf(1) / 2, 2 * mp.pi * x)
+            return x ** mp.mpf(0.25) * lam * mp.exp(-mp.pi * x) * g
+
+        a = mp.mpf(a)
+        return float(a ** mp.mpf(-0.75) / (4 * mp.sqrt(2) * mp.pi) * (energy(a) + energy(1 / a)))
+
+
 class TestTEven:
     def test_k1_at_one(self):
         # frozen from a 40-digit mpmath evaluation of the closed form
-        assert t_even(1, 1.0) == pytest.approx(0.02288493435569816, rel=1e-15)
+        assert t_even(1, 1.0) == pytest.approx(0.02288493435569816, rel=1e-15, abs=0.0)
 
     def test_gap_to_j_is_the_remainder(self):
         j = j_integral(IntegralParams(2, 1.0)).value
@@ -43,7 +57,7 @@ class TestTEven:
         # sqrt(a) * T_2k(a) -> (1/(8 pi)) sqrt(pi/2) R(2k) as a grows
         a = 1e12
         limit = math.sqrt(PI / 2.0) * gamma_half_ratio(2) / (8.0 * PI)
-        assert math.sqrt(a) * t_even(1, a) == pytest.approx(limit, rel=2e-6)
+        assert math.sqrt(a) * t_even(1, a) == pytest.approx(limit, rel=2e-6, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -54,7 +68,7 @@ class TestTEven:
 
 class TestTOdd:
     def test_k0_at_one_gives_exact_j(self):
-        assert t_odd(0, 1.0) == pytest.approx(-1.0 / (12.0 * PI), rel=1e-15)
+        assert t_odd(0, 1.0) == pytest.approx(-1.0 / (12.0 * PI), rel=1e-15, abs=0.0)
         j = j_integral(IntegralParams(1, 1.0)).value
         assert j == pytest.approx(-t_odd(0, 1.0), abs=1e-13)
 
@@ -99,26 +113,25 @@ class TestBounds:
     @pytest.mark.parametrize("k", [1, 5])
     @pytest.mark.parametrize("a", [2.0, 4.0, 1.3])
     def test_reciprocal_symmetry_even(self, k, a):
-        assert bound_even(k, 1.0 / a) == pytest.approx(a ** 1.5 * bound_even(k, a), rel=1e-13)
+        assert bound_even(k, 1.0 / a) == pytest.approx(a ** 1.5 * bound_even(k, a), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("k", [0, 3])
     @pytest.mark.parametrize("a", [2.0, 4.0])
     def test_reciprocal_symmetry_odd(self, k, a):
-        assert bound_odd(k, 1.0 / a) == pytest.approx(a ** 1.5 * bound_odd(k, a), rel=1e-13)
+        assert bound_odd(k, 1.0 / a) == pytest.approx(a ** 1.5 * bound_odd(k, a), rel=1e-13, abs=0.0)
 
     def test_odd_bound_against_40_digit_evaluation(self):
-        # B_5(1/2), the Table 3 cell whose printed 1.106e-5 is an erratum,
-        # evaluated independently from the same formula with G_n = n! U(n+1, 1/2, z)
-        mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
-            def energy(x):
-                lam = 1 + mp.exp(-3 * mp.pi * x) + mp.exp(-2 * mp.pi * x) / (1 - mp.exp(-mp.pi * x))
-                g = mp.factorial(5) * mp.hyperu(6, mp.mpf(1) / 2, 2 * mp.pi * x)
-                return x ** mp.mpf(0.25) * lam * mp.exp(-mp.pi * x) * g
-
-            a = mp.mpf(1) / 2
-            expected = float(a ** mp.mpf(-0.75) / (4 * mp.sqrt(2) * mp.pi) * (energy(a) + energy(1 / a)))
+        # B_5(1/2), the Table 3 cell whose printed 1.106e-5 is an erratum
+        expected = _bound_40_digits(5, 0.5)
         assert bound_odd(2, 0.5) == pytest.approx(expected, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("a", [1e-7, 1e7])
+    def test_extreme_scale_against_40_digit_evaluation(self, a, k):
+        # lambda(x) needs 1 - exp(-pi x) at x = 1e-7 in one of the two energy
+        # terms; formed by subtraction it costs ~1e-10 relative
+        assert bound_even(k, a) == pytest.approx(_bound_40_digits(2 * k, a), rel=1e-12, abs=0.0)
+        assert bound_odd(k, a) == pytest.approx(_bound_40_digits(2 * k + 1, a), rel=1e-12, abs=0.0)
 
     def test_single_energy_evaluation_at_one_is_bitwise(self):
         # at a=1 the two energy terms coincide; doubling one evaluation must
@@ -150,8 +163,8 @@ class TestBoundAsymptotic:
         k = 50
         lam = 1.0 + math.exp(-3.0 * PI) + math.exp(-2.0 * PI) / (1.0 - math.exp(-PI))
         expected = lam / (4.0 * math.sqrt(PI)) * k ** -0.5 * math.exp(-4.0 * math.sqrt(PI * k))
-        assert bound_asymptotic(k, 1.0) == pytest.approx(expected, rel=1e-14)
-        assert bound_asymptotic(50, 1.0) == pytest.approx(3.3765e-24, rel=1e-4)
+        assert bound_asymptotic(k, 1.0) == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert bound_asymptotic(50, 1.0) == pytest.approx(3.3765e-24, rel=1e-4, abs=0.0)
 
     def test_reduction_at_one_equals_general_formula(self):
         for k in (5, 50):
@@ -159,7 +172,7 @@ class TestBoundAsymptotic:
             reduced = lambda_factor(1.0) / (4.0 * math.sqrt(PI)) * k ** -0.5 * math.exp(
                 -4.0 * math.sqrt(PI * k)
             )
-            assert general == pytest.approx(reduced, rel=1e-15)
+            assert general == pytest.approx(reduced, rel=1e-15, abs=0.0)
 
     def test_tracks_bound_within_factor_two_at_large_k(self):
         ratio = bound_asymptotic(50, 1.0) / bound_even(50, 1.0)
@@ -178,14 +191,14 @@ class TestBoundAsymptotic:
 class TestDrz:
     def test_k0_against_direct_expression(self):
         expected = ((2.0 + 2.0 * PI / 3.0) ** 0.25 - 1.0) / (4.0 * PI)
-        assert drz_approx(0, 1.0) == pytest.approx(expected, rel=1e-14)
+        assert drz_approx(0, 1.0) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     def test_k0_equals_quartic_root_formula(self, a):
         # algebraic equivalence with the quartic-root approximation of I
         alpha = PI * a
         from_i = (ramanujan_i_approx(alpha) * alpha ** 0.25 - 1.0) / (4.0 * alpha)
-        assert drz_approx(0, a) == pytest.approx(from_i, rel=1e-13)
+        assert drz_approx(0, a) == pytest.approx(from_i, rel=1e-13, abs=0.0)
 
     def test_reference_error_profile(self):
         # frozen mpmath values of J_10(1), J_20(1)
@@ -199,13 +212,13 @@ class TestDrz:
     @pytest.mark.parametrize("k", [0, 2, 7])
     def test_small_scale_expansion_mode(self, k):
         a = 1e-6
-        assert drz_small_a(k, a) == pytest.approx(drz_approx(k, a), rel=1e-9)
-        assert drz_small_a(k, 0.0) == pytest.approx(1.0 / 24.0, rel=1e-15)
+        assert drz_small_a(k, a) == pytest.approx(drz_approx(k, a), rel=1e-9, abs=0.0)
+        assert drz_small_a(k, 0.0) == pytest.approx(1.0 / 24.0, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("k", [0, 2, 7])
     def test_large_scale_expansion_mode(self, k):
         a = 1e8
-        assert drz_large_a(k, a) == pytest.approx(drz_approx(k, a), rel=1e-10)
+        assert drz_large_a(k, a) == pytest.approx(drz_approx(k, a), rel=1e-10, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -217,8 +230,8 @@ class TestDrz:
 class TestRamanujanI:
     def test_quartic_root_value(self):
         expected = (2.0 / PI + 2.0 / 3.0) ** 0.25
-        assert ramanujan_i_approx(PI) == pytest.approx(expected, rel=1e-15)
-        assert ramanujan_i_approx(PI) == pytest.approx(1.0684641848256444, rel=1e-14)
+        assert ramanujan_i_approx(PI) == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert ramanujan_i_approx(PI) == pytest.approx(1.0684641848256444, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("alpha", [PI / 2.0, PI, 2.0 * PI])
     def test_functional_equation(self, alpha):
@@ -232,7 +245,7 @@ class TestRamanujanI:
 
     def test_approx_is_good_for_small_argument(self):
         alpha = 0.01
-        assert ramanujan_i(alpha) == pytest.approx(ramanujan_i_approx(alpha), rel=1e-4)
+        assert ramanujan_i(alpha) == pytest.approx(ramanujan_i_approx(alpha), rel=1e-4, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -30,6 +30,13 @@ class TestEval:
         assert out.strip() == f"{value:.15g}"
         assert out.startswith("0.0265258238486492")
 
+    def test_large_index(self, capsys):
+        # the Kummer power sum raised AccuracyError here
+        code, out, err = run_cli(capsys, "eval", "--n", "30", "--a", "1")
+        assert code == 0
+        assert err == ""
+        assert out.startswith("0.0083458190634480")
+
     def test_index_via_k_and_parity(self, capsys):
         code_n, out_n, _ = run_cli(capsys, "eval", "--n", "3", "--a", "2")
         code_k, out_k, _ = run_cli(capsys, "eval", "--k", "1", "--parity", "odd", "--a", "2")
@@ -87,12 +94,12 @@ class TestApprox:
     def test_t_value(self, capsys):
         code, out, _ = run_cli(capsys, "approx", "--n", "2", "--a", "1")
         assert code == 0
-        assert float(out) == pytest.approx(t_even(1, 1.0), rel=1e-14)
+        assert float(out) == pytest.approx(t_even(1, 1.0), rel=1e-14, abs=0.0)
 
     def test_drz_method(self, capsys):
         code, out, _ = run_cli(capsys, "approx", "--n", "0", "--a", "1", "--method", "drz")
         assert code == 0
-        assert float(out) == pytest.approx(0.033620220760461866, rel=1e-12)
+        assert float(out) == pytest.approx(0.033620220760461866, rel=1e-12, abs=0.0)
 
     def test_drz_rejects_odd_index(self, capsys):
         code, _, err = run_cli(capsys, "approx", "--n", "3", "--a", "1", "--method", "drz")
@@ -104,7 +111,7 @@ class TestBound:
     def test_value(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--n", "2", "--a", "1")
         assert code == 0
-        assert float(out) == pytest.approx(bound_even(1, 1.0), rel=1e-14)
+        assert float(out) == pytest.approx(bound_even(1, 1.0), rel=1e-14, abs=0.0)
 
     def test_estimate_warns_outside_window(self, capsys):
         # k=1: the window [pi/k, k] = [3.14, 1] contains nothing; always warns
@@ -151,8 +158,8 @@ class TestTable:
         rows = reproduce_table(1)
         for line, row in zip(out.splitlines()[1:], rows):
             _, _, sj, b = line.split(",")
-            assert float(sj) == pytest.approx(row.script_j, rel=1e-6)
-            assert float(b) == pytest.approx(row.bound, rel=1e-6)
+            assert float(sj) == pytest.approx(row.script_j, rel=1e-6, abs=0.0)
+            assert float(b) == pytest.approx(row.bound, rel=1e-6, abs=0.0)
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--id", "3", "--format", "json")
@@ -167,7 +174,7 @@ class TestTable:
         assert code == 0
         first = out.splitlines()[0].split()
         assert first[0] == "1"
-        assert float(first[2]) == pytest.approx(1.2503290434108733e-5, rel=1e-9)
+        assert float(first[2]) == pytest.approx(1.2503290434108733e-5, rel=1e-9, abs=0.0)
 
     def test_invalid_id(self, capsys):
         code, _, err = run_cli(capsys, "table", "--id", "7")

@@ -6,6 +6,7 @@ exp-sinh); independent cross-checks use Gauss-Kronrod quadrature from scipy
 """
 
 import math
+from fractions import Fraction
 
 import pytest
 import scipy.integrate
@@ -17,6 +18,7 @@ from ramanujan_integrals import (
     AccuracyError,
     IntegralParams,
     QuadResult,
+    bound_even,
     epsilon_integral,
     finite_check_integrals,
     gamma_half_ratio,
@@ -66,11 +68,11 @@ class TestIntegrate:
 
     def test_finite_interval_with_endpoint_singularity(self):
         res = integrate(lambda t: t ** -0.5, 0.0, 1.0)
-        assert res.value == pytest.approx(2.0, rel=1e-12)
+        assert res.value == pytest.approx(2.0, rel=1e-12, abs=0.0)
 
     def test_finite_interval_polynomial(self):
         res = integrate(lambda t: 3.0 * t * t, 0.0, 2.0)
-        assert res.value == pytest.approx(8.0, rel=1e-13)
+        assert res.value == pytest.approx(8.0, rel=1e-13, abs=0.0)
 
     def test_error_estimate_is_honest(self):
         res = integrate(lambda t: math.exp(-t) * math.cos(t), 0.0, math.inf)
@@ -91,6 +93,24 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(math.exp, 0.0, 1.0, tol=-1e-3)
 
+    def test_failure_names_the_level_budget(self):
+        # e^-t cos t is still converging at level 4; its roundoff floor is
+        # far below the 1e-13 request
+        with pytest.raises(AccuracyError) as excinfo:
+            integrate(lambda t: math.exp(-t) * math.cos(t), 0.0, math.inf, max_level=4)
+        message = str(excinfo.value)
+        assert "level budget" in message
+        assert "roundoff floor" not in message
+
+    def test_failure_names_the_roundoff_floor(self):
+        # 2(n + 8) ulps of J_30(1) ~ 2e-16 alone exceed the 1e-20 request
+        with pytest.raises(AccuracyError) as excinfo:
+            j_integral(IntegralParams(30, 1.0, tol=1e-20))
+        message = str(excinfo.value)
+        assert "roundoff floor" in message
+        assert "level budget" not in message
+        assert excinfo.value.result.value == pytest.approx(0.0083458190634480, abs=1e-15)
+
     def test_determinism(self):
         a = integrate(lambda t: math.exp(-t) / (1.0 + t), 0.0, math.inf)
         b = integrate(lambda t: math.exp(-t) / (1.0 + t), 0.0, math.inf)
@@ -104,7 +124,15 @@ class TestBoseFactor:
     def test_seam_continuity(self):
         below = _bose_factor(1e-4 * (1.0 - 1e-12))
         above = _bose_factor(1e-4 * (1.0 + 1e-12))
-        assert below == pytest.approx(above, rel=1e-12)
+        assert below == pytest.approx(above, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("x", [1.0000001e-4, 2e-4, 1e-3, 1e-2])
+    def test_accuracy_above_seam(self, x):
+        # 1 - exp(-2 pi x) formed by subtraction loses up to ~300 ulps here
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            expected = float(x / mp.expm1(2 * mp.pi * mp.mpf(x)))
+        assert _bose_factor(x) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_no_overflow_at_large_argument(self):
         assert _bose_factor(500.0) == 0.0
@@ -160,6 +188,62 @@ class TestJIntegral:
     def test_determinism(self):
         assert j_integral(IntegralParams(6, 0.5)) == j_integral(IntegralParams(6, 0.5))
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [30, 50, 100, 200])
+    def test_large_index_against_decomposition(self, n, a):
+        # independent route J = sigma*T + eps: exact Gauss values in T, a
+        # different integrand in eps; the power-sum integrand raised or went
+        # wrong from n ~ 20 on
+        res = j_integral(IntegralParams(n, a))
+        t = t_even(n // 2, a) if n % 2 == 0 else t_odd((n - 1) // 2, a)
+        closed = sigma(n) * t
+        eps = epsilon_integral(IntegralParams(n, a, tol=1e-18)).value
+        assert abs(res.value - closed - eps) <= res.abs_error_estimate + 1e-15 * abs(closed)
+
+    @pytest.mark.parametrize("n,evaluations", [(30, 704), (200, 2832)])
+    def test_evaluation_count_snapshot(self, n, evaluations):
+        # exact and machine-independent: a change here is a change in cost
+        assert j_integral(IntegralParams(n, 1.0)).evaluations == evaluations
+
+
+class TestErrorEstimateHolds:
+    """True error <= abs_error_estimate at points where an n-free roundoff
+    floor of one ulp of h*sum|w*f| misses the true error (at n = 17 only
+    with 1 - exp(-2 pi x) formed by subtraction in the Bose factor).
+    References are frozen from 32-digit mpmath evaluations of the defining
+    integrals (cross-checked through J = sigma*T + eps) and compared
+    exactly."""
+
+    @pytest.mark.parametrize(
+        "n,a,reference",
+        [
+            (17, 7.163, "4.2647157482678174085236570468439e-3"),
+            (27, 0.5159, "1.1790029247597635008071459980198e-2"),
+            (28, 0.7296, "9.9397692071241566028946459956586e-3"),
+            (29, 4.207, "4.2984727969703408641479646938022e-3"),
+            (33, 0.177, "1.7073097055865026294858635584361e-2"),
+            (38, 0.1731, "1.6288852937478504550237741934162e-2"),
+            (60, 3.242, "3.4523468794866267023509683663399e-3"),
+            (173, 8.526, "1.2822118508060311076390396983007e-3"),
+        ],
+    )
+    def test_j_integral(self, n, a, reference):
+        res = j_integral(IntegralParams(n, a))
+        assert abs(Fraction(res.value) - Fraction(reference)) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize(
+        "n,a,reference",
+        [
+            (214, 1.077, "1.0540589965221628413558478849444e-33"),
+            (1736, 3.84, "3.0903222909644390275365157574958e-50"),
+        ],
+    )
+    def test_epsilon_integral(self, n, a, reference):
+        # tolerance 1e-6 of the remainder's own bound, as a caller sizing it
+        # from bound_even would ask
+        res = epsilon_integral(IntegralParams(n, a, tol=1e-6 * bound_even(n // 2, a)))
+        assert abs(Fraction(res.value) - Fraction(reference)) <= res.abs_error_estimate
+
 
 class TestEpsilonIntegral:
     def test_odd_index_at_one_is_exactly_zero(self):
@@ -173,7 +257,7 @@ class TestEpsilonIntegral:
         res = epsilon_integral(IntegralParams(2, 1.0, tol=1e-11))
         assert res.value == pytest.approx(1.250e-5, abs=2e-8)
         # frozen from 40-digit mpmath quadrature
-        assert res.value == pytest.approx(1.2503290434108733e-5, rel=1e-9)
+        assert res.value == pytest.approx(1.2503290434108733e-5, rel=1e-9, abs=0.0)
 
     def test_odd_reference_magnitude(self):
         res = epsilon_integral(IntegralParams(3, 2.0, tol=1e-11))
@@ -239,25 +323,25 @@ class TestUScaled:
             return math.exp(-z * t) * (t / (1.0 + t)) ** n / ((1.0 + t) * math.sqrt(1.0 + t))
 
         expected, _ = scipy.integrate.quad(f, 0.0, math.inf, epsabs=1e-16, epsrel=1e-13)
-        assert u_scaled(n, z) == pytest.approx(expected, rel=1e-12)
+        assert u_scaled(n, z) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 5])
     @pytest.mark.parametrize("z", [1.0, 2.0 * math.pi])
     def test_against_scipy_hyperu(self, n, z):
         expected = math.gamma(n + 1) * scipy.special.hyperu(n + 1, 0.5, z)
-        assert u_scaled(n, z) == pytest.approx(expected, rel=1e-10)
+        assert u_scaled(n, z) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     def test_large_index_stays_finite(self):
         # (2k)! U(2k+1, 1/2, 2 pi) at k=50: the explicit factorial would overflow
         value = u_scaled(100, 2.0 * math.pi)
         assert 0.0 < value < 1e-20
         # frozen from 40-digit mpmath: 100! * hyperu(101, 1/2, 2*pi)
-        assert value == pytest.approx(5.002305162e-22, rel=1e-8)
+        assert value == pytest.approx(5.002305162e-22, rel=1e-8, abs=0.0)
 
     def test_unattainable_tolerance_carries_best_estimate(self):
         with pytest.raises(AccuracyError) as excinfo:
             u_scaled(0, 2.0 * math.pi, tol=1e-30)
-        assert excinfo.value.result.value == pytest.approx(u_scaled(0, 2.0 * math.pi), rel=1e-10)
+        assert excinfo.value.result.value == pytest.approx(u_scaled(0, 2.0 * math.pi), rel=1e-10, abs=0.0)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -270,14 +354,14 @@ class TestFiniteCheckIntegrals:
     def test_even_base_case_analytic(self):
         # antiderivative of t^(-1/2)(1+t)^(-3/2) is 2 sqrt(t/(1+t))
         first, _ = finite_check_integrals(0, "even")
-        assert first == pytest.approx(math.sqrt(2.0), rel=1e-13)
+        assert first == pytest.approx(math.sqrt(2.0), rel=1e-13, abs=0.0)
 
     def test_even_k1_closed_forms(self):
         first, second = finite_check_integrals(1, "even")
         closed_first = math.sqrt(math.pi / 2.0) * gamma_half_ratio(2)
         closed_second = 2.0 * float(gauss_f(2)) - closed_first
-        assert first == pytest.approx(closed_first, rel=1e-12)
-        assert second == pytest.approx(closed_second, rel=1e-12)
+        assert first == pytest.approx(closed_first, rel=1e-12, abs=0.0)
+        assert second == pytest.approx(closed_second, rel=1e-12, abs=0.0)
         assert first == pytest.approx(0.75424723, abs=1e-8)
         assert second == pytest.approx(0.17908610, abs=1e-8)
 
@@ -286,7 +370,7 @@ class TestFiniteCheckIntegrals:
         # 2/sqrt(1+t) - (4/3)(1+t)^(-3/2)
         _, second = finite_check_integrals(0, "odd")
         expected = (2.0 / math.sqrt(2.0) - (4.0 / 3.0) * 2.0 ** -1.5) - (2.0 - 4.0 / 3.0)
-        assert second == pytest.approx(expected, rel=1e-13)
+        assert second == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 10, 20, 30])
