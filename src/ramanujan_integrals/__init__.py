@@ -9,8 +9,6 @@ accuracy down to 1e-24 in ordinary binary64 arithmetic.
 """
 
 from .specfun import (
-    ExactRational,
-    ThetaSum,
     gamma_half_ratio,
     gauss_f,
     kummer_terminating,
@@ -31,6 +29,8 @@ from .quadrature import (
 from .approximants import (
     ApproxReport,
     approx_report,
+    approximant,
+    bound,
     bound_asymptotic,
     bound_even,
     bound_odd,
@@ -59,8 +59,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ExactRational",
-    "ThetaSum",
     "gamma_half_ratio",
     "gauss_f",
     "kummer_terminating",
@@ -77,17 +75,21 @@ __all__ = [
     "u_scaled",
     "ApproxReport",
     "approx_report",
+    "approximant",
+    "bound",
     "bound_asymptotic",
-    "bound_even",
-    "bound_odd",
     "drz_approx",
     "drz_large_a",
     "drz_small_a",
     "ramanujan_i",
     "ramanujan_i_approx",
     "sigma",
+    # k-indexed aliases of approximant/bound (n = 2k, 2k + 1): the paper's
+    # tables are indexed by k, and the benchmark calls and traces these names.
     "t_even",
     "t_odd",
+    "bound_even",
+    "bound_odd",
     "ALL_CHECK_GROUPS",
     "CheckResult",
     "SuiteReport",

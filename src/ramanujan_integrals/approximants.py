@@ -10,11 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quadrature import IntegralParams, QuadResult, j_integral, epsilon_integral, u_scaled
+from .quadrature import IntegralParams, j_integral, epsilon_integral, u_scaled
 from .specfun import gamma_half_ratio, gauss_f, lambda_factor
 
 __all__ = [
     "ApproxReport",
+    "approximant",
+    "bound",
     "t_even",
     "t_odd",
     "bound_even",
@@ -38,36 +40,32 @@ def sigma(n: int) -> int:
     return -1 if n % 2 else 1
 
 
+def _check_index(name: str, value: int, least: int) -> None:
+    if value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value}")
+
+
 def _check_a(a: float) -> None:
     if not (a > 0.0 and math.isfinite(a)):
         raise ValueError(f"a must be positive and finite, got {a}")
 
 
-def t_even(k: int, a: float) -> float:
-    """T_2k(a) = 1/(4 pi a) * ((1+sqrt(a))/2 * sqrt(pi/2) * R(2k) - F_2k)
-    with R(m) = Gamma(m+1)/Gamma(m+3/2) and F_n = 2F1(-n,1;3/2;2).
+def approximant(n: int, a: float) -> float:
+    """T_n(a) = 1/(4 pi a) * ((1 + sigma sqrt(a))/2 * sqrt(pi/2) * R(n) - sigma F_n)
+    for n >= 1, with sigma = sigma(n), R(m) = Gamma(m+1)/Gamma(m+3/2) and
+    F_n = 2F1(-n,1;3/2;2).
 
     O(1/a) as a -> 0 and O(a**-0.5) as a -> infinity, so it approximates
-    J_2k(a) well only for a = O(1).
+    J_n(a) well only for a = O(1).  For odd n at a = 1 the gamma-ratio term
+    vanishes exactly and T_n(1) = F_n/(4 pi).  Multiplying by sigma = +-1
+    is exact, so each parity evaluates the paper's own expression bit for bit.
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _check_index("n", n, 1)
     _check_a(a)
-    ratio_term = 0.5 * (1.0 + math.sqrt(a)) * _SQRT_HALF_PI * gamma_half_ratio(2 * k)
-    return (ratio_term - float(gauss_f(2 * k))) / (4.0 * math.pi * a)
-
-
-def t_odd(k: int, a: float) -> float:
-    """T_{2k+1}(a) = 1/(4 pi a) * ((1-sqrt(a))/2 * sqrt(pi/2) * R(2k+1) + F_{2k+1}).
-
-    At a = 1 the gamma-ratio term vanishes and T_{2k+1}(1) = F_{2k+1}/(4 pi);
-    note J = -T + eps for odd index.
-    """
-    if k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k}")
-    _check_a(a)
-    ratio_term = 0.5 * (1.0 - math.sqrt(a)) * _SQRT_HALF_PI * gamma_half_ratio(2 * k + 1)
-    return (ratio_term + float(gauss_f(2 * k + 1))) / (4.0 * math.pi * a)
+    s = sigma(n)
+    ratio_term = 0.5 * (1.0 + s * math.sqrt(a)) * _SQRT_HALF_PI * gamma_half_ratio(n)
+    return (ratio_term - s * float(gauss_f(n))) / (4.0 * math.pi * a)
 
 
 def _majorant_energy(x: float, n: int) -> float:
@@ -76,7 +74,19 @@ def _majorant_energy(x: float, n: int) -> float:
     return x ** 0.25 * lambda_factor(x) * math.exp(-math.pi * x) * u_scaled(n, 2.0 * math.pi * x)
 
 
-def _bound(n: int, a: float) -> float:
+def bound(n: int, a: float) -> float:
+    """Upper bound B_n(a) on |eps_n(a)| for n >= 1:
+
+        B_n(a) = a^(-3/4)/(4 sqrt(2) pi) * (E_n(a) + E_n(1/a)),
+        E_n(x) = x^(1/4) * lambda(x) * exp(-pi*x) * G_n(2*pi*x).
+
+    The theta sum Psi(x) is majorised by lambda(x)*exp(-pi*x), which keeps the
+    bound rigorous (Psi(x) is strictly smaller) and reproduces the tabulated
+    reference values.  By formula symmetry B_n(1/a) = a^(3/2) * B_n(a).  Not
+    sharp near a = 1 for odd n, where eps_n itself vanishes.
+    """
+    _check_index("n", n, 1)
+    _check_a(a)
     # G_n(2*pi*x) = n! U(n+1, 1/2, 2*pi*x) is evaluated as one integral; the
     # explicit factorial would overflow binary64 from n = 171 on.
     if a == 1.0:
@@ -87,29 +97,32 @@ def _bound(n: int, a: float) -> float:
     return a ** -0.75 * _BOUND_COEF * pair
 
 
+# The paper's tables are indexed by k; these keep its names for n = 2k and
+# n = 2k + 1.
+
+
+def t_even(k: int, a: float) -> float:
+    """T_2k(a) = approximant(2k, a), k >= 1."""
+    _check_index("k", k, 1)
+    return approximant(2 * k, a)
+
+
+def t_odd(k: int, a: float) -> float:
+    """T_{2k+1}(a) = approximant(2k+1, a), k >= 0; note J = -T + eps here."""
+    _check_index("k", k, 0)
+    return approximant(2 * k + 1, a)
+
+
 def bound_even(k: int, a: float) -> float:
-    """Upper bound B_2k(a) on the remainder eps_2k(a):
-
-        B_2k(a) = a^(-3/4)/(4 sqrt(2) pi) * (E_2k(a) + E_2k(1/a)),
-        E_2k(x) = x^(1/4) * lambda(x) * exp(-pi*x) * G_2k(2*pi*x).
-
-    The theta sum Psi(x) is majorised by lambda(x)*exp(-pi*x), which keeps the
-    bound rigorous (Psi(x) is strictly smaller) and reproduces the tabulated
-    reference values.  By formula symmetry B_2k(1/a) = a^(3/2) * B_2k(a).
-    """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    _check_a(a)
-    return _bound(2 * k, a)
+    """B_2k(a) = bound(2k, a), k >= 1."""
+    _check_index("k", k, 1)
+    return bound(2 * k, a)
 
 
 def bound_odd(k: int, a: float) -> float:
-    """Upper bound B_{2k+1}(a) on |eps_{2k+1}(a)|; same shape as bound_even
-    with G_{2k+1}.  Not sharp near a = 1, where eps_{2k+1} itself vanishes."""
-    if k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k}")
-    _check_a(a)
-    return _bound(2 * k + 1, a)
+    """B_{2k+1}(a) = bound(2k+1, a), k >= 0."""
+    _check_index("k", k, 0)
+    return bound(2 * k + 1, a)
 
 
 def bound_asymptotic(k: int, a: float) -> float:
@@ -122,8 +135,7 @@ def bound_asymptotic(k: int, a: float) -> float:
     Valid for pi/(2k) << a << 2k/pi; the window is documented, not enforced.
     At a = 1 this reduces to lambda(1)/(4 sqrt(pi)) k^(-1/2) e^(-4 sqrt(pi k)).
     """
-    if k < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    _check_index("k", k, 1)
     _check_a(a)
     front = a ** -0.75 / (8.0 * math.sqrt(math.pi) * math.sqrt(k))
     term_a = a ** 0.25 * lambda_factor(a) * math.exp(-4.0 * math.sqrt(math.pi * a * k))
@@ -140,8 +152,7 @@ def drz_approx(k: int, a: float) -> float:
     Accurate for small and large a with k fixed; for a = O(1) its relative
     error grows with k.  Even index only.
     """
-    if k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k}")
+    _check_index("k", k, 0)
     _check_a(a)
     f = float(gauss_f(2 * k))
     radicand = 1.0 + a * a + 2.0 * math.pi * a / (3.0 * f)
@@ -155,8 +166,7 @@ def drz_small_a(k: int, a: float) -> float:
 
     A polynomial in a, so a = 0 is allowed and gives the limiting value 1/24.
     """
-    if k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k}")
+    _check_index("k", k, 0)
     if not (a >= 0.0 and math.isfinite(a)):
         raise ValueError(f"a must be non-negative and finite, got {a}")
     f = float(gauss_f(2 * k))
@@ -166,8 +176,7 @@ def drz_small_a(k: int, a: float) -> float:
 def drz_large_a(k: int, a: float) -> float:
     """Leading large-a behaviour of drz_approx:
     F/(4 pi sqrt(a)) * (1 - 1/sqrt(a) + pi/(6 a F))."""
-    if k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k}")
+    _check_index("k", k, 0)
     _check_a(a)
     f = float(gauss_f(2 * k))
     sq = math.sqrt(a)
@@ -213,23 +222,17 @@ class ApproxReport:
 def approx_report(p: IntegralParams) -> ApproxReport:
     """Evaluate every quantity of the decomposition J_n = sigma*T_n + eps_n.
 
-    Requires n >= 1 (the even approximant starts at index 2).  The remainder
-    is integrated with a bound-scaled tolerance so that it keeps relative
-    accuracy even when exponentially small.  ``estimate`` is NaN for n < 2
-    where the large-k formula has no meaning.
+    Requires n >= 1.  The remainder is integrated with a bound-scaled
+    tolerance so that it keeps relative accuracy even when exponentially
+    small.  ``estimate`` (evaluated at k = n // 2) is NaN for n < 2, where
+    the large-k formula has no meaning.
     """
     n, a = p.n, p.a
-    if n < 1:
-        raise ValueError("approx_report requires n >= 1")
-    k = n // 2 if n % 2 == 0 else (n - 1) // 2
-    if n % 2 == 0:
-        t = t_even(k, a)
-        b = bound_even(k, a)
-    else:
-        t = t_odd(k, a)
-        b = bound_odd(k, a)
+    t = approximant(n, a)
+    b = bound(n, a)
     eps = epsilon_integral(IntegralParams(n, a, min(p.tol, 1e-6 * b)))
     j = j_integral(p)
+    k = n // 2
     estimate = bound_asymptotic(k, a) if k >= 1 else math.nan
     residual = j.value - sigma(n) * t - eps.value
     return ApproxReport(p, j.value, t, eps.value, b, estimate, residual)

@@ -5,7 +5,8 @@ approximant), ``bound`` (remainder bound, optionally with the large-k
 estimate), ``table`` (reference-table reproduction) and ``verify`` (identity
 suite).  Output formats: text (15 significant digits), csv, json.
 
-Exit codes: 0 success, 1 parse or domain error, 2 identity-suite failure.
+Exit codes: 0 success, 1 parse, domain or output-file error (reported as
+``error: ...``), 2 identity-suite failure.
 """
 
 from __future__ import annotations
@@ -15,14 +16,7 @@ import json
 import math
 import sys
 
-from .approximants import (
-    bound_asymptotic,
-    bound_even,
-    bound_odd,
-    drz_approx,
-    t_even,
-    t_odd,
-)
+from .approximants import approximant, bound, bound_asymptotic, drz_approx
 from .quadrature import AccuracyError, IntegralParams, j_integral
 from .verify import TolProfile, reproduce_table, run_suite
 
@@ -84,7 +78,6 @@ def _build_parser() -> _Parser:
     )
     p_table = sub.add_parser("table", help="reproduce a reference table")
     p_table.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
-    p_table.add_argument("--tol", type=_float_positive, default=1e-13)
     add_output_args(p_table)
     p_verify = sub.add_parser("verify", help="run the identity suite")
     p_verify.add_argument("--tol", type=_float_positive, default=1e-13)
@@ -159,10 +152,8 @@ def _cmd_approx(args) -> int:
         if n % 2:
             raise ValueError("the quartic-root approximation is defined for even n only")
         value = drz_approx(n // 2, args.a)
-    elif n % 2 == 0:
-        value = t_even(n // 2, args.a)
     else:
-        value = t_odd((n - 1) // 2, args.a)
+        value = approximant(n, args.a)
     fields = {"command": "approx", "method": args.method, "n": n, "a": args.a, "value": value}
     if args.format == "text":
         _emit(f"{value:.15g}\n", args.out)
@@ -173,10 +164,10 @@ def _cmd_approx(args) -> int:
 
 def _cmd_bound(args) -> int:
     n = _resolve_index(args)
-    value = bound_even(n // 2, args.a) if n % 2 == 0 else bound_odd((n - 1) // 2, args.a)
+    value = bound(n, args.a)
     fields = {"command": "bound", "n": n, "a": args.a, "bound": value}
     if args.estimate:
-        k = n // 2 if n % 2 == 0 else (n - 1) // 2
+        k = n // 2
         if k < 1:
             raise ValueError("the large-k estimate requires k >= 1")
         if not (math.pi / k <= args.a <= k):
@@ -251,10 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        sys.stderr.write(f"error: {exc}\n{_USAGE_HINT}\n")
-        return 1
-    except (ValueError, AccuracyError) as exc:
+    except (_CliError, ValueError, AccuracyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n{_USAGE_HINT}\n")
         return 1
 

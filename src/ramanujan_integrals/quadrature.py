@@ -429,20 +429,16 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     return QuadResult(res.value * c, res.abs_error_estimate * c, res.evaluations)
 
 
-def finite_check_integrals(k: int, parity: str) -> tuple[float, float]:
-    """The two finite integrals behind the closed-form approximant.
+def finite_check_integrals(m: int) -> tuple[float, float]:
+    """The two finite integrals behind the closed-form approximant T_m.
 
     Returns (integral_0^1 t^(-1/2) (1-t)^m / (1+t)^(m+3/2) dt,
              integral_0^1 (1-t)^m / (1+t)^(m+3/2) dt)
-    with m = 2k for parity 'even' and m = 2k+1 for parity 'odd', both by
-    direct quadrature at full relative accuracy, for comparison against their
-    gamma-ratio / Gauss-value closed forms.
+    for m >= 0, both by direct quadrature at full relative accuracy, for
+    comparison against their gamma-ratio / Gauss-value closed forms.
     """
-    if k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k}")
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    m = 2 * k + (1 if parity == "odd" else 0)
+    if m < 0:
+        raise ValueError(f"m must be a non-negative integer, got {m}")
 
     def core(t: float) -> float:
         r = (1.0 - t) / (1.0 + t)

@@ -23,20 +23,15 @@ pair after every operation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "ExactRational",
-    "ThetaSum",
     "gamma_half_ratio",
     "kummer_terminating",
     "gauss_f",
     "theta_psi",
     "lambda_factor",
 ]
-
-ExactRational = Fraction
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -168,26 +163,3 @@ def lambda_factor(a: float) -> float:
         raise ValueError(f"a must be positive, got {a}")
     return 1.0 + math.exp(-3.0 * math.pi * a) + math.exp(-2.0 * math.pi * a) / -math.expm1(-math.pi * a)
 
-
-@dataclass(frozen=True)
-class ThetaSum:
-    """One evaluated theta sum: argument, truncation tolerance and value."""
-
-    tau: float
-    tol: float
-    value: float
-
-    def __post_init__(self) -> None:
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.tol <= 0.0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-
-    @classmethod
-    def evaluate(cls, tau: float, tol: float) -> "ThetaSum":
-        return cls(tau, tol, theta_psi(tau, tol))
-
-    def geometric_majorant(self) -> float:
-        """Strict upper bound sum_{n>=1} exp(-pi n tau) on the value."""
-        q = math.exp(-math.pi * self.tau)
-        return q / (1.0 - q)

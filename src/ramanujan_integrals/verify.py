@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .approximants import bound_even, bound_odd, drz_approx, sigma, t_even, t_odd
+from .approximants import approximant, bound, drz_approx, sigma
 from .quadrature import (
     AccuracyError,
     IntegralParams,
@@ -52,6 +52,14 @@ ALL_CHECK_GROUPS = ("poisson", "finite", "consistency", "sign", "dominance", "mo
 
 _POISSON_TAUS = (0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0)
 _THETA_TOL = 1e-16
+_POISSON_TOL = 1e-13
+_FINITE_REL_TOL = 1e-12
+_CONSISTENCY_TOL = 1e-12
+# |eps| below this is under the cancellation floor of J - sigma*T; the
+# consistency check skips such points
+_CONSISTENCY_WINDOW = 1e-12
+_MODULAR_TOL = 1e-10
+_DRZ_MARGIN_POINTS = 0.3
 # remainder tolerance as a fraction of its bound; keeps eps accurate in the
 # relative sense even at 1e-24
 _EPS_REL_OF_BOUND = 1e-6
@@ -107,19 +115,14 @@ class SuiteReport:
 
 @dataclass(frozen=True)
 class TolProfile:
-    """Tolerances for the identity suite, plus an optional check selection.
+    """Quadrature tolerance of the identity suite, plus an optional check
+    selection.
 
     ``checks=None`` runs every group; an empty tuple runs nothing and passes
-    vacuously.
+    vacuously.  Unknown or repeated group names are rejected.
     """
 
     quad_tol: float = 1e-13
-    poisson_tol: float = 1e-13
-    finite_rel_tol: float = 1e-12
-    consistency_tol: float = 1e-12
-    consistency_window: float = 1e-12
-    modular_tol: float = 1e-10
-    drz_margin_points: float = 0.3
     checks: tuple[str, ...] | None = None
 
     def selected(self) -> tuple[str, ...]:
@@ -128,30 +131,28 @@ class TolProfile:
         unknown = set(self.checks) - set(ALL_CHECK_GROUPS)
         if unknown:
             raise ValueError(f"unknown check groups: {sorted(unknown)}")
+        if len(set(self.checks)) != len(self.checks):
+            raise ValueError(f"repeated check groups: {list(self.checks)}")
         return self.checks
 
 
-def _bound_for(n: int, a: float) -> float:
-    return bound_even(n // 2, a) if n % 2 == 0 else bound_odd((n - 1) // 2, a)
+def _index_label(n: int) -> str:
+    """Check-name fragment for index n, in the paper's k-indexed terms."""
+    return f"{'odd' if n % 2 else 'even'}/k={n // 2}"
 
 
-def _t_for(n: int, a: float) -> float:
-    return t_even(n // 2, a) if n % 2 == 0 else t_odd((n - 1) // 2, a)
-
-
-def _epsilon_precise(n: int, a: float, bound: float | None = None) -> QuadResult:
-    """Remainder with tolerance scaled to its own bound (cheap to compute),
-    giving ~6 significant digits regardless of magnitude."""
-    b = _bound_for(n, a) if bound is None else bound
+def _epsilon_precise(n: int, a: float, b: float | None = None) -> QuadResult:
+    """Remainder with tolerance scaled to its own bound ``b`` (cheap to
+    compute), giving ~6 significant digits regardless of magnitude."""
+    if b is None:
+        b = bound(n, a)
     return epsilon_integral(IntegralParams(n, a, tol=_EPS_REL_OF_BOUND * b))
 
 
-def script_j(n: int, a: float, tol: float | None = None) -> float:
+def script_j(n: int, a: float) -> float:
     """|eps_n(a)| as tabulated; magnitudes sidestep the sign convention of the
     odd-index rows (the remainder itself is negative for odd n, a > 1)."""
-    if tol is None:
-        return abs(_epsilon_precise(n, a).value)
-    return abs(epsilon_integral(IntegralParams(n, a, tol=tol)).value)
+    return abs(_epsilon_precise(n, a).value)
 
 
 def reproduce_table(table_id: int) -> list[TableRow]:
@@ -167,32 +168,30 @@ def reproduce_table(table_id: int) -> list[TableRow]:
     for a in a_values:
         for k in ks:
             n = 2 * k if even else 2 * k + 1
-            b = _bound_for(n, a)
-            sj = abs(_epsilon_precise(n, a, bound=b).value)
+            b = bound(n, a)
+            sj = abs(_epsilon_precise(n, a, b).value)
             rows.append(TableRow(k=k, a=a, script_j=sj, bound=b))
     return rows
 
 
-def check_modular(parity: str, k: int, a: float, tol: float = 1e-13) -> float:
-    """Residual of the reciprocal-argument relation at alpha = pi*a, beta = pi/a.
+def check_modular(n: int, a: float, tol: float = 1e-13) -> float:
+    """Residual of the reciprocal-argument relation at alpha = pi*a, beta = pi/a
+    for index n >= 0:
 
-    Even:  alpha^(-1/4) F + 4 alpha^(3/4) J(alpha)  equals the same at beta.
-    Odd:   the beta side carries an overall minus sign.
-    Both J values come from independent quadratures; returns |lhs - rhs|.
+        alpha^(-1/4) F_n + 4 alpha^(3/4) J_n(alpha)
+            = sigma(n) * (the same at beta),
+
+    so the beta side carries an overall minus sign for odd n.  Both J values
+    come from independent quadratures; returns |lhs - rhs|.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k}")
-    n = 2 * k if parity == "even" else 2 * k + 1
+    if n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n}")
     f = float(gauss_f(n))
     alpha = math.pi * a
     beta = math.pi / a
     lhs = alpha ** -0.25 * f + 4.0 * alpha ** 0.75 * j_integral(IntegralParams(n, a, tol)).value
     rhs = beta ** -0.25 * f + 4.0 * beta ** 0.75 * j_integral(IntegralParams(n, 1.0 / a, tol)).value
-    if parity == "odd":
-        rhs = -rhs
-    return abs(lhs - rhs)
+    return abs(lhs - sigma(n) * rhs)
 
 
 def _check(name: str, tolerance: float, residual_fn) -> CheckResult:
@@ -213,27 +212,24 @@ def _checks_poisson(profile: TolProfile) -> list[CheckResult]:
             rhs = tau ** -0.5 * theta_psi(1.0 / tau, _THETA_TOL)
             return abs(lhs - rhs)
 
-        out.append(_check(f"poisson/tau={tau:g}", profile.poisson_tol, residual))
+        out.append(_check(f"poisson/tau={tau:g}", _POISSON_TOL, residual))
     return out
 
 
 def _checks_finite(profile: TolProfile) -> list[CheckResult]:
     out = []
-    for parity in ("even", "odd"):
-        for k in (0, 1, 2, 5, 10, 20, 30):
+    for m in (0, 2, 4, 10, 20, 40, 60, 1, 3, 5, 11, 21, 41, 61):
 
-            def residual(parity=parity, k=k):
-                first, second = finite_check_integrals(k, parity)
-                m = 2 * k + (1 if parity == "odd" else 0)
-                closed_first = math.sqrt(math.pi / 2.0) * gamma_half_ratio(m)
-                f2 = 2.0 * float(gauss_f(m))
-                closed_second = f2 - closed_first if parity == "even" else f2 + closed_first
-                return max(
-                    abs(first - closed_first) / closed_first,
-                    abs(second - closed_second) / abs(closed_second),
-                )
+        def residual(m=m):
+            first, second = finite_check_integrals(m)
+            closed_first = math.sqrt(math.pi / 2.0) * gamma_half_ratio(m)
+            closed_second = 2.0 * float(gauss_f(m)) - sigma(m) * closed_first
+            return max(
+                abs(first - closed_first) / closed_first,
+                abs(second - closed_second) / abs(closed_second),
+            )
 
-            out.append(_check(f"finite/{parity}/k={k}", profile.finite_rel_tol, residual))
+        out.append(_check(f"finite/{_index_label(m)}", _FINITE_REL_TOL, residual))
     return out
 
 
@@ -245,42 +241,32 @@ def _checks_consistency(profile: TolProfile) -> list[CheckResult]:
             try:
                 eps = _epsilon_precise(n, a).value
             except AccuracyError:
-                out.append(CheckResult(name, math.inf, profile.consistency_tol, False))
+                out.append(CheckResult(name, math.inf, _CONSISTENCY_TOL, False))
                 continue
-            if abs(eps) <= profile.consistency_window:
-                continue  # eps below the cancellation floor of J - sigma*T
+            if abs(eps) <= _CONSISTENCY_WINDOW:
+                continue
 
             def residual(n=n, a=a, eps=eps):
                 j = j_integral(IntegralParams(n, a, profile.quad_tol)).value
-                return abs(j - sigma(n) * _t_for(n, a) - eps)
+                return abs(j - sigma(n) * approximant(n, a) - eps)
 
-            out.append(_check(name, profile.consistency_tol, residual))
+            out.append(_check(name, _CONSISTENCY_TOL, residual))
     return out
 
 
 def _checks_sign(profile: TolProfile) -> list[CheckResult]:
-    out = []
-    for k in (1, 2, 3):
-        for a in (0.5, 1.0, 2.0):
-            out.append(
-                _check(
-                    f"sign/even/k={k}/a={a:g}",
-                    0.0,
-                    lambda k=k, a=a: -_epsilon_precise(2 * k, a).value,
-                )
-            )
-    for k in (0, 1):
-        for a in (0.25, 0.5, 0.9, 1.1, 2.0, 4.0):
-            # sign(eps_{2k+1}(a)) must equal sign(1 - a)
-            out.append(
-                _check(
-                    f"sign/odd/k={k}/a={a:g}",
-                    0.0,
-                    lambda k=k, a=a: -math.copysign(1.0, 1.0 - a)
-                    * _epsilon_precise(2 * k + 1, a).value,
-                )
-            )
-    return out
+    points = [(n, a) for n in (2, 4, 6) for a in (0.5, 1.0, 2.0)]
+    points += [(n, a) for n in (1, 3) for a in (0.25, 0.5, 0.9, 1.1, 2.0, 4.0)]
+    # eps_n(a) > 0 for even n; sign(eps_n(a)) = sign(1 - a) for odd n
+    return [
+        _check(
+            f"sign/{_index_label(n)}/a={a:g}",
+            0.0,
+            lambda n=n, a=a: -(math.copysign(1.0, 1.0 - a) if n % 2 else 1.0)
+            * _epsilon_precise(n, a).value,
+        )
+        for n, a in points
+    ]
 
 
 def _checks_dominance(profile: TolProfile) -> list[CheckResult]:
@@ -289,28 +275,23 @@ def _checks_dominance(profile: TolProfile) -> list[CheckResult]:
         for a in (0.5, 1.0, 2.0):
 
             def residual(n=n, a=a):
-                b = _bound_for(n, a)
-                return abs(_epsilon_precise(n, a, bound=b).value) - b
+                b = bound(n, a)
+                return abs(_epsilon_precise(n, a, b).value) - b
 
             out.append(_check(f"dominance/n={n}/a={a:g}", 0.0, residual))
     return out
 
 
 def _checks_modular(profile: TolProfile) -> list[CheckResult]:
-    out = []
-    for parity in ("even", "odd"):
-        for k in (0, 1, 2):
-            for a in (0.5, 2.0):
-                out.append(
-                    _check(
-                        f"modular/{parity}/k={k}/a={a:g}",
-                        profile.modular_tol,
-                        lambda parity=parity, k=k, a=a: check_modular(
-                            parity, k, a, profile.quad_tol
-                        ),
-                    )
-                )
-    return out
+    return [
+        _check(
+            f"modular/{_index_label(n)}/a={a:g}",
+            _MODULAR_TOL,
+            lambda n=n, a=a: check_modular(n, a, profile.quad_tol),
+        )
+        for n in (0, 2, 4, 1, 3, 5)
+        for a in (0.5, 2.0)
+    ]
 
 
 def _checks_drz(profile: TolProfile) -> list[CheckResult]:
@@ -323,12 +304,10 @@ def _checks_drz(profile: TolProfile) -> list[CheckResult]:
             j = j_integral(IntegralParams(2 * k, 1.0, profile.quad_tol)).value
             errors[k] = abs(drz_approx(k, 1.0) - j) / abs(j) * 100.0
         except AccuracyError:
-            out.append(CheckResult(name, math.inf, profile.drz_margin_points, False))
+            out.append(CheckResult(name, math.inf, _DRZ_MARGIN_POINTS, False))
             continue
         residual = abs(errors[k] - reference[k])
-        out.append(
-            CheckResult(name, residual, profile.drz_margin_points, residual < profile.drz_margin_points)
-        )
+        out.append(CheckResult(name, residual, _DRZ_MARGIN_POINTS, residual < _DRZ_MARGIN_POINTS))
     if len(errors) == 2:
         growth = errors[10] - errors[5]
         out.append(CheckResult("drz/error-growth", -growth, 0.0, growth > 0.0))

@@ -165,7 +165,7 @@ def test_criterion_07_modular_relations():
     for parity in ("even", "odd"):
         for k in (0, 1, 2):
             for a in (0.5, 2.0):
-                residual = ri.check_modular(parity, k, a)
+                residual = ri.check_modular(2 * k if parity == "even" else 2 * k + 1, a)
                 if residual >= 1e-10:
                     failures.append(f"{parity} k={k} a={a}: residual {residual:.3e}")
     _report("crit-07 modular relations", not failures)

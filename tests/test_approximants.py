@@ -4,10 +4,13 @@ import math
 
 import pytest
 
+import ramanujan_integrals
 from ramanujan_integrals import (
     ApproxReport,
     IntegralParams,
     approx_report,
+    approximant,
+    bound,
     bound_asymptotic,
     bound_even,
     bound_odd,
@@ -42,6 +45,55 @@ def _bound_40_digits(n, a):
 
         a = mp.mpf(a)
         return float(a ** mp.mpf(-0.75) / (4 * mp.sqrt(2) * mp.pi) * (energy(a) + energy(1 / a)))
+
+
+_N_GRID = (*range(1, 41), 200, 1000)
+_A_GRID = (1e-7, 0.1, 0.5, 1.0, 2.0, 10.0, 1e7)
+
+
+class TestNIndexedCore:
+    def test_approximant_is_the_papers_formula_for_each_parity(self):
+        # the paper writes T_2k and T_2k+1 as two expressions; the signed
+        # single formula must reproduce each bit for bit
+        for n in _N_GRID:
+            f, r, c = float(gauss_f(n)), gamma_half_ratio(n), math.sqrt(PI / 2.0)
+            for a in _A_GRID:
+                if n % 2 == 0:
+                    paper = (0.5 * (1.0 + math.sqrt(a)) * c * r - f) / (4.0 * PI * a)
+                    alias = t_even(n // 2, a)
+                else:
+                    paper = (0.5 * (1.0 - math.sqrt(a)) * c * r + f) / (4.0 * PI * a)
+                    alias = t_odd(n // 2, a)
+                assert approximant(n, a) == paper == alias, (n, a)
+
+    def test_bound_aliases_agree(self):
+        for n in _N_GRID:
+            for a in _A_GRID:
+                alias = bound_even(n // 2, a) if n % 2 == 0 else bound_odd(n // 2, a)
+                assert bound(n, a) == alias, (n, a)
+
+    @pytest.mark.parametrize("fn", [approximant, bound])
+    def test_index_domain(self, fn):
+        with pytest.raises(ValueError):
+            fn(0, 1.0)
+        with pytest.raises(ValueError):
+            fn(1, 0.0)
+
+
+def test_package_exports_are_pinned():
+    assert set(ramanujan_integrals.__all__) == {
+        "gamma_half_ratio", "gauss_f", "kummer_terminating", "lambda_factor", "theta_psi",
+        "AccuracyError", "DEFAULT_TOL", "IntegralParams", "QuadResult", "epsilon_integral",
+        "finite_check_integrals", "integrate", "j_integral", "u_scaled",
+        "ApproxReport", "approx_report", "approximant", "bound", "bound_asymptotic",
+        "drz_approx", "drz_large_a", "drz_small_a", "ramanujan_i", "ramanujan_i_approx",
+        "sigma", "t_even", "t_odd", "bound_even", "bound_odd",
+        "ALL_CHECK_GROUPS", "CheckResult", "SuiteReport", "TABLE_GRIDS", "TableRow",
+        "TolProfile", "check_modular", "reproduce_table", "run_suite", "script_j",
+        "__version__",
+    }
+    for name in ramanujan_integrals.__all__:
+        assert hasattr(ramanujan_integrals, name), name
 
 
 class TestTEven:

@@ -180,6 +180,14 @@ class TestTable:
         code, _, err = run_cli(capsys, "table", "--id", "7")
         assert code == 1
 
+    def test_tol_is_not_an_option(self, capsys):
+        # table has no quadrature tolerance to set: every remainder is
+        # integrated to a fixed fraction of its bound
+        code, out, err = run_cli(capsys, "table", "--id", "1", "--tol", "1e-30")
+        assert code == 1
+        assert out == ""
+        assert "error: unrecognized arguments: --tol" in err
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "table1.csv"
         code, out, _ = run_cli(capsys, "table", "--id", "1", "--format", "csv", "--out", str(target))
@@ -187,6 +195,13 @@ class TestTable:
         assert out == ""
         _, direct, _ = run_cli(capsys, "table", "--id", "1", "--format", "csv")
         assert target.read_text() == direct
+
+    def test_unwritable_out_path_is_an_error(self, tmp_path, capsys):
+        target = tmp_path / "no" / "such" / "dir" / "x"
+        code, out, err = run_cli(capsys, "eval", "--n", "1", "--a", "1", "--out", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "No such file or directory" in err
 
 
 class TestVerify:
@@ -203,6 +218,36 @@ class TestVerify:
         assert payload["command"] == "verify"
         assert payload["overall"] is True
         assert len(payload["checks"]) > 100
+
+    def test_json_check_names_and_order(self, capsys):
+        _, out, _ = run_cli(capsys, "verify", "--format", "json")
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        expected = [f"poisson/tau={tau}" for tau in ("0.05", "0.1", "0.5", "1", "2", "5", "20")]
+        expected += [
+            f"finite/{parity}/k={k}" for parity in ("even", "odd") for k in (0, 1, 2, 5, 10, 20, 30)
+        ]
+        expected += [
+            f"consistency/n={n}/a={a}"
+            for a in ("0.5", "1", "2")
+            for n in range(1, 8)
+            if a != "1" or n % 2 == 0  # odd eps_n(1) = 0 is skipped
+        ]
+        expected += [f"sign/even/k={k}/a={a}" for k in (1, 2, 3) for a in ("0.5", "1", "2")]
+        expected += [
+            f"sign/odd/k={k}/a={a}" for k in (0, 1) for a in ("0.25", "0.5", "0.9", "1.1", "2", "4")
+        ]
+        expected += [
+            f"dominance/n={n}/a={a}" for n in (*range(1, 11), 20, 41) for a in ("0.5", "1", "2")
+        ]
+        expected += [
+            f"modular/{parity}/k={k}/a={a}"
+            for parity in ("even", "odd")
+            for k in (0, 1, 2)
+            for a in ("0.5", "2")
+        ]
+        expected += ["drz/relative-error/k=5", "drz/relative-error/k=10", "drz/error-growth"]
+        assert len(names) == 110
+        assert names == expected
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         import ramanujan_integrals.cli as cli_module

@@ -353,11 +353,11 @@ class TestUScaled:
 class TestFiniteCheckIntegrals:
     def test_even_base_case_analytic(self):
         # antiderivative of t^(-1/2)(1+t)^(-3/2) is 2 sqrt(t/(1+t))
-        first, _ = finite_check_integrals(0, "even")
+        first, _ = finite_check_integrals(0)
         assert first == pytest.approx(math.sqrt(2.0), rel=1e-13, abs=0.0)
 
     def test_even_k1_closed_forms(self):
-        first, second = finite_check_integrals(1, "even")
+        first, second = finite_check_integrals(2)
         closed_first = math.sqrt(math.pi / 2.0) * gamma_half_ratio(2)
         closed_second = 2.0 * float(gauss_f(2)) - closed_first
         assert first == pytest.approx(closed_first, rel=1e-12, abs=0.0)
@@ -368,15 +368,15 @@ class TestFiniteCheckIntegrals:
     def test_odd_base_case_analytic(self):
         # integral_0^1 (1-t)/(1+t)^(5/2) dt via the antiderivative
         # 2/sqrt(1+t) - (4/3)(1+t)^(-3/2)
-        _, second = finite_check_integrals(0, "odd")
+        _, second = finite_check_integrals(1)
         expected = (2.0 / math.sqrt(2.0) - (4.0 / 3.0) * 2.0 ** -1.5) - (2.0 - 4.0 / 3.0)
         assert second == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     @pytest.mark.parametrize("k", [0, 1, 2, 5, 10, 20, 30])
     def test_closed_forms_to_relative_tolerance(self, parity, k):
-        first, second = finite_check_integrals(k, parity)
         m = 2 * k + (1 if parity == "odd" else 0)
+        first, second = finite_check_integrals(m)
         closed_first = math.sqrt(math.pi / 2.0) * gamma_half_ratio(m)
         f2 = 2.0 * float(gauss_f(m))
         closed_second = f2 - closed_first if parity == "even" else f2 + closed_first
@@ -385,6 +385,4 @@ class TestFiniteCheckIntegrals:
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
-            finite_check_integrals(-1, "even")
-        with pytest.raises(ValueError):
-            finite_check_integrals(1, "both")
+            finite_check_integrals(-1)

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramanujan_integrals import (
-    ThetaSum,
     gamma_half_ratio,
     gauss_f,
     kummer_terminating,
@@ -197,20 +196,6 @@ class TestThetaPsi:
             theta_psi(-1.0, 1e-10)
         with pytest.raises(ValueError):
             theta_psi(1.0, 0.0)
-
-
-class TestThetaSumRecord:
-    def test_evaluate(self):
-        record = ThetaSum.evaluate(1.0, 1e-12)
-        assert record.tau == 1.0
-        assert record.tol == 1e-12
-        assert 0.0 < record.value < record.geometric_majorant()
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ThetaSum(tau=-1.0, tol=1e-12, value=0.1)
-        with pytest.raises(ValueError):
-            ThetaSum(tau=1.0, tol=0.0, value=0.1)
 
 
 class TestLambdaFactor:

@@ -1,5 +1,6 @@
 """Tests for table reproduction and the identity suite."""
 
+import dataclasses
 import math
 
 import pytest
@@ -34,9 +35,6 @@ class TestScriptJ:
     def test_returns_magnitude_for_negative_remainder(self):
         # the odd remainder at a=2 is negative; the tabulated quantity is |.|
         assert script_j(3, 2.0) > 0.0
-
-    def test_explicit_tolerance_path(self):
-        assert script_j(2, 1.0, tol=1e-10) == pytest.approx(1.2503290434108733e-5, abs=1e-10)
 
 
 class TestReproduceTable:
@@ -76,21 +74,19 @@ class TestReproduceTable:
 
 class TestCheckModular:
     def test_even_residual_small(self):
-        assert check_modular("even", 1, 2.0) < 1e-10
+        assert check_modular(2, 2.0) < 1e-10
 
     def test_odd_at_one_reproduces_exact_evaluation(self):
-        assert check_modular("odd", 0, 1.0) < 1e-10
+        assert check_modular(1, 1.0) < 1e-10
 
     def test_symmetric_instance_is_identically_zero(self):
         # a=1 maps alpha and beta to the same point; both sides are computed
         # by the same expressions and cancel exactly
-        assert check_modular("even", 2, 1.0) == 0.0
+        assert check_modular(4, 1.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            check_modular("both", 1, 2.0)
-        with pytest.raises(ValueError):
-            check_modular("even", -1, 2.0)
+            check_modular(-1, 2.0)
 
 
 class TestRunSuite:
@@ -125,6 +121,15 @@ class TestRunSuite:
     def test_unknown_group_rejected(self):
         with pytest.raises(ValueError):
             run_suite(TolProfile(checks=("poisson", "nonsense")))
+
+    def test_profile_sets_only_quad_tol_and_checks(self):
+        # the per-group check tolerances are fixed constants of the suite
+        assert [f.name for f in dataclasses.fields(TolProfile)] == ["quad_tol", "checks"]
+
+    def test_repeated_group_rejected(self):
+        # running a group twice would report each of its checks twice
+        with pytest.raises(ValueError, match="repeated"):
+            run_suite(TolProfile(checks=("poisson", "poisson")))
 
     def test_group_selection_runs_subset(self):
         report = run_suite(TolProfile(checks=("poisson",)))
