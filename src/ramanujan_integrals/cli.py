@@ -55,14 +55,15 @@ def _build_parser() -> _Parser:
         p.add_argument("--k", type=int, help="half index k, used with --parity")
         p.add_argument("--parity", choices=("even", "odd"), help="parity for --k")
         p.add_argument("--a", type=_float_positive, required=True, help="scale a > 0")
-        p.add_argument("--tol", type=_float_positive, default=1e-13)
         add_output_args(p)
 
     def add_output_args(p: _Parser) -> None:
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
-    add_index_args(sub.add_parser("eval", help="J_n(a) by quadrature"))
+    p_eval = sub.add_parser("eval", help="J_n(a) by quadrature")
+    add_index_args(p_eval)
+    p_eval.add_argument("--tol", type=_float_positive, default=1e-13)
     p_approx = sub.add_parser("approx", help="closed-form approximant T_n(a)")
     add_index_args(p_approx)
     p_approx.add_argument(

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .specfun import _kummer_scaled, _theta_rel
+from .specfun import _kummer_scaled, theta_psi
 
 __all__ = [
     "AccuracyError",
@@ -213,7 +213,7 @@ def _level_sum_tanhsinh(
 
 
 def _refine(
-    level_sum, scale: float, tol: float, rel_tol: float, max_level: int, roundoff: float = 0.0
+    level_sum, scale: float, tol: float, rel_tol: float, roundoff: float = 0.0
 ) -> QuadResult:
     """Add levels until the error estimate meets ``max(tol, rel_tol*|value|)``.
 
@@ -228,7 +228,7 @@ def _refine(
     d_prev = None
     value = 0.0
     err = math.inf
-    for level in range(max_level + 1):
+    for level in range(_MAX_LEVEL + 1):
         s, m, n = level_sum(level)
         total += s
         mass += m
@@ -248,7 +248,7 @@ def _refine(
     if floor > target:
         why = f"the roundoff floor {floor:g} exceeds it"
     else:
-        why = f"the level budget ran out at level {max_level}"
+        why = f"the level budget ran out at level {_MAX_LEVEL}"
     raise AccuracyError(
         f"quadrature did not reach tolerance {target:g}: {why} "
         f"(best estimate {value:.17g} +- {err:g} after {evaluations} evaluations)",
@@ -256,17 +256,13 @@ def _refine(
     )
 
 
-def _integrate_expsinh(f, lower, tol, rel_tol, max_level, roundoff=0.0) -> QuadResult:
-    return _refine(
-        lambda level: _level_sum_expsinh(f, lower, level), 1.0, tol, rel_tol, max_level, roundoff
-    )
+def _integrate_expsinh(f, lower, tol, rel_tol, roundoff=0.0) -> QuadResult:
+    return _refine(lambda level: _level_sum_expsinh(f, lower, level), 1.0, tol, rel_tol, roundoff)
 
 
-def _integrate_tanhsinh(f, a, b, tol, rel_tol, max_level) -> QuadResult:
+def _integrate_tanhsinh(f, a, b, tol, rel_tol) -> QuadResult:
     half = 0.5 * (b - a)
-    return _refine(
-        lambda level: _level_sum_tanhsinh(f, a, b, half, level), half, tol, rel_tol, max_level
-    )
+    return _refine(lambda level: _level_sum_tanhsinh(f, a, b, half, level), half, tol, rel_tol)
 
 
 def integrate(
@@ -275,7 +271,6 @@ def integrate(
     upper: float,
     tol: float = DEFAULT_TOL,
     rel_tol: float = _DEFAULT_REL,
-    max_level: int = _MAX_LEVEL,
 ) -> QuadResult:
     """Integrate ``f`` over (lower, upper), upper may be ``math.inf``.
 
@@ -296,8 +291,8 @@ def integrate(
     if tol < 0.0 or rel_tol < 0.0:
         raise ValueError("tolerances must be non-negative")
     if math.isinf(upper):
-        return _integrate_expsinh(f, lower, tol, rel_tol, max_level)
-    return _integrate_tanhsinh(f, lower, upper, tol, rel_tol, max_level)
+        return _integrate_expsinh(f, lower, tol, rel_tol)
+    return _integrate_tanhsinh(f, lower, upper, tol, rel_tol)
 
 
 # --------------------------------------------------------------------------
@@ -305,14 +300,14 @@ def integrate(
 # --------------------------------------------------------------------------
 
 
-def u_scaled(n: int, z: float, tol: float | None = None) -> float:
+def u_scaled(n: int, z: float) -> float:
     """G_n(z) = integral_0^inf exp(-z t) t^n (1+t)^(-n-3/2) dt = n! U(n+1, 1/2, z).
 
     This factorial-premultiplied form is the only safe one: n! overflows
     binary64 at n = 171 while the product n!*U is tiny, so the factorial is
     never formed.  G_n is positive and strictly decreasing in both n and z
-    (the integrand is pointwise dominated).  With tol=None the integral is
-    evaluated to full relative accuracy.
+    (the integrand is pointwise dominated).  The integral is evaluated to
+    full relative accuracy.
     """
     if n < 0:
         raise ValueError(f"n must be a non-negative integer, got {n}")
@@ -326,11 +321,7 @@ def u_scaled(n: int, z: float, tol: float | None = None) -> float:
         r = t / (1.0 + t)
         return g * r ** n / ((1.0 + t) * math.sqrt(1.0 + t))
 
-    if tol is None:
-        res = _integrate_expsinh(f, 0.0, 0.0, _DEFAULT_REL, _MAX_LEVEL)
-    else:
-        res = _integrate_expsinh(f, 0.0, tol, 0.0, _MAX_LEVEL)
-    return res.value
+    return _integrate_expsinh(f, 0.0, 0.0, _DEFAULT_REL).value
 
 
 def _bose_factor(x: float) -> float:
@@ -386,7 +377,7 @@ def j_integral(p: IntegralParams) -> QuadResult:
 
     # p.tol is an absolute request and is enforced as such: an unattainable
     # tolerance raises instead of quietly settling at the roundoff floor.
-    return _integrate_expsinh(f, 0.0, p.tol, 0.0, _MAX_LEVEL, _index_roundoff(n))
+    return _integrate_expsinh(f, 0.0, p.tol, 0.0, _index_roundoff(n))
 
 
 def epsilon_integral(p: IntegralParams) -> QuadResult:
@@ -413,8 +404,8 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
 
     def f(u: float) -> float:
         t = 1.0 + u
-        psi = _theta_rel(t / a)
-        phi = _theta_rel(a * t)
+        psi = theta_psi(t / a)
+        phi = theta_psi(a * t)
         s = (sq * phi - psi) if odd else (psi + sq * phi)
         if s == 0.0:
             return 0.0
@@ -425,7 +416,7 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
         return QuadResult(0.0 * f(1.0), 0.0, 1)
 
     c = 1.0 / (4.0 * math.pi * a)
-    res = _integrate_expsinh(f, 0.0, p.tol / c, 0.0, _MAX_LEVEL, _index_roundoff(n))
+    res = _integrate_expsinh(f, 0.0, p.tol / c, 0.0, _index_roundoff(n))
     return QuadResult(res.value * c, res.abs_error_estimate * c, res.evaluations)
 
 
@@ -444,8 +435,6 @@ def finite_check_integrals(m: int) -> tuple[float, float]:
         r = (1.0 - t) / (1.0 + t)
         return r ** m / ((1.0 + t) * math.sqrt(1.0 + t))
 
-    first = _integrate_tanhsinh(
-        lambda t: core(t) / math.sqrt(t), 0.0, 1.0, 0.0, _DEFAULT_REL, _MAX_LEVEL
-    )
-    second = _integrate_tanhsinh(core, 0.0, 1.0, 0.0, _DEFAULT_REL, _MAX_LEVEL)
+    first = _integrate_tanhsinh(lambda t: core(t) / math.sqrt(t), 0.0, 1.0, 0.0, _DEFAULT_REL)
+    second = _integrate_tanhsinh(core, 0.0, 1.0, 0.0, _DEFAULT_REL)
     return first.value, second.value

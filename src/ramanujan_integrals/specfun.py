@@ -13,7 +13,7 @@ Everything here is elementary but easy to get wrong in binary64:
   Laguerre recurrence instead of its alternating power series, which
   cancels catastrophically as k and z grow.
 * ``theta_psi`` truncates the theta sum against a rigorous geometric tail
-  majorant instead of an ad-hoc term count.
+  majorant, scaled to its leading term, instead of an ad-hoc term count.
 
 Exact rationals are ``fractions.Fraction`` values; the stdlib type already
 maintains a positive denominator and a fully reduced numerator/denominator
@@ -34,10 +34,6 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-
-# Relative truncation level used when a theta sum must carry full binary64
-# precision (its absolute size is not known in advance by the caller).
-_THETA_REL = 1e-16
 
 
 def gamma_half_ratio(m: int) -> float:
@@ -104,26 +100,25 @@ def gauss_f(n: int) -> Fraction:
     return total
 
 
-def theta_psi(tau: float, tol: float) -> float:
-    """Return Psi(tau) = sum_{n>=1} exp(-pi n^2 tau) to absolute accuracy tol.
+def theta_psi(tau: float) -> float:
+    """Return Psi(tau) = sum_{n>=1} exp(-pi n^2 tau) to full relative precision.
 
-    The sum stops after the first term smaller than tol*(1 - exp(-pi*tau)):
-    the omitted tail obeys
+    The leading term q = exp(-pi*tau) dominates the sum for every tau > 0, so
+    the truncation tolerance is tol = 1e-16*q.  The sum stops after the first
+    term smaller than tol*(1 - q): the omitted tail obeys
 
-        sum_{n>N} exp(-pi n^2 tau) < exp(-pi (N+1)^2 tau) / (1 - exp(-pi*tau)),
+        sum_{n>N} exp(-pi n^2 tau) < exp(-pi (N+1)^2 tau) / (1 - q),
 
     so the truncation error is below tol.  A term that underflows to zero
-    ends the sum regardless of tol.
+    ends the sum regardless of tol.  The rounded exponent pi*tau still moves
+    each term by up to ~pi*tau ulps (1.6e-14 relative at tau = 220).
     """
     if tau <= 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     q = math.exp(-math.pi * tau)
-    if q == 0.0:
-        # pi*tau > 745: even the leading term underflows.
-        return 0.0
-    threshold = tol * (1.0 - q)
+    # Past tau = 225.46 tol underflows to zero, and so does the n=2 term, which
+    # ends the sum at q; past tau = 237.18 q itself underflows and the sum is 0.
+    threshold = 1e-16 * q * (1.0 - q)
     total = 0.0
     n = 1
     while True:
@@ -132,24 +127,6 @@ def theta_psi(tau: float, tol: float) -> float:
         if term < threshold or term == 0.0:
             return total
         n += 1
-
-
-def _theta_rel(tau: float) -> float:
-    """Psi(tau) at full relative precision.
-
-    Scales the truncation tolerance to the leading term exp(-pi*tau), which
-    dominates the sum for every tau > 0.  Returns 0.0 once that term
-    underflows (tau > 237); past that point the sum is zero in binary64.
-    """
-    q = math.exp(-math.pi * tau)
-    if q == 0.0:
-        return 0.0
-    tol = _THETA_REL * q
-    if tol == 0.0:
-        # q is denormal (tau > 213): the n=2 term is ~exp(-3*pi*tau) times
-        # smaller, so the sum equals its first term to machine precision.
-        return q
-    return theta_psi(tau, tol)
 
 
 def lambda_factor(a: float) -> float:

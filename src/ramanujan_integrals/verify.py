@@ -35,7 +35,6 @@ __all__ = [
     "TolProfile",
     "ALL_CHECK_GROUPS",
     "TABLE_GRIDS",
-    "script_j",
     "reproduce_table",
     "check_modular",
     "run_suite",
@@ -51,7 +50,6 @@ TABLE_GRIDS: dict[int, tuple[bool, tuple[int, ...], tuple[float, ...]]] = {
 ALL_CHECK_GROUPS = ("poisson", "finite", "consistency", "sign", "dominance", "modular", "drz")
 
 _POISSON_TAUS = (0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0)
-_THETA_TOL = 1e-16
 _POISSON_TOL = 1e-13
 _FINITE_REL_TOL = 1e-12
 _CONSISTENCY_TOL = 1e-12
@@ -119,11 +117,16 @@ class TolProfile:
     selection.
 
     ``checks=None`` runs every group; an empty tuple runs nothing and passes
-    vacuously.  Unknown or repeated group names are rejected.
+    vacuously.  Unknown or repeated group names are rejected, and so is a
+    ``quad_tol`` that is not positive and finite.
     """
 
     quad_tol: float = 1e-13
     checks: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if not (self.quad_tol > 0.0 and math.isfinite(self.quad_tol)):
+            raise ValueError(f"quad_tol must be positive and finite, got {self.quad_tol}")
 
     def selected(self) -> tuple[str, ...]:
         if self.checks is None:
@@ -147,12 +150,6 @@ def _epsilon_precise(n: int, a: float, b: float | None = None) -> QuadResult:
     if b is None:
         b = bound(n, a)
     return epsilon_integral(IntegralParams(n, a, tol=_EPS_REL_OF_BOUND * b))
-
-
-def script_j(n: int, a: float) -> float:
-    """|eps_n(a)| as tabulated; magnitudes sidestep the sign convention of the
-    odd-index rows (the remainder itself is negative for odd n, a > 1)."""
-    return abs(_epsilon_precise(n, a).value)
 
 
 def reproduce_table(table_id: int) -> list[TableRow]:
@@ -208,8 +205,8 @@ def _checks_poisson(profile: TolProfile) -> list[CheckResult]:
     for tau in _POISSON_TAUS:
 
         def residual(tau=tau):
-            lhs = theta_psi(tau, _THETA_TOL) + 0.5 * (1.0 - tau ** -0.5)
-            rhs = tau ** -0.5 * theta_psi(1.0 / tau, _THETA_TOL)
+            lhs = theta_psi(tau) + 0.5 * (1.0 - tau ** -0.5)
+            rhs = tau ** -0.5 * theta_psi(1.0 / tau)
             return abs(lhs - rhs)
 
         out.append(_check(f"poisson/tau={tau:g}", _POISSON_TOL, residual))

@@ -152,8 +152,8 @@ def test_criterion_05_bound_dominance():
 def test_criterion_06_poisson_identity():
     failures = []
     for tau in (0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0):
-        lhs = ri.theta_psi(tau, 1e-16) + 0.5 * (1.0 - tau ** -0.5)
-        rhs = tau ** -0.5 * ri.theta_psi(1.0 / tau, 1e-16)
+        lhs = ri.theta_psi(tau) + 0.5 * (1.0 - tau ** -0.5)
+        rhs = tau ** -0.5 * ri.theta_psi(1.0 / tau)
         if abs(lhs - rhs) >= 1e-13:
             failures.append(f"tau={tau}: residual {abs(lhs - rhs):.3e}")
     _report("crit-06 poisson identity", not failures)

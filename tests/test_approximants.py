@@ -6,9 +6,7 @@ import pytest
 
 import ramanujan_integrals
 from ramanujan_integrals import (
-    ApproxReport,
     IntegralParams,
-    approx_report,
     approximant,
     bound,
     bound_asymptotic,
@@ -85,13 +83,14 @@ def test_package_exports_are_pinned():
         "gamma_half_ratio", "gauss_f", "kummer_terminating", "lambda_factor", "theta_psi",
         "AccuracyError", "DEFAULT_TOL", "IntegralParams", "QuadResult", "epsilon_integral",
         "finite_check_integrals", "integrate", "j_integral", "u_scaled",
-        "ApproxReport", "approx_report", "approximant", "bound", "bound_asymptotic",
+        "approximant", "bound", "bound_asymptotic",
         "drz_approx", "drz_large_a", "drz_small_a", "ramanujan_i", "ramanujan_i_approx",
         "sigma", "t_even", "t_odd", "bound_even", "bound_odd",
         "ALL_CHECK_GROUPS", "CheckResult", "SuiteReport", "TABLE_GRIDS", "TableRow",
-        "TolProfile", "check_modular", "reproduce_table", "run_suite", "script_j",
+        "TolProfile", "check_modular", "reproduce_table", "run_suite",
         "__version__",
     }
+    assert len(ramanujan_integrals.__all__) == 37
     for name in ramanujan_integrals.__all__:
         assert hasattr(ramanujan_integrals, name), name
 
@@ -305,26 +304,3 @@ class TestRamanujanI:
         with pytest.raises(ValueError):
             ramanujan_i_approx(-1.0)
 
-
-class TestApproxReport:
-    def test_even_row_closes(self):
-        report = approx_report(IntegralParams(2, 1.0))
-        assert isinstance(report, ApproxReport)
-        assert abs(report.residual) < 1e-12
-        assert abs(report.epsilon) <= report.bound
-        assert report.bound > 0.0
-        assert report.estimate > 0.0
-        assert report.j_quad == pytest.approx(report.t_value + report.epsilon, abs=1e-12)
-
-    def test_odd_row_uses_negative_sign(self):
-        report = approx_report(IntegralParams(3, 2.0))
-        assert report.epsilon < 0.0
-        assert report.j_quad == pytest.approx(-report.t_value + report.epsilon, abs=1e-12)
-
-    def test_estimate_undefined_below_k1(self):
-        report = approx_report(IntegralParams(1, 2.0))
-        assert math.isnan(report.estimate)
-
-    def test_rejects_index_zero(self):
-        with pytest.raises(ValueError):
-            approx_report(IntegralParams(0, 1.0))

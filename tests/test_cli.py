@@ -4,13 +4,18 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+import ramanujan_integrals
 from ramanujan_integrals import bound_even, reproduce_table, t_even
 from ramanujan_integrals.cli import main
+
+# the src/ directory this package was imported from, for child interpreters
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(ramanujan_integrals.__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +93,30 @@ class TestParsing:
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("table", "--id", "1"),
+            ("approx", "--n", "2", "--a", "1"),
+            ("bound", "--n", "2", "--a", "1"),
+        ],
+        ids=["table", "approx", "bound"],
+    )
+    def test_tol_is_not_an_option(self, capsys, argv):
+        # only eval and verify run a quadrature at a requested tolerance:
+        # approx and bound are closed forms, and table integrates every
+        # remainder to a fixed fraction of its bound
+        code, out, err = run_cli(capsys, *argv, "--tol", "1e-30")
+        assert code == 1
+        assert out == ""
+        assert "error: unrecognized arguments: --tol" in err
+
+    def test_eval_takes_tol(self, capsys):
+        # verify --tol is run by TestVerify::test_failure_exit_code
+        code, out, _ = run_cli(capsys, "eval", "--n", "1", "--a", "1", "--tol", "1e-10")
+        assert code == 0
+        assert out.startswith("0.02652582384864")
 
 
 class TestApprox:
@@ -180,14 +209,6 @@ class TestTable:
         code, _, err = run_cli(capsys, "table", "--id", "7")
         assert code == 1
 
-    def test_tol_is_not_an_option(self, capsys):
-        # table has no quadrature tolerance to set: every remainder is
-        # integrated to a fixed fraction of its bound
-        code, out, err = run_cli(capsys, "table", "--id", "1", "--tol", "1e-30")
-        assert code == 1
-        assert out == ""
-        assert "error: unrecognized arguments: --tol" in err
-
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "table1.csv"
         code, out, _ = run_cli(capsys, "table", "--id", "1", "--format", "csv", "--out", str(target))
@@ -265,31 +286,28 @@ class TestVerify:
         assert "FAIL" in out
 
 
+def run_child(*argv):
+    """Run a fresh interpreter that imports this same checkout of the package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
 def test_module_is_runnable():
-    proc = subprocess.run(
-        [sys.executable, "-m", "ramanujan_integrals.cli", "approx", "--n", "1", "--a", "1"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_child("-m", "ramanujan_integrals.cli", "approx", "--n", "1", "--a", "1")
     assert proc.returncode == 0
     assert proc.stdout.startswith("-0.02652582384864")
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "ramanujan_integrals.cli"], capture_output=True, text=True
-    )
+    proc = run_child("-m", "ramanujan_integrals.cli")
     assert proc.returncode == 1  # missing command is a parse error
+    assert proc.stderr.startswith("error: the following arguments are required: command\n")
 
 
 def test_main_module_invocation():
-    proc = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from ramanujan_integrals.cli import main; raise SystemExit("
-            "main(['eval', '--n', '1', '--a', '1']))",
-        ],
-        capture_output=True,
-        text=True,
+    proc = run_child(
+        "-c",
+        "from ramanujan_integrals.cli import main; raise SystemExit("
+        "main(['eval', '--n', '1', '--a', '1']))",
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("0.02652582384864")

@@ -147,55 +147,61 @@ class TestGaussF:
 
 class TestThetaPsi:
     def test_single_term_regime(self):
-        # the n=1 term already sits below tol; it is included, nothing else
-        assert theta_psi(100.0, 1e-30) == math.exp(-100.0 * math.pi)
+        # the n=2 term is exp(-300 pi) times the first, far below one ulp of it
+        assert theta_psi(100.0) == math.exp(-100.0 * math.pi)
+        # past tau = 225.46 the truncation tolerance 1e-16*q underflows to
+        # zero; the underflowing n=2 term still ends the sum at q
+        assert theta_psi(230.0) == math.exp(-230.0 * math.pi)
 
     def test_small_argument_sum(self):
         oracle = sum(math.exp(-math.pi * n * n) for n in (1, 2, 3))
-        assert theta_psi(1.0, 1e-16) == pytest.approx(oracle, abs=1e-15)
-        assert theta_psi(1.0, 1e-16) == pytest.approx(0.0432174, abs=5e-8)
+        assert theta_psi(1.0) == pytest.approx(oracle, abs=1e-15)
+        assert theta_psi(1.0) == pytest.approx(0.0432174, abs=5e-8)
 
     @pytest.mark.parametrize("tau", [0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0])
     def test_poisson_transformation(self, tau):
-        lhs = theta_psi(tau, 1e-16) + 0.5 * (1.0 - tau ** -0.5)
-        rhs = tau ** -0.5 * theta_psi(1.0 / tau, 1e-16)
+        lhs = theta_psi(tau) + 0.5 * (1.0 - tau ** -0.5)
+        rhs = tau ** -0.5 * theta_psi(1.0 / tau)
         assert abs(lhs - rhs) < 1e-13
 
     def test_poisson_pair_tight(self):
-        lhs = theta_psi(2.0, 1e-17) + 0.5 * (1.0 - 2.0 ** -0.5)
-        rhs = 2.0 ** -0.5 * theta_psi(0.5, 1e-17)
+        lhs = theta_psi(2.0) + 0.5 * (1.0 - 2.0 ** -0.5)
+        rhs = 2.0 ** -0.5 * theta_psi(0.5)
         assert abs(lhs - rhs) < 1e-14
 
-    @pytest.mark.parametrize("tau", [0.3, 1.0, 4.0])
+    @pytest.mark.parametrize("tau", [0.05, 0.3, 1.0, 4.0, 20.0, 100.0, 220.0])
     def test_against_mpmath_jtheta(self, tau):
-        # Psi(tau) = (theta_3(0, exp(-pi tau)) - 1) / 2
-        expected = float((mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi * tau)) - 1) / 2)
-        assert theta_psi(tau, 1e-18) == pytest.approx(expected, rel=1e-14, abs=0.0)
+        # Psi(tau) = (theta_3(0, q) - 1) / 2 at full relative precision, from
+        # many terms (tau = 0.05) down to a leading term near 1e-300.  The
+        # oracle takes q at the binary64 product pi*tau: its rounding alone
+        # moves Psi(220) by 1.6e-14 relative.  theta_3 - 1 cancels 1.37*tau
+        # digits, so carry that many more.
+        with mpmath.workdps(30 + int(1.4 * tau)):
+            q = mpmath.exp(-mpmath.mpf(math.pi * tau))
+            expected = float((mpmath.jtheta(3, 0, q) - 1) / 2)
+        assert theta_psi(tau) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
     @settings(max_examples=60)
-    @given(
-        tau=st.floats(min_value=0.05, max_value=100.0),
-        tol=st.floats(min_value=1e-20, max_value=1e-6),
-    )
-    def test_positive_and_below_geometric_majorant(self, tau, tol):
+    @given(tau=st.floats(min_value=0.05, max_value=100.0))
+    def test_positive_and_below_geometric_majorant(self, tau):
         # strict in exact arithmetic; for pi*tau > 36 the majorant q/(1-q)
         # rounds to q itself, so equality is the best binary64 can show
-        value = theta_psi(tau, tol)
+        value = theta_psi(tau)
         q = math.exp(-math.pi * tau)
         assert 0.0 < value <= q / (1.0 - q)
         if tau < 5.0:
             assert value < q / (1.0 - q)
 
     def test_underflow_returns_zero(self):
-        assert theta_psi(300.0, 1e-10) == 0.0
+        # the leading term exp(-pi*tau) itself underflows past tau = 237.18
+        assert theta_psi(240.0) == 0.0
+        assert theta_psi(300.0) == 0.0
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            theta_psi(0.0, 1e-10)
+            theta_psi(0.0)
         with pytest.raises(ValueError):
-            theta_psi(-1.0, 1e-10)
-        with pytest.raises(ValueError):
-            theta_psi(1.0, 0.0)
+            theta_psi(-1.0)
 
 
 class TestLambdaFactor:
@@ -222,9 +228,9 @@ class TestLambdaFactor:
         # (a ~ 5.8), where the two sides become the same binary64 number
         majorant = lambda_factor(a) * math.exp(-math.pi * a)
         if a < 5.0:
-            assert theta_psi(a, 1e-18) < majorant
+            assert theta_psi(a) < majorant
         else:
-            assert theta_psi(a, 1e-18) <= majorant
+            assert theta_psi(a) <= majorant
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,6 @@ from ramanujan_integrals import (
     check_modular,
     reproduce_table,
     run_suite,
-    script_j,
 )
 from ramanujan_integrals.verify import TABLE_GRIDS
 from reference_tables import fourth_digit_tol
@@ -22,19 +21,6 @@ from reference_tables import fourth_digit_tol
 @pytest.fixture(scope="module")
 def tables():
     return {i: reproduce_table(i) for i in (1, 2, 3)}
-
-
-class TestScriptJ:
-    @pytest.mark.parametrize(
-        "n,a,printed",
-        [(2, 1.0, 1.250e-5), (20, 0.5, 2.689e-9), (11, 2.0, 6.603e-8)],
-    )
-    def test_reference_values(self, n, a, printed):
-        assert abs(script_j(n, a) - printed) <= fourth_digit_tol(printed)
-
-    def test_returns_magnitude_for_negative_remainder(self):
-        # the odd remainder at a=2 is negative; the tabulated quantity is |.|
-        assert script_j(3, 2.0) > 0.0
 
 
 class TestReproduceTable:
@@ -121,6 +107,12 @@ class TestRunSuite:
     def test_unknown_group_rejected(self):
         with pytest.raises(ValueError):
             run_suite(TolProfile(checks=("poisson", "nonsense")))
+
+    @pytest.mark.parametrize("quad_tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_profile_rejects_quad_tol_not_positive_finite(self, quad_tol):
+        # rejected up front, not passed or raised inside some check groups only
+        with pytest.raises(ValueError, match="quad_tol"):
+            TolProfile(quad_tol=quad_tol, checks=("poisson",))
 
     def test_profile_sets_only_quad_tol_and_checks(self):
         # the per-group check tolerances are fixed constants of the suite
