@@ -17,7 +17,7 @@ import math
 import sys
 
 from .approximants import approximant, bound, bound_asymptotic, drz_approx
-from .quadrature import AccuracyError, IntegralParams, j_integral
+from .quadrature import DEFAULT_TOL, AccuracyError, IntegralParams, j_integral
 from .verify import TolProfile, reproduce_table, run_suite
 
 __all__ = ["main", "entrypoint"]
@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="J_n(a) by quadrature")
     add_index_args(p_eval)
-    p_eval.add_argument("--tol", type=_float_positive, default=1e-13)
+    p_eval.add_argument("--tol", type=_float_positive, default=DEFAULT_TOL)
     p_approx = sub.add_parser("approx", help="closed-form approximant T_n(a)")
     add_index_args(p_approx)
     p_approx.add_argument(
@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
     p_table.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
     add_output_args(p_table)
     p_verify = sub.add_parser("verify", help="run the identity suite")
-    p_verify.add_argument("--tol", type=_float_positive, default=1e-13)
+    p_verify.add_argument("--tol", type=_float_positive, default=DEFAULT_TOL)
     add_output_args(p_verify)
     return parser
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 from .approximants import approximant, bound, drz_approx, sigma
 from .quadrature import (
+    DEFAULT_TOL,
     AccuracyError,
     IntegralParams,
     QuadResult,
@@ -121,7 +122,7 @@ class TolProfile:
     ``quad_tol`` that is not positive and finite.
     """
 
-    quad_tol: float = 1e-13
+    quad_tol: float = DEFAULT_TOL
     checks: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
@@ -171,7 +172,7 @@ def reproduce_table(table_id: int) -> list[TableRow]:
     return rows
 
 
-def check_modular(n: int, a: float, tol: float = 1e-13) -> float:
+def check_modular(n: int, a: float, tol: float = DEFAULT_TOL) -> float:
     """Residual of the reciprocal-argument relation at alpha = pi*a, beta = pi/a
     for index n >= 0:
 

@@ -18,7 +18,7 @@ from ramanujan_integrals import (
     AccuracyError,
     IntegralParams,
     QuadResult,
-    bound_even,
+    bound,
     epsilon_integral,
     finite_check_integrals,
     gamma_half_ratio,
@@ -238,12 +238,17 @@ class TestErrorEstimateHolds:
         [
             (214, 1.077, "1.0540589965221628413558478849444e-33"),
             (1736, 3.84, "3.0903222909644390275365157574958e-50"),
+            # extreme scales, where the theta sums take tau far below 1
+            (2, 3.317e-08, "2.1465617087966517914103858982007e+5"),
+            (9, 9.672e07, "-2.0704035393500762419367949779304e-7"),
+            # eps ~ -T here, while J = sigma*T + eps is only 0.042
+            (4, 2.686e-08, "1.5495737504007631510886140387088e+5"),
         ],
     )
     def test_epsilon_integral(self, n, a, reference):
         # tolerance 1e-6 of the remainder's own bound, as a caller sizing it
-        # from bound_even would ask
-        res = epsilon_integral(IntegralParams(n, a, tol=1e-6 * bound_even(n // 2, a)))
+        # from the bound would ask
+        res = epsilon_integral(IntegralParams(n, a, tol=1e-6 * bound(n, a)))
         assert abs(Fraction(res.value) - Fraction(reference)) <= res.abs_error_estimate
 
 

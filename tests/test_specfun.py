@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramanujan_integrals import specfun
 from ramanujan_integrals import (
     gamma_half_ratio,
     gauss_f,
@@ -181,8 +182,48 @@ class TestThetaPsi:
             expected = float((mpmath.jtheta(3, 0, q) - 1) / 2)
         assert theta_psi(tau) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("tau", [1e-300, 1e-12, 1e-8, 1e-4, 0.0099, 0.01, 0.0101])
+    def test_small_argument_against_mpmath(self, tau):
+        # both sides of the 0.01 seam between the Jacobi transform and the
+        # direct sum.  mpmath's jtheta rejects q this close to 1 at
+        # tau = 1e-8, so below 1e-4 the oracle is the exact transform in
+        # 40-digit arithmetic, with jtheta at 1/tau.
+        with mpmath.workdps(40):
+            x = mpmath.mpf(tau)
+            if tau >= 1e-4:
+                expected = (mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi * x)) - 1) / 2
+            else:
+                r = 1 / mpmath.sqrt(x)
+                psi_inverse = (mpmath.jtheta(3, 0, mpmath.exp(-mpmath.pi / x)) - 1) / 2
+                expected = r * psi_inverse + (r - 1) / 2
+            expected = float(expected)
+        assert theta_psi(tau) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+    def test_cost_is_bounded(self, monkeypatch):
+        # the direct sum alone takes ~3.4*tau**-0.5 exponentials (34 000 at
+        # tau = 1e-8); with the transform below the seam no call takes more
+        # than 37 (at tau = 0.01)
+        class CountingMath:
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def exp(self, x):
+                CountingMath.calls += 1
+                return math.exp(x)
+
+        monkeypatch.setattr(specfun, "math", CountingMath())
+        taus = [10.0 ** (e / 20.0) for e in range(-240, 50)] + [0.0099, 0.01, 0.0101, 300.0]
+        worst = 0
+        for tau in taus:
+            CountingMath.calls = 0
+            theta_psi(tau)
+            worst = max(worst, CountingMath.calls)
+        assert 0 < worst <= 40
+
     @settings(max_examples=60)
-    @given(tau=st.floats(min_value=0.05, max_value=100.0))
+    @given(tau=st.floats(min_value=1e-10, max_value=100.0))
     def test_positive_and_below_geometric_majorant(self, tau):
         # strict in exact arithmetic; for pi*tau > 36 the majorant q/(1-q)
         # rounds to q itself, so equality is the best binary64 can show
@@ -202,6 +243,10 @@ class TestThetaPsi:
             theta_psi(0.0)
         with pytest.raises(ValueError):
             theta_psi(-1.0)
+        # NaN compares false with everything, so it must not reach the
+        # summation loop, whose stopping tests would never fire
+        with pytest.raises(ValueError):
+            theta_psi(math.nan)
 
 
 class TestLambdaFactor:

@@ -14,7 +14,8 @@ from ramanujan_integrals import (
     reproduce_table,
     run_suite,
 )
-from ramanujan_integrals.verify import TABLE_GRIDS
+from ramanujan_integrals import specfun
+from ramanujan_integrals.verify import _POISSON_TAUS, TABLE_GRIDS
 from reference_tables import fourth_digit_tol
 
 
@@ -87,6 +88,13 @@ class TestRunSuite:
         assert default_suite_report.overall == all(
             c.passed for c in default_suite_report.checks
         )
+
+    def test_poisson_points_use_the_direct_theta_sum(self):
+        # theta_psi takes the Jacobi transform below its seam; a poisson
+        # check reaching there would compare the transform with itself
+        for tau in _POISSON_TAUS:
+            assert tau >= specfun._JACOBI_SEAM
+            assert 1.0 / tau >= specfun._JACOBI_SEAM
 
     def test_deterministic_order(self, default_suite_report):
         # group selection preserves the fixed construction order
