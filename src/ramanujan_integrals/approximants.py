@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .quadrature import IntegralParams, j_integral, u_scaled
-from .specfun import gamma_half_ratio, gauss_f, lambda_factor
+from .specfun import _check_a, _check_index, gamma_half_ratio, gauss_f, lambda_factor
 
 __all__ = [
     "approximant",
@@ -23,8 +23,6 @@ __all__ = [
     "bound_odd",
     "bound_asymptotic",
     "drz_approx",
-    "drz_small_a",
-    "drz_large_a",
     "ramanujan_i",
     "ramanujan_i_approx",
     "sigma",
@@ -39,17 +37,6 @@ def sigma(n: int) -> int:
     return -1 if n % 2 else 1
 
 
-def _check_index(name: str, value: int, least: int) -> None:
-    if value < least:
-        kind = "positive" if least else "non-negative"
-        raise ValueError(f"{name} must be a {kind} integer, got {value}")
-
-
-def _check_a(a: float) -> None:
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError(f"a must be positive and finite, got {a}")
-
-
 def approximant(n: int, a: float) -> float:
     """T_n(a) = 1/(4 pi a) * ((1 + sigma sqrt(a))/2 * sqrt(pi/2) * R(n) - sigma F_n)
     for n >= 1, with sigma = sigma(n), R(m) = Gamma(m+1)/Gamma(m+3/2) and
@@ -61,7 +48,7 @@ def approximant(n: int, a: float) -> float:
     is exact, so each parity evaluates the paper's own expression bit for bit.
     """
     _check_index("n", n, 1)
-    _check_a(a)
+    _check_a("a", a)
     s = sigma(n)
     ratio_term = 0.5 * (1.0 + s * math.sqrt(a)) * _SQRT_HALF_PI * gamma_half_ratio(n)
     return (ratio_term - s * float(gauss_f(n))) / (4.0 * math.pi * a)
@@ -85,7 +72,7 @@ def bound(n: int, a: float) -> float:
     sharp near a = 1 for odd n, where eps_n itself vanishes.
     """
     _check_index("n", n, 1)
-    _check_a(a)
+    _check_a("a", a)
     # G_n(2*pi*x) = n! U(n+1, 1/2, 2*pi*x) is evaluated as one integral; the
     # explicit factorial would overflow binary64 from n = 171 on.
     if a == 1.0:
@@ -135,7 +122,7 @@ def bound_asymptotic(k: int, a: float) -> float:
     At a = 1 this reduces to lambda(1)/(4 sqrt(pi)) k^(-1/2) e^(-4 sqrt(pi k)).
     """
     _check_index("k", k, 1)
-    _check_a(a)
+    _check_a("a", a)
     front = a ** -0.75 / (8.0 * math.sqrt(math.pi) * math.sqrt(k))
     term_a = a ** 0.25 * lambda_factor(a) * math.exp(-4.0 * math.sqrt(math.pi * a * k))
     term_inv = a ** -0.25 * lambda_factor(1.0 / a) * math.exp(-4.0 * math.sqrt(math.pi * k / a))
@@ -152,34 +139,11 @@ def drz_approx(k: int, a: float) -> float:
     error grows with k.  Even index only.
     """
     _check_index("k", k, 0)
-    _check_a(a)
+    _check_a("a", a)
     f = float(gauss_f(2 * k))
+    # F_2k > 0 by the finite identity behind T_2k, so the radicand exceeds 1
     radicand = 1.0 + a * a + 2.0 * math.pi * a / (3.0 * f)
-    if radicand < 0.0:
-        raise ValueError(f"negative radicand {radicand} (F_2k = {f})")
     return -f / (4.0 * math.pi * a) * (1.0 - radicand ** 0.25)
-
-
-def drz_small_a(k: int, a: float) -> float:
-    """Leading small-a behaviour of drz_approx: 1/24 + a*(F/(16 pi) - pi/(96 F)).
-
-    A polynomial in a, so a = 0 is allowed and gives the limiting value 1/24.
-    """
-    _check_index("k", k, 0)
-    if not (a >= 0.0 and math.isfinite(a)):
-        raise ValueError(f"a must be non-negative and finite, got {a}")
-    f = float(gauss_f(2 * k))
-    return 1.0 / 24.0 + a * (f / (16.0 * math.pi) - math.pi / (96.0 * f))
-
-
-def drz_large_a(k: int, a: float) -> float:
-    """Leading large-a behaviour of drz_approx:
-    F/(4 pi sqrt(a)) * (1 - 1/sqrt(a) + pi/(6 a F))."""
-    _check_index("k", k, 0)
-    _check_a(a)
-    f = float(gauss_f(2 * k))
-    sq = math.sqrt(a)
-    return f / (4.0 * math.pi * sq) * (1.0 - 1.0 / sq + math.pi / (6.0 * a * f))
 
 
 def ramanujan_i(alpha: float) -> float:
@@ -188,8 +152,7 @@ def ramanujan_i(alpha: float) -> float:
 
     Satisfies the functional equation I(alpha) = I(beta) with alpha*beta = pi^2.
     """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    _check_a("alpha", alpha)
     j0 = j_integral(IntegralParams(0, alpha / math.pi))
     return alpha ** -0.25 * (1.0 + 4.0 * alpha * j0.value)
 
@@ -200,6 +163,5 @@ def ramanujan_i_approx(alpha: float) -> float:
     beta is always derived from alpha at the use site; the modular constraint
     alpha*beta = pi^2 has a single source of truth.
     """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
+    _check_a("alpha", alpha)
     return (1.0 / alpha + alpha / math.pi ** 2 + 2.0 / 3.0) ** 0.25

@@ -108,12 +108,17 @@ def _emit(text: str, out_path: str | None) -> None:
             handle.write(text)
 
 
-def _scalar_output(fmt: str, fields: dict) -> str:
-    if fmt == "json":
-        return json.dumps(fields) + "\n"
-    keys = list(fields)
-    row = ",".join(_csv_cell(fields[key]) for key in keys)
-    return ",".join(keys) + "\n" + row + "\n"
+def _scalar_output(args, fields: dict, *shown: float) -> int:
+    """Emit one command's result: ``shown`` one per line as text, else every
+    field as a json object or a csv header and row."""
+    if args.format == "text":
+        text = "".join(f"{value:.15g}\n" for value in shown)
+    elif args.format == "json":
+        text = json.dumps(fields) + "\n"
+    else:
+        text = ",".join(fields) + "\n" + ",".join(map(_csv_cell, fields.values())) + "\n"
+    _emit(text, args.out)
+    return 0
 
 
 def _csv_cell(value) -> str:
@@ -140,11 +145,7 @@ def _cmd_eval(args) -> int:
         "abs_error_estimate": result.abs_error_estimate,
         "evaluations": result.evaluations,
     }
-    if args.format == "text":
-        _emit(f"{result.value:.15g}\n", args.out)
-    else:
-        _emit(_scalar_output(args.format, fields), args.out)
-    return 0
+    return _scalar_output(args, fields, result.value)
 
 
 def _cmd_approx(args) -> int:
@@ -156,35 +157,25 @@ def _cmd_approx(args) -> int:
     else:
         value = approximant(n, args.a)
     fields = {"command": "approx", "method": args.method, "n": n, "a": args.a, "value": value}
-    if args.format == "text":
-        _emit(f"{value:.15g}\n", args.out)
-    else:
-        _emit(_scalar_output(args.format, fields), args.out)
-    return 0
+    return _scalar_output(args, fields, value)
 
 
 def _cmd_bound(args) -> int:
     n = _resolve_index(args)
     value = bound(n, args.a)
     fields = {"command": "bound", "n": n, "a": args.a, "bound": value}
-    if args.estimate:
-        k = n // 2
-        if k < 1:
-            raise ValueError("the large-k estimate requires k >= 1")
-        if not (math.pi / k <= args.a <= k):
-            sys.stderr.write(
-                f"warning: a={args.a:g} is outside [pi/k, k] = "
-                f"[{math.pi / k:.3g}, {k}]; the large-k estimate degrades there\n"
-            )
-        fields["estimate"] = bound_asymptotic(k, args.a)
-    if args.format == "text":
-        text = f"{value:.15g}\n"
-        if args.estimate:
-            text += f"{fields['estimate']:.15g}\n"
-        _emit(text, args.out)
-    else:
-        _emit(_scalar_output(args.format, fields), args.out)
-    return 0
+    if not args.estimate:
+        return _scalar_output(args, fields, value)
+    k = n // 2
+    if k < 1:
+        raise ValueError("the large-k estimate requires k >= 1")
+    if not (math.pi / k <= args.a <= k):
+        sys.stderr.write(
+            f"warning: a={args.a:g} is outside [pi/k, k] = "
+            f"[{math.pi / k:.3g}, {k}]; the large-k estimate degrades there\n"
+        )
+    fields["estimate"] = bound_asymptotic(k, args.a)
+    return _scalar_output(args, fields, value, fields["estimate"])
 
 
 def _cmd_table(args) -> int:

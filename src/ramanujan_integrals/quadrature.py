@@ -18,11 +18,12 @@ identical inputs give bitwise-identical results.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .specfun import _kummer_scaled, theta_psi
+from .specfun import _check_a, _check_index, _kummer_scaled, theta_psi
 
 __all__ = [
     "AccuracyError",
@@ -87,10 +88,8 @@ class IntegralParams:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {self.n}")
-        if not (self.a > 0.0 and math.isfinite(self.a)):
-            raise ValueError(f"a must be positive and finite, got {self.a}")
+        _check_index("n", self.n, 0)
+        _check_a("a", self.a)
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
 
@@ -99,18 +98,10 @@ class IntegralParams:
 # node tables, built lazily and cached per level
 # --------------------------------------------------------------------------
 
-# exp-sinh: x = exp(u), u = (pi/2) sinh(t).  Entries are (exp(+-u), weight).
-_EXPSINH_POS: dict[int, tuple[tuple[float, float], ...]] = {}
-_EXPSINH_NEG: dict[int, tuple[tuple[float, float], ...]] = {}
-# tanh-sinh: entries are (1 - tanh(u), weight); node t=0 is handled inline.
-_TANHSINH: dict[int, tuple[tuple[float, float], ...]] = {}
 
-
+@functools.cache
 def _expsinh_nodes(level: int) -> tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]:
-    try:
-        return _EXPSINH_POS[level], _EXPSINH_NEG[level]
-    except KeyError:
-        pass
+    """exp-sinh: x = exp(u), u = (pi/2) sinh(t).  Entries are (exp(+-u), weight)."""
     h = 0.5 ** level
     start, step = (1, 2) if level > 0 else (0, 1)
     pos: list[tuple[float, float]] = []
@@ -127,17 +118,13 @@ def _expsinh_nodes(level: int) -> tuple[tuple[tuple[float, float], ...], tuple[t
         if j > 0:
             em = math.exp(-u)
             neg.append((em, c * em))
-        j += step if j > 0 else 1
-    _EXPSINH_POS[level] = tuple(pos)
-    _EXPSINH_NEG[level] = tuple(neg)
-    return _EXPSINH_POS[level], _EXPSINH_NEG[level]
+        j += step
+    return tuple(pos), tuple(neg)
 
 
+@functools.cache
 def _tanhsinh_nodes(level: int) -> tuple[tuple[float, float], ...]:
-    try:
-        return _TANHSINH[level]
-    except KeyError:
-        pass
+    """tanh-sinh: entries are (1 - tanh(u), weight); node t=0 is handled inline."""
     h = 0.5 ** level
     start, step = (1, 2) if level > 0 else (1, 1)
     nodes: list[tuple[float, float]] = []
@@ -150,12 +137,9 @@ def _tanhsinh_nodes(level: int) -> tuple[tuple[float, float], ...]:
             break
         d = 2.0 * em / (1.0 + em)                      # 1 - tanh(u)
         w = _HALF_PI * math.cosh(t) * 4.0 * em / (1.0 + em) ** 2
-        if w == 0.0:
-            break
         nodes.append((d, w))
         j += step
-    _TANHSINH[level] = tuple(nodes)
-    return _TANHSINH[level]
+    return tuple(nodes)
 
 
 # --------------------------------------------------------------------------
@@ -256,8 +240,9 @@ def _refine(
     )
 
 
-def _integrate_expsinh(f, lower, tol, rel_tol, roundoff=0.0) -> QuadResult:
-    return _refine(lambda level: _level_sum_expsinh(f, lower, level), 1.0, tol, rel_tol, roundoff)
+def _integrate_expsinh(f, lower, tol, rel_tol, roundoff=0.0, scale=1.0) -> QuadResult:
+    """Integrate ``scale * f`` over (lower, inf); ``tol`` applies to the scaled value."""
+    return _refine(lambda level: _level_sum_expsinh(f, lower, level), scale, tol, rel_tol, roundoff)
 
 
 def _integrate_tanhsinh(f, a, b, tol, rel_tol) -> QuadResult:
@@ -309,8 +294,7 @@ def u_scaled(n: int, z: float) -> float:
     (the integrand is pointwise dominated).  The integral is evaluated to
     full relative accuracy.
     """
-    if n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n}")
+    _check_index("n", n, 0)
     if not z > 0.0:
         raise ValueError(f"z must be positive, got {z}")
 
@@ -415,9 +399,7 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     if odd and a == 1.0:
         return QuadResult(0.0 * f(1.0), 0.0, 1)
 
-    c = 1.0 / (4.0 * math.pi * a)
-    res = _integrate_expsinh(f, 0.0, p.tol / c, 0.0, _index_roundoff(n))
-    return QuadResult(res.value * c, res.abs_error_estimate * c, res.evaluations)
+    return _integrate_expsinh(f, 0.0, p.tol, 0.0, _index_roundoff(n), 1.0 / (4.0 * math.pi * a))
 
 
 def finite_check_integrals(m: int) -> tuple[float, float]:
@@ -428,8 +410,7 @@ def finite_check_integrals(m: int) -> tuple[float, float]:
     for m >= 0, both by direct quadrature at full relative accuracy, for
     comparison against their gamma-ratio / Gauss-value closed forms.
     """
-    if m < 0:
-        raise ValueError(f"m must be a non-negative integer, got {m}")
+    _check_index("m", m, 0)
 
     def core(t: float) -> float:
         r = (1.0 - t) / (1.0 + t)

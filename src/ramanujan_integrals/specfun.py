@@ -9,9 +9,9 @@ Everything here is elementary but easy to get wrong in binary64:
   rational arithmetic.  At argument 2 the series alternates with terms that
   grow like 2**n, so a floating-point summation loses all significant digits
   long before n = 50; the exact sum stays O(1) and is rounded once at the end.
-* ``kummer_terminating`` evaluates 1F1(-k; 3/2; z) by the stable forward
-  Laguerre recurrence instead of its alternating power series, which
-  cancels catastrophically as k and z grow.
+* ``_kummer_scaled`` evaluates scale*1F1(-n; 3/2; z) for the J integrand
+  by the stable forward Laguerre recurrence instead of its alternating
+  power series, which cancels catastrophically as n and z grow.
 * ``theta_psi`` sums the theta series directly for tau >= 0.01, truncated
   against a rigorous geometric tail majorant scaled to its leading term, and
   below that through its Jacobi transform, whose direct sum there has a
@@ -30,7 +30,6 @@ from fractions import Fraction
 
 __all__ = [
     "gamma_half_ratio",
-    "kummer_terminating",
     "gauss_f",
     "theta_psi",
     "lambda_factor",
@@ -44,6 +43,17 @@ _SQRT_PI = math.sqrt(math.pi)
 _JACOBI_SEAM = 0.01
 
 
+def _check_index(name: str, value: int, least: int) -> None:
+    if value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value}")
+
+
+def _check_a(name: str, value: float) -> None:
+    if not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def gamma_half_ratio(m: int) -> float:
     """Return R(m) = Gamma(m+1)/Gamma(m+3/2).
 
@@ -51,27 +61,16 @@ def gamma_half_ratio(m: int) -> float:
     which keeps full relative precision and cannot overflow: R is strictly
     decreasing, with R(m) ~ m**-0.5 for large m.
     """
-    if m < 0:
-        raise ValueError(f"m must be a non-negative integer, got {m}")
+    _check_index("m", m, 0)
     r = 2.0 / _SQRT_PI
     for i in range(1, m + 1):
         r = (i * r) / (i + 0.5)
     return r
 
 
-def kummer_terminating(k: int, z: float) -> float:
-    """Return 1F1(-k; 3/2; z), a Laguerre polynomial in disguise.
-
-    1F1(-k; 3/2; z) = k!/(3/2)_k * L_k^(1/2)(z) (DLMF 13.6.19), evaluated by
-    the forward Laguerre recurrence (see ``_kummer_scaled``).
-    """
-    if k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k}")
-    return _kummer_scaled(k, z, 1.0)
-
-
 def _kummer_scaled(n: int, z: float, scale: float) -> float:
-    """Return scale * 1F1(-n; 3/2; z) for n >= 0.
+    """Return scale * 1F1(-n; 3/2; z) for n >= 0, a Laguerre polynomial in
+    disguise: 1F1(-n; 3/2; z) = n!/(3/2)_n * L_n^(1/2)(z) (DLMF 13.6.19).
 
     M_m = 1F1(-m; 3/2; z) obeys the normalised Laguerre recurrence
     (DLMF 18.9.1)
@@ -99,8 +98,7 @@ def gauss_f(n: int) -> Fraction:
     ``Fraction`` arithmetic keeps the alternating, exponentially growing
     terms exact.  Convert with ``float()`` only once the sum is complete.
     """
-    if n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n}")
+    _check_index("n", n, 0)
     total = term = Fraction(1)
     for r in range(1, n + 1):
         term *= Fraction(4 * (r - 1 - n), 2 * r + 1)

@@ -15,7 +15,7 @@ deterministic check order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .approximants import approximant, bound, drz_approx, sigma
 from .quadrature import (
@@ -27,7 +27,7 @@ from .quadrature import (
     finite_check_integrals,
     j_integral,
 )
-from .specfun import gamma_half_ratio, gauss_f, theta_psi
+from .specfun import _check_index, gamma_half_ratio, gauss_f, theta_psi
 
 __all__ = [
     "TableRow",
@@ -98,18 +98,7 @@ class SuiteReport:
     overall: bool
 
     def to_dict(self) -> dict:
-        return {
-            "overall": self.overall,
-            "checks": [
-                {
-                    "name": c.name,
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"overall": self.overall, "checks": [asdict(c) for c in self.checks]}
 
 
 @dataclass(frozen=True)
@@ -182,8 +171,7 @@ def check_modular(n: int, a: float, tol: float = DEFAULT_TOL) -> float:
     so the beta side carries an overall minus sign for odd n.  Both J values
     come from independent quadratures; returns |lhs - rhs|.
     """
-    if n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n}")
+    _check_index("n", n, 0)
     f = float(gauss_f(n))
     alpha = math.pi * a
     beta = math.pi / a

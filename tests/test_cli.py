@@ -11,7 +11,16 @@ import sys
 import pytest
 
 import ramanujan_integrals
-from ramanujan_integrals import bound_even, reproduce_table, t_even
+from ramanujan_integrals import (
+    IntegralParams,
+    bound,
+    bound_asymptotic,
+    bound_even,
+    drz_approx,
+    j_integral,
+    reproduce_table,
+    t_even,
+)
 from ramanujan_integrals.cli import main
 
 # the src/ directory this package was imported from, for child interpreters
@@ -58,6 +67,16 @@ class TestEval:
         assert payload["abs_error_estimate"] >= 0.0
         assert payload["evaluations"] >= 1
 
+    def test_csv_layout(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--n", "2", "--a", "1", "--format", "csv")
+        assert code == 0 and err == ""
+        result = j_integral(IntegralParams(2, 1.0))
+        # floats are written by repr, so they read back exactly
+        assert out == (
+            "command,n,a,value,abs_error_estimate,evaluations\n"
+            f"eval,2,1.0,{result.value!r},{result.abs_error_estimate!r},{result.evaluations}\n"
+        )
+
     def test_negative_scale_is_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--a", "-1", "--n", "2")
         assert code == 1
@@ -85,6 +104,18 @@ class TestParsing:
         code, _, err = run_cli(capsys, "eval", "--a", "1")
         assert code == 1
         assert "index" in err
+
+    @pytest.mark.parametrize(
+        "index,message",
+        [(("--n", "-1"), "--n must be non-negative"),
+         (("--k", "-1", "--parity", "even"), "--k must be non-negative")],
+        ids=["n", "k"],
+    )
+    def test_negative_index(self, capsys, index, message):
+        code, out, err = run_cli(capsys, "eval", *index, "--a", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message}\n")
 
     def test_conflicting_index_flags(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--n", "2", "--k", "1", "--parity", "even", "--a", "1")
@@ -130,6 +161,11 @@ class TestApprox:
         assert code == 0
         assert float(out) == pytest.approx(0.033620220760461866, rel=1e-12, abs=0.0)
 
+    def test_csv_layout(self, capsys):
+        code, out, _ = run_cli(capsys, "approx", "--n", "0", "--a", "1", "--method", "drz", "--format", "csv")
+        assert code == 0
+        assert out == f"command,method,n,a,value\napprox,drz,0,1.0,{drz_approx(0, 1.0)!r}\n"
+
     def test_drz_rejects_odd_index(self, capsys):
         code, _, err = run_cli(capsys, "approx", "--n", "3", "--a", "1", "--method", "drz")
         assert code == 1
@@ -153,6 +189,19 @@ class TestBound:
         code, out, err = run_cli(capsys, "bound", "--n", "40", "--a", "1", "--estimate")
         assert code == 0
         assert err == ""
+
+    def test_csv_layout(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--n", "4", "--a", "2", "--format", "csv")
+        assert code == 0
+        assert out == f"command,n,a,bound\nbound,4,2.0,{bound(4, 2.0)!r}\n"
+
+    def test_csv_layout_with_estimate(self, capsys):
+        code, out, _ = run_cli(capsys, "bound", "--n", "4", "--a", "2", "--estimate", "--format", "csv")
+        assert code == 0
+        assert out == (
+            "command,n,a,bound,estimate\n"
+            f"bound,4,2.0,{bound(4, 2.0)!r},{bound_asymptotic(2, 2.0)!r}\n"
+        )
 
     def test_estimate_requires_positive_k(self, capsys):
         code, _, err = run_cli(capsys, "bound", "--n", "1", "--a", "1", "--estimate")
@@ -269,6 +318,21 @@ class TestVerify:
         expected += ["drz/relative-error/k=5", "drz/relative-error/k=10", "drz/error-growth"]
         assert len(names) == 110
         assert names == expected
+
+    def test_csv_report(self, capsys, monkeypatch, default_suite_report):
+        import ramanujan_integrals.cli as cli_module
+
+        monkeypatch.setattr(cli_module, "run_suite", lambda profile: default_suite_report)
+        code, out, _ = run_cli(capsys, "verify", "--format", "csv")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "name,residual,tolerance,passed"
+        assert lines[1:] == [
+            f"{c.name},{c.residual!r},{c.tolerance!r},{c.passed}" for c in default_suite_report.checks
+        ]
+        records = list(csv.DictReader(io.StringIO(out)))
+        assert [float(r["residual"]) for r in records] == [c.residual for c in default_suite_report.checks]
+        assert out.endswith("\n") and not out.endswith("\n\n")
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         import ramanujan_integrals.cli as cli_module

@@ -285,6 +285,17 @@ class TestEpsilonIntegral:
         p = IntegralParams(8, 0.5, tol=1e-18)
         assert epsilon_integral(p) == epsilon_integral(p)
 
+    def test_failure_reports_the_remainder(self):
+        # eps_2(1e-8) ~ 7.1e5 cannot be resolved to 1e-13 absolute; the error
+        # must carry eps and the requested tolerance, not the integral before
+        # its 1/(4 pi a) factor and a tolerance 4 pi a times smaller
+        with pytest.raises(AccuracyError) as excinfo:
+            epsilon_integral(IntegralParams(2, 1e-8))
+        assert "did not reach tolerance 1e-13:" in str(excinfo.value)
+        # reference: J_2(1e-8) - T_2(1e-8), with J_2(1e-8) = 1/24 to 5e-10
+        reference = 1.0 / 24.0 - t_even(1, 1e-8)
+        assert excinfo.value.result.value == pytest.approx(reference, rel=1e-14, abs=0.0)
+
 
 class TestTheoremConsistency:
     """Closure J_n(a) = sigma*T_n(a) + eps_n(a), in the window where the

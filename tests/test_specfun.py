@@ -17,7 +17,6 @@ from ramanujan_integrals import specfun
 from ramanujan_integrals import (
     gamma_half_ratio,
     gauss_f,
-    kummer_terminating,
     lambda_factor,
     theta_psi,
 )
@@ -68,25 +67,25 @@ def _kummer_exact(k: int, z: Fraction) -> Fraction:
 class TestKummerTerminating:
     @given(st.floats(-50.0, 50.0, allow_nan=False))
     def test_degree_zero_is_one(self, z):
-        assert kummer_terminating(0, z) == 1.0
+        assert specfun._kummer_scaled(0, z, 1.0) == 1.0
 
     @given(st.integers(min_value=0, max_value=300))
     def test_value_one_at_origin(self, k):
-        assert kummer_terminating(k, 0.0) == 1.0
+        assert specfun._kummer_scaled(k, 0.0, 1.0) == 1.0
 
     def test_two_term_sum(self):
         # 1 - 4/3 at z=2
-        assert kummer_terminating(1, 2.0) == pytest.approx(-1.0 / 3.0, rel=1e-15, abs=0.0)
+        assert specfun._kummer_scaled(1, 2.0, 1.0) == pytest.approx(-1.0 / 3.0, rel=1e-15, abs=0.0)
 
     def test_three_term_sum(self):
         # 1 - 4/3 + 4/15 at z=1
-        assert kummer_terminating(2, 1.0) == pytest.approx(-1.0 / 15.0, rel=4e-14, abs=0.0)
+        assert specfun._kummer_scaled(2, 1.0, 1.0) == pytest.approx(-1.0 / 15.0, rel=4e-14, abs=0.0)
 
     @pytest.mark.parametrize("k", [1, 3, 6, 10])
     @pytest.mark.parametrize("z", [Fraction(1, 2), Fraction(2), Fraction(7, 2)])
     def test_against_exact_rational_oracle(self, k, z):
         exact = float(_kummer_exact(k, z))
-        assert kummer_terminating(k, float(z)) == pytest.approx(exact, rel=1e-12, abs=1e-14)
+        assert specfun._kummer_scaled(k, float(z), 1.0) == pytest.approx(exact, rel=1e-12, abs=1e-14)
 
     # tolerances sized for the alternating power sum, which loses digits as
     # max|term|/|sum| grows (~1e9 at k=20, z=25); the recurrence is far
@@ -94,7 +93,7 @@ class TestKummerTerminating:
     @pytest.mark.parametrize("k,z,rel", [(4, 3.0, 1e-12), (12, 10.0, 1e-9), (20, 25.0, 1e-6)])
     def test_against_mpmath(self, k, z, rel):
         expected = float(mpmath.hyp1f1(-k, mpmath.mpf(3) / 2, z))
-        assert kummer_terminating(k, z) == pytest.approx(expected, rel=rel, abs=0.0)
+        assert specfun._kummer_scaled(k, z, 1.0) == pytest.approx(expected, rel=rel, abs=0.0)
 
     # far beyond where the power sum cancels to noise: the forward
     # recurrence stays within a few ulps even where |1F1| ~ 1e62
@@ -102,11 +101,7 @@ class TestKummerTerminating:
     def test_large_degree_against_mpmath(self, k, z):
         with mpmath.workdps(40):
             expected = float(mpmath.hyp1f1(-k, mpmath.mpf(3) / 2, z))
-        assert kummer_terminating(k, z) == pytest.approx(expected, rel=1e-14, abs=0.0)
-
-    def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError):
-            kummer_terminating(-2, 1.0)
+        assert specfun._kummer_scaled(k, z, 1.0) == pytest.approx(expected, rel=1e-14, abs=0.0)
 
 
 def _gauss_f_recurrence(n: int) -> Fraction:
@@ -140,6 +135,17 @@ class TestGaussF:
     def test_values_stay_modest(self):
         # the exact sum is O(1) even though individual terms grow like 2**n
         assert all(abs(float(gauss_f(n))) < 1.0 for n in range(1, 201))
+
+    def test_sign_follows_parity(self):
+        # The finite identity behind T_m reads
+        #   2 F_m = int_0^1 (1-t)^m (1+t)^-(m+3/2) dt
+        #           + sigma(m) int_0^1 t^-1/2 (1-t)^m (1+t)^-(m+3/2) dt.
+        # Both integrals are positive, and t^-1/2 > 1 on (0, 1) makes the
+        # second the larger, so F_m > 0 for even m and F_m < 0 for odd m.
+        # drz_approx relies on F_2k > 0: its radicand 1 + a^2 + 2 pi a/(3 F_2k)
+        # then exceeds 1 for every a > 0.
+        for k in range(200):
+            assert gauss_f(2 * k) > 0 > gauss_f(2 * k + 1), f"k={k}"
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

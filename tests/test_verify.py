@@ -7,6 +7,8 @@ import pytest
 
 from ramanujan_integrals import (
     ALL_CHECK_GROUPS,
+    AccuracyError,
+    QuadResult,
     SuiteReport,
     TableRow,
     TolProfile,
@@ -14,7 +16,7 @@ from ramanujan_integrals import (
     reproduce_table,
     run_suite,
 )
-from ramanujan_integrals import specfun
+from ramanujan_integrals import specfun, verify
 from ramanujan_integrals.verify import _POISSON_TAUS, TABLE_GRIDS
 from reference_tables import fourth_digit_tol
 
@@ -106,6 +108,26 @@ class TestRunSuite:
         report = run_suite(TolProfile(quad_tol=1e-30, checks=("drz",)))
         assert not report.overall
         assert any(math.isinf(c.residual) and not c.passed for c in report.checks)
+
+    def test_failing_quadratures_are_recorded_not_raised(self, monkeypatch):
+        def fail(p):
+            raise AccuracyError("forced failure", QuadResult(0.0, 1.0, 1))
+
+        monkeypatch.setattr(verify, "epsilon_integral", fail)
+        monkeypatch.setattr(verify, "j_integral", fail)
+        report = run_suite()
+        groups = {g: [c for c in report.checks if c.name.split("/")[0] == g] for g in ALL_CHECK_GROUPS}
+        # groups without J or eps quadratures still run and pass
+        assert all(c.passed for g in ("poisson", "finite") for c in groups[g])
+        assert len(groups["poisson"]) == 7 and len(groups["finite"]) == 14
+        # every check behind a failed quadrature is scored, none is dropped:
+        # consistency keeps even the odd a = 1 points it skips when eps = 0
+        sizes = {"consistency": 21, "sign": 21, "dominance": 36, "modular": 12, "drz": 3}
+        for group, size in sizes.items():
+            assert len(groups[group]) == size, group
+            for check in groups[group]:
+                assert math.isinf(check.residual) and check.passed is False, check
+        assert not report.overall
 
     def test_empty_selection_is_vacuous_pass(self):
         report = run_suite(TolProfile(checks=()))
