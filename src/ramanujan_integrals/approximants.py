@@ -51,7 +51,7 @@ def approximant(n: int, a: float) -> float:
     _check_a("a", a)
     s = sigma(n)
     ratio_term = 0.5 * (1.0 + s * math.sqrt(a)) * _SQRT_HALF_PI * gamma_half_ratio(n)
-    return (ratio_term - s * float(gauss_f(n))) / (4.0 * math.pi * a)
+    return (ratio_term - s * gauss_f(n)) / (4.0 * math.pi * a)
 
 
 def _majorant_energy(x: float, n: int) -> float:
@@ -140,7 +140,7 @@ def drz_approx(k: int, a: float) -> float:
     """
     _check_index("k", k, 0)
     _check_a("a", a)
-    f = float(gauss_f(2 * k))
+    f = gauss_f(2 * k)
     # F_2k > 0 by the finite identity behind T_2k, so the radicand exceeds 1
     radicand = 1.0 + a * a + 2.0 * math.pi * a / (3.0 * f)
     return -f / (4.0 * math.pi * a) * (1.0 - radicand ** 0.25)

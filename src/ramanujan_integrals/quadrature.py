@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .specfun import _check_a, _check_index, _kummer_scaled, theta_psi
+from .specfun import _check_a, _check_index, _kummer_scaled, _laguerre_steps, theta_psi
 
 __all__ = [
     "AccuracyError",
@@ -348,6 +348,7 @@ def j_integral(p: IntegralParams) -> QuadResult:
     """
     n, a = p.n, p.a
     c = 2.0 * math.pi * a
+    steps = _laguerre_steps(n)
 
     def f(x: float) -> float:
         z = c * x * x
@@ -357,7 +358,7 @@ def j_integral(p: IntegralParams) -> QuadResult:
         scale *= _bose_factor(x)
         if scale == 0.0:
             return 0.0
-        return _kummer_scaled(n, z, scale)
+        return _kummer_scaled(n, z, scale, steps)
 
     # p.tol is an absolute request and is enforced as such: an unattainable
     # tolerance raises instead of quietly settling at the roundoff floor.

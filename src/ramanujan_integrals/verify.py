@@ -172,7 +172,7 @@ def check_modular(n: int, a: float, tol: float = DEFAULT_TOL) -> float:
     come from independent quadratures; returns |lhs - rhs|.
     """
     _check_index("n", n, 0)
-    f = float(gauss_f(n))
+    f = gauss_f(n)
     alpha = math.pi * a
     beta = math.pi / a
     lhs = alpha ** -0.25 * f + 4.0 * alpha ** 0.75 * j_integral(IntegralParams(n, a, tol)).value
@@ -209,7 +209,7 @@ def _checks_finite(profile: TolProfile) -> list[CheckResult]:
         def residual(m=m):
             first, second = finite_check_integrals(m)
             closed_first = math.sqrt(math.pi / 2.0) * gamma_half_ratio(m)
-            closed_second = 2.0 * float(gauss_f(m)) - sigma(m) * closed_first
+            closed_second = 2.0 * gauss_f(m) - sigma(m) * closed_first
             return max(
                 abs(first - closed_first) / closed_first,
                 abs(second - closed_second) / abs(closed_second),

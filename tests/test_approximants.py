@@ -68,6 +68,30 @@ class TestNIndexedCore:
                 alias = bound_even(n // 2, a) if n % 2 == 0 else bound_odd(n // 2, a)
                 assert bound(n, a) == alias, (n, a)
 
+    @pytest.mark.parametrize(
+        "n,a,reference",
+        [
+            # 32-digit mpmath values of T_n(a) frozen from bench/pool.json:
+            # the largest indices, the worst points found over all 125 pool
+            # points (3.6e-14 at (6, 0.02651), where the two terms of T cancel
+            # to 1/120 of their size), and extreme a
+            (1736, 3.84, "6.0765773185043695629935707388936e-4"),
+            (1356, 0.507, "1.8724463988154624279841613339549e-3"),
+            (1353, 0.2102, "-2.886291412674630138411423800466e-3"),
+            (1266, 4.447, "6.6088588112815588166091317529232e-4"),
+            (647, 0.1783, "-4.4679877622669697431368544185008e-3"),
+            (214, 1.077, "3.1930146149399453508198379604746e-3"),
+            (184, 2.788, "2.158635625593385016719422739353e-3"),
+            (29, 0.1035, "-2.195820882900047582880807883849e-2"),
+            (10, 0.01308, "-8.3643491548491179615921956795834e-3"),
+            (6, 0.02651, "6.9680263642801113165919071264668e-3"),
+            (6, 0.00204, "-1.0160505933123478768947745718725"),
+            (4, 2.686e-08, "-1.5495733337341187522034806143626e+5"),
+        ],
+    )
+    def test_approximant_against_32_digit_references(self, n, a, reference):
+        assert approximant(n, a) == pytest.approx(float(reference), rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("fn", [approximant, bound])
     def test_index_domain(self, fn):
         with pytest.raises(ValueError):

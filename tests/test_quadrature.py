@@ -193,7 +193,7 @@ class TestJIntegral:
     @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n", [30, 50, 100, 200])
     def test_large_index_against_decomposition(self, n, a):
-        # independent route J = sigma*T + eps: exact Gauss values in T, a
+        # independent route J = sigma*T + eps: recurrence Gauss values in T, a
         # different integrand in eps; the power-sum integrand raised or went
         # wrong from n ~ 20 on
         res = j_integral(IntegralParams(n, a))
@@ -206,6 +206,21 @@ class TestJIntegral:
     def test_evaluation_count_snapshot(self, n, evaluations):
         # exact and machine-independent: a change here is a change in cost
         assert j_integral(IntegralParams(n, 1.0)).evaluations == evaluations
+
+    @pytest.mark.parametrize(
+        "n,a,value,estimate,evaluations",
+        [
+            # bench/pool.json points; the results of the integrand with its
+            # Laguerre coefficients formed inline at every node, which the
+            # tabulated coefficients must reproduce bit for bit
+            (0, 2.34e-08, 0.04166666636036141, 1.4802973552847267e-16, 198),
+            (38, 0.1731, 0.016288852937478546, 3.9495571831905435e-16, 727),
+            (184, 2.788, 0.002158635625593458, 6.2454381943855e-16, 2775),
+        ],
+    )
+    def test_bitwise_snapshot(self, n, a, value, estimate, evaluations):
+        res = j_integral(IntegralParams(n, a))
+        assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
 
 
 class TestErrorEstimateHolds:
