@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 parse, domain or output-file error (reported as
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -100,24 +101,23 @@ def _resolve_index(args) -> int:
     return 2 * args.k if args.parity == "even" else 2 * args.k + 1
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path is None:
+def _emit(args, payload: dict, csv_lines: list[str], text_lines: list[str]) -> None:
+    """Write ``payload`` as one json line, or the csv or text lines, to
+    ``--out`` or stdout."""
+    lines = {"json": [json.dumps(payload)], "csv": csv_lines, "text": text_lines}[args.format]
+    text = "\n".join(lines) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", newline="") as handle:
+        with open(args.out, "w", newline="") as handle:
             handle.write(text)
 
 
 def _scalar_output(args, fields: dict, *shown: float) -> int:
     """Emit one command's result: ``shown`` one per line as text, else every
     field as a json object or a csv header and row."""
-    if args.format == "text":
-        text = "".join(f"{value:.15g}\n" for value in shown)
-    elif args.format == "json":
-        text = json.dumps(fields) + "\n"
-    else:
-        text = ",".join(fields) + "\n" + ",".join(map(_csv_cell, fields.values())) + "\n"
-    _emit(text, args.out)
+    csv_lines = [",".join(fields), ",".join(map(_csv_cell, fields.values()))]
+    _emit(args, fields, csv_lines, [f"{value:.15g}" for value in shown])
     return 0
 
 
@@ -125,13 +125,6 @@ def _csv_cell(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _table_csv(rows) -> str:
-    lines = ["k,a,script_j,bound"]
-    for row in rows:
-        lines.append(f"{row.k},{row.a!r},{row.script_j:.6e},{row.bound:.6e}")
-    return "\n".join(lines) + "\n"
 
 
 def _cmd_eval(args) -> int:
@@ -180,43 +173,25 @@ def _cmd_bound(args) -> int:
 
 def _cmd_table(args) -> int:
     rows = reproduce_table(args.id)
-    if args.format == "csv":
-        _emit(_table_csv(rows), args.out)
-    elif args.format == "json":
-        payload = {
-            "command": "table",
-            "id": args.id,
-            "rows": [
-                {"k": r.k, "a": r.a, "script_j": r.script_j, "bound": r.bound} for r in rows
-            ],
-        }
-        _emit(json.dumps(payload) + "\n", args.out)
-    else:
-        lines = [
-            f"{r.k} {r.a:.15g} {r.script_j:.15g} {r.bound:.15g}" for r in rows
-        ]
-        _emit("\n".join(lines) + "\n", args.out)
+    payload = {"command": "table", "id": args.id, "rows": [dataclasses.asdict(r) for r in rows]}
+    csv_lines = ["k,a,script_j,bound"]
+    csv_lines += [f"{r.k},{r.a!r},{r.script_j:.6e},{r.bound:.6e}" for r in rows]
+    text_lines = [f"{r.k} {r.a:.15g} {r.script_j:.15g} {r.bound:.15g}" for r in rows]
+    _emit(args, payload, csv_lines, text_lines)
     return 0
 
 
 def _cmd_verify(args) -> int:
     report = run_suite(TolProfile(quad_tol=args.tol))
-    if args.format == "json":
-        payload = {"command": "verify", **report.to_dict()}
-        _emit(json.dumps(payload) + "\n", args.out)
-    elif args.format == "csv":
-        lines = ["name,residual,tolerance,passed"]
-        for c in report.checks:
-            lines.append(f"{c.name},{c.residual!r},{c.tolerance!r},{c.passed}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        lines = [
-            f"{'pass' if c.passed else 'FAIL'} {c.name} residual={c.residual:.3g} "
-            f"tolerance={c.tolerance:.3g}"
-            for c in report.checks
-        ]
-        lines.append(f"overall: {'pass' if report.overall else 'FAIL'}")
-        _emit("\n".join(lines) + "\n", args.out)
+    csv_lines = ["name,residual,tolerance,passed"]
+    csv_lines += [f"{c.name},{c.residual!r},{c.tolerance!r},{c.passed}" for c in report.checks]
+    text_lines = [
+        f"{'pass' if c.passed else 'FAIL'} {c.name} residual={c.residual:.3g} "
+        f"tolerance={c.tolerance:.3g}"
+        for c in report.checks
+    ]
+    text_lines.append(f"overall: {'pass' if report.overall else 'FAIL'}")
+    _emit(args, {"command": "verify", **report.to_dict()}, csv_lines, text_lines)
     return 0 if report.overall else 2
 
 

@@ -273,7 +273,7 @@ def integrate(
         raise ValueError("lower limit must be finite")
     if not upper > lower:
         raise ValueError("upper limit must exceed lower limit")
-    if tol < 0.0 or rel_tol < 0.0:
+    if not (tol >= 0.0 and rel_tol >= 0.0):
         raise ValueError("tolerances must be non-negative")
     if math.isinf(upper):
         return _integrate_expsinh(f, lower, tol, rel_tol)

@@ -156,7 +156,7 @@ def lambda_factor(a: float) -> float:
     1 for every a > 0 and tends to 1 as a grows.  The denominator is formed
     by ``expm1``: the subtraction 1 - exp(-pi*a) loses digits at small a.
     """
-    if a <= 0.0:
+    if not a > 0.0:
         raise ValueError(f"a must be positive, got {a}")
     return 1.0 + math.exp(-3.0 * math.pi * a) + math.exp(-2.0 * math.pi * a) / -math.expm1(-math.pi * a)
 

@@ -14,6 +14,7 @@ deterministic check order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass
 
@@ -47,8 +48,6 @@ TABLE_GRIDS: dict[int, tuple[bool, tuple[int, ...], tuple[float, ...]]] = {
     2: (True, (1, 2, 3, 5, 10, 20, 30, 50), (2.0, 0.5)),
     3: (False, (0, 1, 2, 5, 10, 20, 30, 40), (2.0, 0.5)),
 }
-
-ALL_CHECK_GROUPS = ("poisson", "finite", "consistency", "sign", "dominance", "modular", "drz")
 
 _POISSON_TAUS = (0.05, 0.1, 0.5, 1.0, 2.0, 5.0, 20.0)
 _POISSON_TOL = 1e-13
@@ -134,11 +133,9 @@ def _index_label(n: int) -> str:
     return f"{'odd' if n % 2 else 'even'}/k={n // 2}"
 
 
-def _epsilon_precise(n: int, a: float, b: float | None = None) -> QuadResult:
+def _epsilon_precise(n: int, a: float, b: float) -> QuadResult:
     """Remainder with tolerance scaled to its own bound ``b`` (cheap to
     compute), giving ~6 significant digits regardless of magnitude."""
-    if b is None:
-        b = bound(n, a)
     return epsilon_integral(IntegralParams(n, a, tol=_EPS_REL_OF_BOUND * b))
 
 
@@ -161,6 +158,26 @@ def reproduce_table(table_id: int) -> list[TableRow]:
     return rows
 
 
+class _Samples:
+    """B_n(a), eps_n(a) (by ``_epsilon_precise``) and J_n(a) (to ``quad_tol``)
+    values, each computed at most once per instance.  A failed quadrature is
+    not stored: asked again, it raises again."""
+
+    def __init__(self, quad_tol: float):
+        self.bound = cached_bound = functools.cache(bound)
+        self.eps = functools.cache(lambda n, a: _epsilon_precise(n, a, cached_bound(n, a)).value)
+        self.j = functools.cache(lambda n, a: j_integral(IntegralParams(n, a, quad_tol)).value)
+
+
+def _modular_residual(samples: _Samples, n: int, a: float) -> float:
+    f = gauss_f(n)
+    alpha = math.pi * a
+    beta = math.pi / a
+    lhs = alpha ** -0.25 * f + 4.0 * alpha ** 0.75 * samples.j(n, a)
+    rhs = beta ** -0.25 * f + 4.0 * beta ** 0.75 * samples.j(n, 1.0 / a)
+    return abs(lhs - sigma(n) * rhs)
+
+
 def check_modular(n: int, a: float, tol: float = DEFAULT_TOL) -> float:
     """Residual of the reciprocal-argument relation at alpha = pi*a, beta = pi/a
     for index n >= 0:
@@ -168,137 +185,107 @@ def check_modular(n: int, a: float, tol: float = DEFAULT_TOL) -> float:
         alpha^(-1/4) F_n + 4 alpha^(3/4) J_n(alpha)
             = sigma(n) * (the same at beta),
 
-    so the beta side carries an overall minus sign for odd n.  Both J values
-    come from independent quadratures; returns |lhs - rhs|.
+    so the beta side carries an overall minus sign for odd n.  Each distinct
+    argument's J is integrated once (at a = 1 both sides read one value);
+    returns |lhs - rhs|.
     """
     _check_index("n", n, 0)
-    f = gauss_f(n)
-    alpha = math.pi * a
-    beta = math.pi / a
-    lhs = alpha ** -0.25 * f + 4.0 * alpha ** 0.75 * j_integral(IntegralParams(n, a, tol)).value
-    rhs = beta ** -0.25 * f + 4.0 * beta ** 0.75 * j_integral(IntegralParams(n, 1.0 / a, tol)).value
-    return abs(lhs - sigma(n) * rhs)
+    return _modular_residual(_Samples(tol), n, a)
 
 
-def _check(name: str, tolerance: float, residual_fn) -> CheckResult:
-    """Build one check; a quadrature accuracy failure scores as infinite residual."""
+def _check(name: str, tolerance: float, residual_fn, *args) -> CheckResult | None:
+    """Score ``residual_fn(*args)``; a quadrature accuracy failure scores as
+    infinite residual, and a residual of None means the check does not apply."""
     try:
-        residual = residual_fn()
+        residual = residual_fn(*args)
     except AccuracyError:
-        return CheckResult(name, math.inf, tolerance, False)
+        residual = math.inf
+    if residual is None:
+        return None
     return CheckResult(name, residual, tolerance, residual < tolerance)
 
 
-def _checks_poisson(profile: TolProfile) -> list[CheckResult]:
-    out = []
-    for tau in _POISSON_TAUS:
+def _checks_poisson(samples: _Samples) -> list[CheckResult]:
+    def residual(tau):
+        lhs = theta_psi(tau) + 0.5 * (1.0 - tau ** -0.5)
+        rhs = tau ** -0.5 * theta_psi(1.0 / tau)
+        return abs(lhs - rhs)
 
-        def residual(tau=tau):
-            lhs = theta_psi(tau) + 0.5 * (1.0 - tau ** -0.5)
-            rhs = tau ** -0.5 * theta_psi(1.0 / tau)
-            return abs(lhs - rhs)
-
-        out.append(_check(f"poisson/tau={tau:g}", _POISSON_TOL, residual))
-    return out
+    return [_check(f"poisson/tau={tau:g}", _POISSON_TOL, residual, tau) for tau in _POISSON_TAUS]
 
 
-def _checks_finite(profile: TolProfile) -> list[CheckResult]:
-    out = []
-    for m in (0, 2, 4, 10, 20, 40, 60, 1, 3, 5, 11, 21, 41, 61):
-
-        def residual(m=m):
-            first, second = finite_check_integrals(m)
-            closed_first = math.sqrt(math.pi / 2.0) * gamma_half_ratio(m)
-            closed_second = 2.0 * gauss_f(m) - sigma(m) * closed_first
-            return max(
-                abs(first - closed_first) / closed_first,
-                abs(second - closed_second) / abs(closed_second),
-            )
-
-        out.append(_check(f"finite/{_index_label(m)}", _FINITE_REL_TOL, residual))
-    return out
-
-
-def _checks_consistency(profile: TolProfile) -> list[CheckResult]:
-    out = []
-    for a in (0.5, 1.0, 2.0):
-        for n in (1, 2, 3, 4, 5, 6, 7):
-            name = f"consistency/n={n}/a={a:g}"
-            try:
-                eps = _epsilon_precise(n, a).value
-            except AccuracyError:
-                out.append(CheckResult(name, math.inf, _CONSISTENCY_TOL, False))
-                continue
-            if abs(eps) <= _CONSISTENCY_WINDOW:
-                continue
-
-            def residual(n=n, a=a, eps=eps):
-                j = j_integral(IntegralParams(n, a, profile.quad_tol)).value
-                return abs(j - sigma(n) * approximant(n, a) - eps)
-
-            out.append(_check(name, _CONSISTENCY_TOL, residual))
-    return out
-
-
-def _checks_sign(profile: TolProfile) -> list[CheckResult]:
-    points = [(n, a) for n in (2, 4, 6) for a in (0.5, 1.0, 2.0)]
-    points += [(n, a) for n in (1, 3) for a in (0.25, 0.5, 0.9, 1.1, 2.0, 4.0)]
-    # eps_n(a) > 0 for even n; sign(eps_n(a)) = sign(1 - a) for odd n
-    return [
-        _check(
-            f"sign/{_index_label(n)}/a={a:g}",
-            0.0,
-            lambda n=n, a=a: -(math.copysign(1.0, 1.0 - a) if n % 2 else 1.0)
-            * _epsilon_precise(n, a).value,
+def _checks_finite(samples: _Samples) -> list[CheckResult]:
+    def residual(m):
+        first, second = finite_check_integrals(m)
+        closed_first = math.sqrt(math.pi / 2.0) * gamma_half_ratio(m)
+        closed_second = 2.0 * gauss_f(m) - sigma(m) * closed_first
+        return max(
+            abs(first - closed_first) / closed_first,
+            abs(second - closed_second) / abs(closed_second),
         )
-        for n, a in points
+
+    return [
+        _check(f"finite/{_index_label(m)}", _FINITE_REL_TOL, residual, m)
+        for m in (0, 2, 4, 10, 20, 40, 60, 1, 3, 5, 11, 21, 41, 61)
     ]
 
 
-def _checks_dominance(profile: TolProfile) -> list[CheckResult]:
-    out = []
-    for n in (*range(1, 11), 20, 41):
-        for a in (0.5, 1.0, 2.0):
+def _checks_consistency(samples: _Samples) -> list[CheckResult]:
+    def residual(n, a):
+        eps = samples.eps(n, a)
+        if abs(eps) <= _CONSISTENCY_WINDOW:
+            return None
+        return abs(samples.j(n, a) - sigma(n) * approximant(n, a) - eps)
 
-            def residual(n=n, a=a):
-                b = bound(n, a)
-                return abs(_epsilon_precise(n, a, b).value) - b
+    checks = [
+        _check(f"consistency/n={n}/a={a:g}", _CONSISTENCY_TOL, residual, n, a)
+        for a in (0.5, 1.0, 2.0)
+        for n in (1, 2, 3, 4, 5, 6, 7)
+    ]
+    return [c for c in checks if c is not None]
 
-            out.append(_check(f"dominance/n={n}/a={a:g}", 0.0, residual))
-    return out
+
+def _checks_sign(samples: _Samples) -> list[CheckResult]:
+    # eps_n(a) > 0 for even n; sign(eps_n(a)) = sign(1 - a) for odd n
+    def residual(n, a):
+        return -(math.copysign(1.0, 1.0 - a) if n % 2 else 1.0) * samples.eps(n, a)
+
+    points = [(n, a) for n in (2, 4, 6) for a in (0.5, 1.0, 2.0)]
+    points += [(n, a) for n in (1, 3) for a in (0.25, 0.5, 0.9, 1.1, 2.0, 4.0)]
+    return [_check(f"sign/{_index_label(n)}/a={a:g}", 0.0, residual, n, a) for n, a in points]
 
 
-def _checks_modular(profile: TolProfile) -> list[CheckResult]:
+def _checks_dominance(samples: _Samples) -> list[CheckResult]:
+    def residual(n, a):
+        return abs(samples.eps(n, a)) - samples.bound(n, a)
+
     return [
-        _check(
-            f"modular/{_index_label(n)}/a={a:g}",
-            _MODULAR_TOL,
-            lambda n=n, a=a: check_modular(n, a, profile.quad_tol),
-        )
+        _check(f"dominance/n={n}/a={a:g}", 0.0, residual, n, a)
+        for n in (*range(1, 11), 20, 41)
+        for a in (0.5, 1.0, 2.0)
+    ]
+
+
+def _checks_modular(samples: _Samples) -> list[CheckResult]:
+    return [
+        _check(f"modular/{_index_label(n)}/a={a:g}", _MODULAR_TOL, _modular_residual, samples, n, a)
         for n in (0, 2, 4, 1, 3, 5)
         for a in (0.5, 2.0)
     ]
 
 
-def _checks_drz(profile: TolProfile) -> list[CheckResult]:
-    reference = {5: 8.8, 10: 19.2}
-    out = []
-    errors: dict[int, float] = {}
-    for k in (5, 10):
-        name = f"drz/relative-error/k={k}"
-        try:
-            j = j_integral(IntegralParams(2 * k, 1.0, profile.quad_tol)).value
-            errors[k] = abs(drz_approx(k, 1.0) - j) / abs(j) * 100.0
-        except AccuracyError:
-            out.append(CheckResult(name, math.inf, _DRZ_MARGIN_POINTS, False))
-            continue
-        residual = abs(errors[k] - reference[k])
-        out.append(CheckResult(name, residual, _DRZ_MARGIN_POINTS, residual < _DRZ_MARGIN_POINTS))
-    if len(errors) == 2:
-        growth = errors[10] - errors[5]
-        out.append(CheckResult("drz/error-growth", -growth, 0.0, growth > 0.0))
-    else:
-        out.append(CheckResult("drz/error-growth", math.inf, 0.0, False))
+def _checks_drz(samples: _Samples) -> list[CheckResult]:
+    @functools.cache
+    def error(k):
+        """Percent relative error of the quartic-root formula at a = 1."""
+        j = samples.j(2 * k, 1.0)
+        return abs(drz_approx(k, 1.0) - j) / abs(j) * 100.0
+
+    out = [
+        _check(f"drz/relative-error/k={k}", _DRZ_MARGIN_POINTS, lambda k, r: abs(error(k) - r), k, r)
+        for k, r in ((5, 8.8), (10, 19.2))
+    ]
+    out.append(_check("drz/error-growth", 0.0, lambda: -(error(10) - error(5))))
     return out
 
 
@@ -311,16 +298,20 @@ _GROUP_RUNNERS = {
     "modular": _checks_modular,
     "drz": _checks_drz,
 }
+ALL_CHECK_GROUPS = tuple(_GROUP_RUNNERS)
 
 
 def run_suite(profile: TolProfile | None = None) -> SuiteReport:
     """Run the identity suite under the given tolerance profile.
 
-    The report's overall flag is the conjunction of all per-check flags
-    (vacuously true for an empty selection).
+    The groups share one table of samples, so a bound or quadrature that
+    several checks read is computed once per run.  The report's overall flag
+    is the conjunction of all per-check flags (vacuously true for an empty
+    selection).
     """
     profile = profile or TolProfile()
+    samples = _Samples(profile.quad_tol)
     results: list[CheckResult] = []
     for group in profile.selected():
-        results.extend(_GROUP_RUNNERS[group](profile))
+        results.extend(_GROUP_RUNNERS[group](samples))
     return SuiteReport(tuple(results), all(c.passed for c in results))

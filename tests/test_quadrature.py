@@ -93,6 +93,12 @@ class TestIntegrate:
             integrate(math.exp, 1.0, 0.0)
         with pytest.raises(ValueError):
             integrate(math.exp, 0.0, 1.0, tol=-1e-3)
+        # NaN fails every comparison: rejected up front, not spent on the
+        # whole level budget (tol) or read as 0 (rel_tol)
+        with pytest.raises(ValueError):
+            integrate(math.exp, 0.0, 1.0, tol=math.nan)
+        with pytest.raises(ValueError):
+            integrate(math.exp, 0.0, 1.0, rel_tol=math.nan)
 
     def test_failure_names_the_level_budget(self, monkeypatch):
         # e^-t cos t is still converging at level 4; its roundoff floor is

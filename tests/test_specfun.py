@@ -326,3 +326,5 @@ class TestLambdaFactor:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             lambda_factor(0.0)
+        with pytest.raises(ValueError):
+            lambda_factor(math.nan)

@@ -1,5 +1,6 @@
 """Tests for table reproduction and the identity suite."""
 
+import collections
 import dataclasses
 import math
 
@@ -128,6 +129,32 @@ class TestRunSuite:
             for check in groups[group]:
                 assert math.isinf(check.residual) and check.passed is False, check
         assert not report.overall
+
+    def test_each_quadrature_runs_once_per_run(self, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(name):
+            fn = getattr(verify, name)
+
+            def wrapper(p):
+                calls[name, p.n, p.a, p.tol] += 1
+                return fn(p)
+
+            return wrapper
+
+        for name in ("j_integral", "epsilon_integral"):
+            monkeypatch.setattr(verify, name, counting(name))
+        # the groups share their J and eps samples: no key is integrated twice
+        run_suite()
+        assert len(calls) > 50
+        assert max(calls.values()) == 1
+        # modular reads J at a and 1/a from one sample per (n, a) point, and
+        # nothing is kept from one run to the next
+        for _ in range(2):
+            calls.clear()
+            run_suite(TolProfile(checks=("modular",)))
+            assert sum(calls.values()) == 12
+            assert {key[0] for key in calls} == {"j_integral"}
 
     def test_empty_selection_is_vacuous_pass(self):
         report = run_suite(TolProfile(checks=()))
