@@ -56,8 +56,12 @@ def approximant(n: int, a: float) -> float:
 
 def _majorant_energy(x: float, n: int) -> float:
     """E_n(x) with the theta sum replaced by its elementary majorant:
-    x^(1/4) * lambda(x) * exp(-pi*x) * G_n(2*pi*x)."""
-    return x ** 0.25 * lambda_factor(x) * math.exp(-math.pi * x) * u_scaled(n, 2.0 * math.pi * x)
+    x^(1/4) * lambda(x) * exp(-pi*x) * G_n(2*pi*x).  Where exp(-pi*x)
+    underflows (x > 237) the term is exactly 0.0 and G_n is not integrated."""
+    g = math.exp(-math.pi * x)
+    if g == 0.0:
+        return 0.0
+    return x ** 0.25 * lambda_factor(x) * g * u_scaled(n, 2.0 * math.pi * x)
 
 
 def bound(n: int, a: float) -> float:
@@ -69,7 +73,8 @@ def bound(n: int, a: float) -> float:
     The theta sum Psi(x) is majorised by lambda(x)*exp(-pi*x), which keeps the
     bound rigorous (Psi(x) is strictly smaller) and reproduces the tabulated
     reference values.  By formula symmetry B_n(1/a) = a^(3/2) * B_n(a).  Not
-    sharp near a = 1 for odd n, where eps_n itself vanishes.
+    sharp near a = 1 for odd n, where eps_n itself vanishes.  Outside about
+    [1/237, 237] one term underflows to 0.0 and only the other is integrated.
     """
     _check_index("n", n, 1)
     _check_a("a", a)

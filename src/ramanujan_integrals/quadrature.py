@@ -345,12 +345,18 @@ def j_integral(p: IntegralParams) -> QuadResult:
     intermediate value overflows and the cost per sample is O(n) at full
     accuracy for every n.  The error estimate is never below the integrand's
     roundoff floor, 2(n + 8) ulps of integral |f|.
+
+    Above a = 4 pi the Gaussian's length 1/sqrt(pi a) is shorter than the
+    Bose factor's 1/(2 pi), so x = L*y with L = sqrt(4 pi/a) keeps the nodes
+    on the integrand and the cost flat in a; for a <= 4 pi, L is exactly 1.
     """
     n, a = p.n, p.a
     c = 2.0 * math.pi * a
+    length = min(1.0, math.sqrt(4.0 * math.pi / a))
     steps = _laguerre_steps(n)
 
-    def f(x: float) -> float:
+    def f(y: float) -> float:
+        x = length * y
         z = c * x * x
         scale = math.exp(-0.5 * z)
         if scale == 0.0:
@@ -362,7 +368,7 @@ def j_integral(p: IntegralParams) -> QuadResult:
 
     # p.tol is an absolute request and is enforced as such: an unattainable
     # tolerance raises instead of quietly settling at the roundoff floor.
-    return _integrate_expsinh(f, 0.0, p.tol, 0.0, _index_roundoff(n))
+    return _integrate_expsinh(f, 0.0, p.tol, 0.0, _index_roundoff(n), length)
 
 
 def epsilon_integral(p: IntegralParams) -> QuadResult:

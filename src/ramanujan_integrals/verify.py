@@ -28,7 +28,7 @@ from .quadrature import (
     finite_check_integrals,
     j_integral,
 )
-from .specfun import _check_index, gamma_half_ratio, gauss_f, theta_psi
+from .specfun import _check_a, _check_index, gamma_half_ratio, gauss_f, theta_psi
 
 __all__ = [
     "TableRow",
@@ -190,6 +190,7 @@ def check_modular(n: int, a: float, tol: float = DEFAULT_TOL) -> float:
     returns |lhs - rhs|.
     """
     _check_index("n", n, 0)
+    _check_a("a", a)
     return _modular_residual(_Samples(tol), n, a)
 
 

@@ -1,6 +1,7 @@
 """Tests for the closed-form approximants, bounds, and quartic-root formulas."""
 
 import math
+import sys
 
 import pytest
 
@@ -24,6 +25,7 @@ from ramanujan_integrals import (
     t_odd,
     u_scaled,
 )
+from ramanujan_integrals import approximants
 from reference_tables import fourth_digit_tol
 
 PI = math.pi
@@ -219,6 +221,30 @@ class TestBounds:
         b = bound_even(n // 2, a) if n % 2 == 0 else bound_odd((n - 1) // 2, a)
         eps = epsilon_integral(IntegralParams(n, a, tol=1e-6 * b)).value
         assert abs(eps) < b
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_whole_float_range(self, n):
+        # B_n(a) -> Gamma(n+1) Gamma(1/2)/Gamma(n+3/2) / (4 sqrt(2) pi^2) * a^(-3/2)
+        # as a -> 0, which overflows binary64 below a ~ 1e-205
+        log_small_a = math.log(math.sqrt(PI) * gamma_half_ratio(n) / (4.0 * math.sqrt(2.0) * PI * PI))
+        for e in range(-320, 301):
+            b = bound(n, 10.0 ** e)
+            overflows = log_small_a - 1.5 * e * math.log(10.0) > math.log(sys.float_info.max)
+            assert b > 0.0 and math.isinf(b) == overflows, (e, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_underflowed_term_is_not_integrated(self, n, monkeypatch):
+        calls = []
+
+        def counted(m, z):
+            calls.append(z)
+            return u_scaled(m, z)
+
+        monkeypatch.setattr(approximants, "u_scaled", counted)
+        for a, quadratures in ((1e4, 1), (1e-4, 1), (2.0, 2)):
+            calls.clear()
+            bound(n, a)
+            assert len(calls) == quadratures, a
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -213,6 +213,14 @@ class TestJIntegral:
         # exact and machine-independent: a change here is a change in cost
         assert j_integral(IntegralParams(n, 1.0)).evaluations == evaluations
 
+    @pytest.mark.parametrize("n", [0, 5, 10])
+    def test_cost_is_flat_in_scale(self, n):
+        # at large a the Gaussian squeezes the integrand towards x = 0, where
+        # exp-sinh nodes are sparse unless x is taken in its own length scale
+        at_one = j_integral(IntegralParams(n, 1.0)).evaluations
+        for e in range(-8, 9):
+            assert j_integral(IntegralParams(n, 10.0 ** e)).evaluations <= 2 * at_one, e
+
     @pytest.mark.parametrize(
         "n,a,value,estimate,evaluations",
         [
@@ -222,6 +230,8 @@ class TestJIntegral:
             (0, 2.34e-08, 0.04166666636036141, 1.4802973552847267e-16, 198),
             (38, 0.1731, 0.016288852937478546, 3.9495571831905435e-16, 727),
             (184, 2.788, 0.002158635625593458, 6.2454381943855e-16, 2775),
+            # up to a = 4 pi the integrand is sampled at x itself
+            (5, 4 * math.pi, 0.005476768274054172, 5.0804603410577747e-17, 321),
         ],
     )
     def test_bitwise_snapshot(self, n, a, value, estimate, evaluations):
@@ -248,6 +258,12 @@ class TestErrorEstimateHolds:
             (38, 0.1731, "1.6288852937478504550237741934162e-2"),
             (60, 3.242, "3.4523468794866267023509683663399e-3"),
             (173, 8.526, "1.2822118508060311076390396983007e-3"),
+            # a > 4 pi, where the integrand is sampled in its own length scale
+            (9, 101.8, "1.4784463104640715207353288086125e-3"),
+            (4, 21290.0, "1.8400113582634959432241624299123e-4"),
+            (2, 106500.0, "1.1344722295280721964715150027411e-4"),
+            (10, 1234000.0, "1.5340257634371112554325298827329e-5"),
+            (9, 96720000.0, "1.4165734128629507497990522028989e-6"),
         ],
     )
     def test_j_integral(self, n, a, reference):

@@ -77,6 +77,9 @@ class TestCheckModular:
     def test_validation(self):
         with pytest.raises(ValueError):
             check_modular(-1, 2.0)
+        for a in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="a must be positive and finite"):
+                check_modular(2, a)
 
 
 class TestRunSuite:
