@@ -1,16 +1,16 @@
 """Double-exponential quadrature and the integral family built on it.
 
-The engine uses tanh-sinh nodes on finite intervals and exp-sinh nodes on
-semi-infinite ones.  Both transformations push the integrand's endpoint
-behaviour into a double-exponentially decaying weight, so endpoint
-singularities like t**-0.5 and slowly decaying tails are handled by the same
-node family.  Levels halve the step; previously computed nodes are reused, and
-the error estimate comes from successive level differences.
+The engine has one node family, the exp-sinh rule on (0, inf); a finite
+interval runs tanh-sinh as that same rule in s = exp(u) with x = tanh(u).
+The transformation pushes endpoint singularities like t**-0.5 and slowly
+decaying tails into a double-exponentially decaying weight.  Levels halve the
+step; previously computed nodes are reused, and the error estimate comes from
+successive level differences.
 
-Node positions are evaluated relative to the nearest endpoint (the quantities
-``1 - tanh(u)`` and ``exp(-u)`` are formed directly, never by subtraction), so
-an integrand may be sampled within 1e-300 of an endpoint without losing
-digits.
+Nodes are placed relative to the nearest endpoint (``exp(-u)`` and
+``1 - tanh(u)`` are formed directly), so an endpoint at 0 is approached to
+1e-300 without losing digits; a node nearer to a nonzero endpoint than half
+its float spacing is sampled at the endpoint itself.
 
 Determinism: node tables are fixed per level and summation order is fixed, so
 identical inputs give bitwise-identical results.
@@ -122,26 +122,6 @@ def _expsinh_nodes(level: int) -> tuple[tuple[tuple[float, float], ...], tuple[t
     return tuple(pos), tuple(neg)
 
 
-@functools.cache
-def _tanhsinh_nodes(level: int) -> tuple[tuple[float, float], ...]:
-    """tanh-sinh: entries are (1 - tanh(u), weight); node t=0 is handled inline."""
-    h = 0.5 ** level
-    start, step = (1, 2) if level > 0 else (1, 1)
-    nodes: list[tuple[float, float]] = []
-    j = start
-    while True:
-        t = j * h
-        u = _HALF_PI * math.sinh(t)
-        em = math.exp(-2.0 * u)
-        if em == 0.0:
-            break
-        d = 2.0 * em / (1.0 + em)                      # 1 - tanh(u)
-        w = _HALF_PI * math.cosh(t) * 4.0 * em / (1.0 + em) ** 2
-        nodes.append((d, w))
-        j += step
-    return tuple(nodes)
-
-
 # --------------------------------------------------------------------------
 # level sweeps and the refinement loop
 # --------------------------------------------------------------------------
@@ -174,32 +154,9 @@ def _sweep(values) -> tuple[float, float, int]:
     return total, mass, count
 
 
-def _level_sum_expsinh(
-    f: Callable[[float], float], lower: float, level: int
-) -> tuple[float, float, int]:
-    pos, neg = _expsinh_nodes(level)
-    s1, m1, n1 = _sweep(w * f(lower + e) for e, w in pos)
-    s2, m2, n2 = _sweep(w * f(lower + e) for e, w in neg)
-    return s1 + s2, m1 + m2, n1 + n2
-
-
-def _level_sum_tanhsinh(
-    f: Callable[[float], float], a: float, b: float, half: float, level: int
-) -> tuple[float, float, int]:
-    nodes = _tanhsinh_nodes(level)
-    total = 0.0
-    count = 0
-    if level == 0:
-        total = _HALF_PI * f(a + half)                 # t = 0: midpoint, weight pi/2
-        count = 1
-    s, m, n = _sweep(w * (f(a + half * d) + f(b - half * d)) for d, w in nodes)
-    return total + s, abs(total) + m, count + 2 * n
-
-
-def _refine(
-    level_sum, scale: float, tol: float, rel_tol: float, roundoff: float = 0.0
-) -> QuadResult:
-    """Add levels until the error estimate meets ``max(tol, rel_tol*|value|)``.
+def _refine(f, tol, rel_tol, roundoff=0.0, scale=1.0) -> QuadResult:
+    """Integrate ``scale * f`` over (0, inf) on the exp-sinh nodes, adding levels
+    until the estimate for the scaled value meets ``max(tol, rel_tol*|value|)``.
 
     The estimate never drops below the roundoff floor: a few ulps of the
     value, and ``roundoff`` ulps of h*sum|w*f|, the size of the integrand's
@@ -213,10 +170,12 @@ def _refine(
     value = 0.0
     err = math.inf
     for level in range(_MAX_LEVEL + 1):
-        s, m, n = level_sum(level)
-        total += s
-        mass += m
-        evaluations += n
+        pos, neg = _expsinh_nodes(level)
+        s1, m1, n1 = _sweep(w * f(e) for e, w in pos)
+        s2, m2, n2 = _sweep(w * f(e) for e, w in neg)
+        total += s1 + s2
+        mass += m1 + m2
+        evaluations += n1 + n2
         value = total * (0.5 ** level) * scale
         floor = max(4.0 * _EPS * abs(value), roundoff * _EPS * mass * (0.5 ** level) * scale)
         target = max(tol, rel_tol * abs(value))
@@ -240,14 +199,28 @@ def _refine(
     )
 
 
-def _integrate_expsinh(f, lower, tol, rel_tol, roundoff=0.0, scale=1.0) -> QuadResult:
-    """Integrate ``scale * f`` over (lower, inf); ``tol`` applies to the scaled value."""
-    return _refine(lambda level: _level_sum_expsinh(f, lower, level), scale, tol, rel_tol, roundoff)
+# The half-line driver.  tanh-sinh calls _refine, so a wrapper on either driver
+# name (bench/harness.py counts evaluations so) sees each quadrature once.
+_integrate_expsinh = _refine
 
 
 def _integrate_tanhsinh(f, a, b, tol, rel_tol) -> QuadResult:
+    """Integrate ``f`` over (a, b) by tanh-sinh, the exp-sinh rule in s = exp(u):
+    node s lies (b - a)/2 * d from a (s <= 1) or b (s > 1), d = 1 - tanh|u| =
+    2r^2/(1 + r^2) with r = min(s, 1/s); its weight ratio 4s/(1 + s^2)^2 is
+    formed as 4r^3/(1 + r^2)^2 for s > 1, so nothing overflows."""
     half = 0.5 * (b - a)
-    return _refine(lambda level: _level_sum_tanhsinh(f, a, b, half, level), half, tol, rel_tol)
+
+    def g(s: float) -> float:
+        r = min(s, 1.0 / s)
+        d = 2.0 * r * r / (1.0 + r * r)
+        if d == 0.0:
+            return 0.0
+        if s > 1.0:
+            return 4.0 * r ** 3 / (1.0 + r * r) ** 2 * f(b - half * d)
+        return 4.0 * r / (1.0 + r * r) ** 2 * f(a + half * d)
+
+    return _refine(g, tol, rel_tol, 0.0, half)
 
 
 def integrate(
@@ -261,8 +234,9 @@ def integrate(
 
     Refinement stops once the error estimate drops below
     ``max(tol, rel_tol * |value|)``; tol=0.0 therefore requests full relative
-    accuracy.  ``f`` must be continuous on the open interval; endpoints are
-    never sampled exactly.
+    accuracy.  ``f`` must be continuous on the open interval.  An endpoint
+    at 0 is never sampled exactly; a nonzero endpoint is, by any node nearer
+    to it than half its float spacing, so ``f`` singular there may raise.
 
     Raises:
         AccuracyError: target not reached within the level budget, or below
@@ -276,7 +250,7 @@ def integrate(
     if not (tol >= 0.0 and rel_tol >= 0.0):
         raise ValueError("tolerances must be non-negative")
     if math.isinf(upper):
-        return _integrate_expsinh(f, lower, tol, rel_tol)
+        return _integrate_expsinh(lambda x: f(lower + x), tol, rel_tol)
     return _integrate_tanhsinh(f, lower, upper, tol, rel_tol)
 
 
@@ -305,7 +279,7 @@ def u_scaled(n: int, z: float) -> float:
         r = t / (1.0 + t)
         return g * r ** n / ((1.0 + t) * math.sqrt(1.0 + t))
 
-    return _integrate_expsinh(f, 0.0, 0.0, _DEFAULT_REL).value
+    return _integrate_expsinh(f, 0.0, _DEFAULT_REL).value
 
 
 def _bose_factor(x: float) -> float:
@@ -368,7 +342,7 @@ def j_integral(p: IntegralParams) -> QuadResult:
 
     # p.tol is an absolute request and is enforced as such: an unattainable
     # tolerance raises instead of quietly settling at the roundoff floor.
-    return _integrate_expsinh(f, 0.0, p.tol, 0.0, _index_roundoff(n), length)
+    return _integrate_expsinh(f, p.tol, 0.0, _index_roundoff(n), length)
 
 
 def epsilon_integral(p: IntegralParams) -> QuadResult:
@@ -406,7 +380,7 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     if odd and a == 1.0:
         return QuadResult(0.0 * f(1.0), 0.0, 1)
 
-    return _integrate_expsinh(f, 0.0, p.tol, 0.0, _index_roundoff(n), 1.0 / (4.0 * math.pi * a))
+    return _integrate_expsinh(f, p.tol, 0.0, _index_roundoff(n), 1.0 / (4.0 * math.pi * a))
 
 
 def finite_check_integrals(m: int) -> tuple[float, float]:
@@ -414,15 +388,20 @@ def finite_check_integrals(m: int) -> tuple[float, float]:
 
     Returns (integral_0^1 t^(-1/2) (1-t)^m / (1+t)^(m+3/2) dt,
              integral_0^1 (1-t)^m / (1+t)^(m+3/2) dt)
-    for m >= 0, both by direct quadrature at full relative accuracy, for
-    comparison against their gamma-ratio / Gauss-value closed forms.
+    for m >= 0 at full relative accuracy.  t = 1/(1+s) makes them the kernel
+    of eps_n, integral_0^inf s^m (2+s)^(-m-3/2) ds, and that times
+    (1+s)^(-1/2), sampled at its rise length max(1, sqrt(m)): cost flat in m.
     """
     _check_index("m", m, 0)
+    length = max(1.0, math.sqrt(m))
 
-    def core(t: float) -> float:
-        r = (1.0 - t) / (1.0 + t)
-        return r ** m / ((1.0 + t) * math.sqrt(1.0 + t))
+    def core(y: float) -> float:
+        s = length * y
+        r = s / (2.0 + s)
+        return r ** m / ((2.0 + s) * math.sqrt(2.0 + s))
 
-    first = _integrate_tanhsinh(lambda t: core(t) / math.sqrt(t), 0.0, 1.0, 0.0, _DEFAULT_REL)
-    second = _integrate_tanhsinh(core, 0.0, 1.0, 0.0, _DEFAULT_REL)
+    first = _integrate_expsinh(core, 0.0, _DEFAULT_REL, 0.0, length)
+    second = _integrate_expsinh(
+        lambda y: core(y) / math.sqrt(1.0 + length * y), 0.0, _DEFAULT_REL, 0.0, length
+    )
     return first.value, second.value

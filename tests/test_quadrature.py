@@ -1,8 +1,9 @@
 """Tests for the quadrature engine and the integral family.
 
-The evaluation routine under test is double-exponential (tanh-sinh /
-exp-sinh); independent cross-checks use Gauss-Kronrod quadrature from scipy
-(a different node family) and scipy's confluent hypergeometric U.
+The evaluation routine under test is double-exponential (exp-sinh, with
+tanh-sinh run on the exp-sinh nodes); independent cross-checks use
+Gauss-Kronrod quadrature from scipy (a different node family) and scipy's
+confluent hypergeometric U.
 """
 
 import math
@@ -30,8 +31,22 @@ from ramanujan_integrals import (
     t_odd,
     u_scaled,
 )
-from ramanujan_integrals import quadrature
+from ramanujan_integrals import quadrature, run_suite
 from ramanujan_integrals.quadrature import _bose_factor
+
+
+def _count_calls(monkeypatch, name):
+    """Wrap the quadrature driver ``name``; the list gets each call's evaluations."""
+    driver = getattr(quadrature, name)
+    calls = []
+
+    def counted(*args):
+        result = driver(*args)
+        calls.append(result.evaluations)
+        return result
+
+    monkeypatch.setattr(quadrature, name, counted)
+    return calls
 
 
 class TestResultTypes:
@@ -74,6 +89,43 @@ class TestIntegrate:
     def test_finite_interval_polynomial(self):
         res = integrate(lambda t: 3.0 * t * t, 0.0, 2.0)
         assert res.value == pytest.approx(8.0, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "f,lower,upper,expected",
+        [
+            (math.exp, -1.0, 3.0, math.exp(3.0) - math.exp(-1.0)),
+            (lambda t: math.sqrt(1.0 - t * t), -1.0, 1.0, math.pi / 2.0),
+            (math.log, 0.0, 1.0, -1.0),
+            (lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0, math.pi / 4.0),
+            # decays so slowly that the sweep reaches nodes whose distance
+            # from 0 underflows; they must not sample t = 0
+            (lambda t: t ** -0.9, 0.0, 1.0, 10.0),
+        ],
+    )
+    def test_finite_interval_accuracy(self, f, lower, upper, expected):
+        res = integrate(f, lower, upper)
+        assert res.value == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_singularity_at_nonzero_endpoint_raises(self):
+        # nodes nearer to t = 1 than half its float spacing sample t = 1
+        # itself, so the integral (= 2) cannot be resolved; it must raise
+        # rather than return a value
+        with pytest.raises(ArithmeticError):
+            integrate(lambda t: (1.0 - t) ** -0.5, 0.0, 1.0)
+
+    def test_finite_call_is_counted_once(self, monkeypatch):
+        # tanh-sinh runs on the exp-sinh nodes without going through the
+        # exp-sinh driver, so a wrapper on each driver sees each quadrature once
+        finite = _count_calls(monkeypatch, "_integrate_tanhsinh")
+        half_line = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = integrate(lambda x: 1.0 / (1.0 + x * x), 0.0, 1.0)
+        assert finite == [res.evaluations]
+        assert half_line == []
+
+    def test_suite_needs_no_finite_interval(self, monkeypatch):
+        finite = _count_calls(monkeypatch, "_integrate_tanhsinh")
+        assert run_suite().overall
+        assert finite == []
 
     def test_error_estimate_is_honest(self):
         res = integrate(lambda t: math.exp(-t) * math.cos(t), 0.0, math.inf)
@@ -423,7 +475,7 @@ class TestFiniteCheckIntegrals:
         assert second == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
-    @pytest.mark.parametrize("k", [0, 1, 2, 5, 10, 20, 30])
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 10, 20, 30, 100, 500])
     def test_closed_forms_to_relative_tolerance(self, parity, k):
         m = 2 * k + (1 if parity == "odd" else 0)
         first, second = finite_check_integrals(m)
@@ -432,6 +484,15 @@ class TestFiniteCheckIntegrals:
         closed_second = f2 - closed_first if parity == "even" else f2 + closed_first
         assert abs(first - closed_first) / closed_first < 1e-12
         assert abs(second - closed_second) / abs(closed_second) < 1e-12
+
+    @pytest.mark.parametrize("m", [0, 1, 10, 100, 1000, 2000])
+    def test_cost_is_flat_in_index(self, monkeypatch, m):
+        # the kernel rises over a length sqrt(m); tanh-sinh on the finite
+        # form took 2 104 evaluations at m = 1000
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        finite_check_integrals(m)
+        assert len(calls) == 2
+        assert sum(calls) <= 500
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):
