@@ -116,15 +116,9 @@ def _emit(args, payload: dict, csv_lines: list[str], text_lines: list[str]) -> N
 def _scalar_output(args, fields: dict, *shown: float) -> int:
     """Emit one command's result: ``shown`` one per line as text, else every
     field as a json object or a csv header and row."""
-    csv_lines = [",".join(fields), ",".join(map(_csv_cell, fields.values()))]
+    csv_lines = [",".join(fields), ",".join(map(str, fields.values()))]
     _emit(args, fields, csv_lines, [f"{value:.15g}" for value in shown])
     return 0
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _cmd_eval(args) -> int:

@@ -1,7 +1,8 @@
 """Double-exponential quadrature and the integral family built on it.
 
-The engine has one node family, the exp-sinh rule on (0, inf); a finite
-interval runs tanh-sinh as that same rule in s = exp(u) with x = tanh(u).
+One driver sums the exp-sinh rule on (0, inf): it samples f at length * node
+and multiplies the sum by length * prefactor.  A finite interval runs
+tanh-sinh as that same rule in s = exp(u) with x = tanh(u).
 The transformation pushes endpoint singularities like t**-0.5 and slowly
 decaying tails into a double-exponentially decaying weight.  Levels halve the
 step; previously computed nodes are reused, and the error estimate comes from
@@ -71,7 +72,8 @@ class AccuracyError(ArithmeticError):
     """Requested tolerance not reached; ``result`` carries the best estimate.
 
     The message says what stopped the quadrature: the level budget ran out,
-    or the roundoff floor of the integrand alone exceeds the tolerance.
+    the roundoff floor of the integrand alone exceeds the tolerance, or a
+    level's sum is not finite (its estimate is then infinite).
     """
 
     def __init__(self, message: str, result: QuadResult):
@@ -154,29 +156,31 @@ def _sweep(values) -> tuple[float, float, int]:
     return total, mass, count
 
 
-def _refine(f, tol, rel_tol, roundoff=0.0, scale=1.0) -> QuadResult:
-    """Integrate ``scale * f`` over (0, inf) on the exp-sinh nodes, adding levels
-    until the estimate for the scaled value meets ``max(tol, rel_tol*|value|)``.
+def _refine(f, tol, rel_tol, roundoff=0.0, length=1.0, prefactor=1.0) -> QuadResult:
+    """Integrate ``prefactor * f`` over (0, inf) at the exp-sinh nodes times
+    ``length``, adding levels until the estimate meets ``max(tol, rel_tol*|value|)``.
 
     The estimate never drops below the roundoff floor: a few ulps of the
     value, and ``roundoff`` ulps of h*sum|w*f|, the size of the integrand's
     own rounding error when each sample carries ``roundoff`` ulps of it.
     """
+    scale = length * prefactor
     total = 0.0
     mass = 0.0
     evaluations = 0
     previous = None
     d_prev = None
-    value = 0.0
-    err = math.inf
     for level in range(_MAX_LEVEL + 1):
         pos, neg = _expsinh_nodes(level)
-        s1, m1, n1 = _sweep(w * f(e) for e, w in pos)
-        s2, m2, n2 = _sweep(w * f(e) for e, w in neg)
+        s1, m1, n1 = _sweep(w * f(length * e) for e, w in pos)
+        s2, m2, n2 = _sweep(w * f(length * e) for e, w in neg)
         total += s1 + s2
         mass += m1 + m2
         evaluations += n1 + n2
         value = total * (0.5 ** level) * scale
+        if not math.isfinite(value):
+            result = QuadResult(value, math.inf, evaluations)
+            raise AccuracyError(f"quadrature sum is not finite at level {level}: {result}", result)
         floor = max(4.0 * _EPS * abs(value), roundoff * _EPS * mass * (0.5 ** level) * scale)
         target = max(tol, rel_tol * abs(value))
         if previous is not None:
@@ -220,7 +224,7 @@ def _integrate_tanhsinh(f, a, b, tol, rel_tol) -> QuadResult:
             return 4.0 * r ** 3 / (1.0 + r * r) ** 2 * f(b - half * d)
         return 4.0 * r / (1.0 + r * r) ** 2 * f(a + half * d)
 
-    return _refine(g, tol, rel_tol, 0.0, half)
+    return _refine(g, tol, rel_tol, 0.0, 1.0, half)
 
 
 def integrate(
@@ -239,9 +243,9 @@ def integrate(
     to it than half its float spacing, so ``f`` singular there may raise.
 
     Raises:
-        AccuracyError: target not reached within the level budget, or below
-            the roundoff floor of a few ulps of the value; the exception's
-            ``result`` holds the best estimate.
+        AccuracyError: target not reached within the level budget or below
+            the roundoff floor of a few ulps of the value, or a sample made
+            the sum non-finite; ``result`` holds the best estimate.
     """
     if not math.isfinite(lower):
         raise ValueError("lower limit must be finite")
@@ -321,16 +325,15 @@ def j_integral(p: IntegralParams) -> QuadResult:
     roundoff floor, 2(n + 8) ulps of integral |f|.
 
     Above a = 4 pi the Gaussian's length 1/sqrt(pi a) is shorter than the
-    Bose factor's 1/(2 pi), so x = L*y with L = sqrt(4 pi/a) keeps the nodes
-    on the integrand and the cost flat in a; for a <= 4 pi, L is exactly 1.
+    Bose factor's 1/(2 pi), so sampling at length L = sqrt(4 pi/a) keeps the
+    nodes on the integrand and the cost flat in a; for a <= 4 pi, L is 1.
     """
     n, a = p.n, p.a
     c = 2.0 * math.pi * a
     length = min(1.0, math.sqrt(4.0 * math.pi / a))
     steps = _laguerre_steps(n)
 
-    def f(y: float) -> float:
-        x = length * y
+    def f(x: float) -> float:
         z = c * x * x
         scale = math.exp(-0.5 * z)
         if scale == 0.0:
@@ -380,7 +383,7 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     if odd and a == 1.0:
         return QuadResult(0.0 * f(1.0), 0.0, 1)
 
-    return _integrate_expsinh(f, p.tol, 0.0, _index_roundoff(n), 1.0 / (4.0 * math.pi * a))
+    return _integrate_expsinh(f, p.tol, 0.0, _index_roundoff(n), 1.0, 1.0 / (4.0 * math.pi * a))
 
 
 def finite_check_integrals(m: int) -> tuple[float, float]:
@@ -395,13 +398,10 @@ def finite_check_integrals(m: int) -> tuple[float, float]:
     _check_index("m", m, 0)
     length = max(1.0, math.sqrt(m))
 
-    def core(y: float) -> float:
-        s = length * y
+    def core(s: float) -> float:
         r = s / (2.0 + s)
         return r ** m / ((2.0 + s) * math.sqrt(2.0 + s))
 
     first = _integrate_expsinh(core, 0.0, _DEFAULT_REL, 0.0, length)
-    second = _integrate_expsinh(
-        lambda y: core(y) / math.sqrt(1.0 + length * y), 0.0, _DEFAULT_REL, 0.0, length
-    )
+    second = _integrate_expsinh(lambda s: core(s) / math.sqrt(1.0 + s), 0.0, _DEFAULT_REL, 0.0, length)
     return first.value, second.value

@@ -138,6 +138,21 @@ class TestIntegrate:
         assert isinstance(best, QuadResult)
         assert best.value == pytest.approx(0.5, abs=1e-10)
 
+    def test_nan_sample_raises_at_the_first_level(self):
+        # the level-0 sum is already NaN, and no later level can repair it
+        with pytest.raises(AccuracyError, match="sum is not finite at level 0") as excinfo:
+            integrate(lambda t: math.nan if t > 5.0 else math.exp(-t), 0.0, math.inf)
+        best = excinfo.value.result
+        assert math.isnan(best.value)
+        assert (best.abs_error_estimate, best.evaluations) == (math.inf, 13)
+
+    def test_infinite_sample_raises_at_the_first_level(self):
+        # the midpoint of a finite interval is the first node tanh-sinh samples
+        with pytest.raises(AccuracyError, match="sum is not finite at level 0") as excinfo:
+            integrate(lambda t: math.inf if t == 0.5 else 1.0, 0.0, 1.0)
+        best = excinfo.value.result
+        assert (best.value, best.abs_error_estimate) == (math.inf, math.inf)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             integrate(math.exp, math.inf, math.inf)
@@ -385,6 +400,24 @@ class TestEpsilonIntegral:
         reference = 1.0 / 24.0 - t_even(1, 1e-8)
         assert excinfo.value.result.value == pytest.approx(reference, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "n,a,tol,value,estimate,evaluations",
+        [
+            # tol None: 1e-6 of the bound, as a caller sizing it from B asks
+            (2, 1.0, 1e-10, 1.2503290434108736e-05, 5.132000866072762e-13, 93),
+            (7, 2.0, None, -7.663129411274699e-07, 6.000581509883253e-17, 146),
+            (41, 0.5, None, 2.28160357279612e-12, 5.453010473671107e-25, 189),
+        ],
+    )
+    def test_bitwise_snapshot(self, monkeypatch, n, a, tol, value, estimate, evaluations):
+        # one positional driver call with length 1 and prefactor 1/(4 pi a);
+        # the counting wrapper, like the benchmark's, rejects keywords
+        p = IntegralParams(n, a, tol=1e-6 * bound(n, a) if tol is None else tol)
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = epsilon_integral(p)
+        assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
+        assert calls == [evaluations]
+
 
 class TestTheoremConsistency:
     """Closure J_n(a) = sigma*T_n(a) + eps_n(a), in the window where the
@@ -445,6 +478,20 @@ class TestUScaled:
         # frozen from 40-digit mpmath: 100! * hyperu(101, 1/2, 2*pi)
         assert value == pytest.approx(5.002305162e-22, rel=1e-8, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "n,z,value,evaluations",
+        [
+            (0, 1e-4, 1.9649474045646702, 937),
+            (10, 2.0 * math.pi, 5.927096269225446e-07, 235),
+            (1000, 1.0, 3.068278660767157e-29, 2215),
+        ],
+    )
+    def test_bitwise_snapshot(self, monkeypatch, n, z, value, evaluations):
+        # one positional driver call at the default length and prefactor
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        assert u_scaled(n, z) == value
+        assert calls == [evaluations]
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             u_scaled(-1, 1.0)
@@ -484,6 +531,33 @@ class TestFiniteCheckIntegrals:
         closed_second = f2 - closed_first if parity == "even" else f2 + closed_first
         assert abs(first - closed_first) / closed_first < 1e-12
         assert abs(second - closed_second) / abs(closed_second) < 1e-12
+
+    @pytest.mark.parametrize("m", [1001, 2000])
+    def test_large_index_against_mpmath_closed_forms(self, m):
+        # the binary64 closed form of the second integral, 2F_m - sigma*first,
+        # cancels (1.0e-13 off at m = 1001, 3.0e-13 at m = 2000), so the
+        # references are the closed forms at 40 digits
+        mp = pytest.importorskip("mpmath")
+        first, second = finite_check_integrals(m)
+        with mp.workdps(40):
+            closed_first = mp.sqrt(mp.pi / 2) * mp.gamma(m + 1) / mp.gamma(m + mp.mpf(3) / 2)
+            closed_second = 2 * mp.hyp2f1(-m, 1, mp.mpf(3) / 2, 2) - sigma(m) * closed_first
+            assert abs(first - closed_first) / closed_first < 2e-14
+            assert abs((second - closed_second) / closed_second) < 2e-14
+
+    @pytest.mark.parametrize(
+        "m,first,second,evaluations",
+        [
+            (0, 1.414213562373095, 0.5857864376269051, [167, 157]),
+            (61, 0.1594922842241601, 0.008096900611086623, [217, 196]),
+            (2000, 0.028019702770770993, 0.0002499062773393551, [196, 176]),
+        ],
+    )
+    def test_bitwise_snapshot(self, monkeypatch, m, first, second, evaluations):
+        # two positional driver calls, each at length max(1, sqrt(m))
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        assert finite_check_integrals(m) == (first, second)
+        assert calls == evaluations
 
     @pytest.mark.parametrize("m", [0, 1, 10, 100, 1000, 2000])
     def test_cost_is_flat_in_index(self, monkeypatch, m):
