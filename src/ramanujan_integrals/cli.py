@@ -76,7 +76,7 @@ def _build_parser() -> _Parser:
     p_bound = sub.add_parser("bound", help="remainder bound B_n(a)")
     add_index_args(p_bound)
     p_bound.add_argument(
-        "--estimate", action="store_true", help="also print the large-k estimate"
+        "--estimate", action="store_true", help="also print the large-k estimate (even n only)"
     )
     p_table = sub.add_parser("table", help="reproduce a reference table")
     p_table.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
@@ -149,13 +149,15 @@ def _cmd_approx(args) -> int:
 
 def _cmd_bound(args) -> int:
     n = _resolve_index(args)
+    k = n // 2
+    if args.estimate and k < 1:
+        raise ValueError("the large-k estimate requires k >= 1")
+    if args.estimate and n % 2:
+        raise ValueError("the large-k estimate is defined for even n only")
     value = bound(n, args.a)
     fields = {"command": "bound", "n": n, "a": args.a, "bound": value}
     if not args.estimate:
         return _scalar_output(args, fields, value)
-    k = n // 2
-    if k < 1:
-        raise ValueError("the large-k estimate requires k >= 1")
     if not (math.pi / k <= args.a <= k):
         sys.stderr.write(
             f"warning: a={args.a:g} is outside [pi/k, k] = "

@@ -280,8 +280,8 @@ def u_scaled(n: int, z: float) -> float:
         g = math.exp(-z * t)
         if g == 0.0:
             return 0.0
-        r = t / (1.0 + t)
-        return g * r ** n / ((1.0 + t) * math.sqrt(1.0 + t))
+        s = 1.0 + t
+        return g * (t / s) ** n / (s * math.sqrt(s))
 
     return _integrate_expsinh(f, 0.0, _DEFAULT_REL).value
 

@@ -23,7 +23,6 @@ from .quadrature import (
     DEFAULT_TOL,
     AccuracyError,
     IntegralParams,
-    QuadResult,
     epsilon_integral,
     finite_check_integrals,
     j_integral,
@@ -133,10 +132,19 @@ def _index_label(n: int) -> str:
     return f"{'odd' if n % 2 else 'even'}/k={n // 2}"
 
 
-def _epsilon_precise(n: int, a: float, b: float) -> QuadResult:
-    """Remainder with tolerance scaled to its own bound ``b`` (cheap to
-    compute), giving ~6 significant digits regardless of magnitude."""
-    return epsilon_integral(IntegralParams(n, a, tol=_EPS_REL_OF_BOUND * b))
+class _Samples:
+    """B_n(a), eps_n(a) and J_n(a) values, each computed at most once per
+    instance.  B comes first and sets eps's tolerance to _EPS_REL_OF_BOUND
+    times itself (B is cheap), giving ~6 significant digits of eps at any
+    magnitude; J is integrated to ``quad_tol``.  A failed quadrature is not
+    stored: asked again, it raises again."""
+
+    def __init__(self, quad_tol: float):
+        self.bound = cached_bound = functools.cache(bound)
+        self.eps = functools.cache(
+            lambda n, a: epsilon_integral(IntegralParams(n, a, _EPS_REL_OF_BOUND * cached_bound(n, a))).value
+        )
+        self.j = functools.cache(lambda n, a: j_integral(IntegralParams(n, a, quad_tol)).value)
 
 
 def reproduce_table(table_id: int) -> list[TableRow]:
@@ -148,25 +156,13 @@ def reproduce_table(table_id: int) -> list[TableRow]:
     if table_id not in TABLE_GRIDS:
         raise ValueError(f"table id must be 1, 2 or 3, got {table_id}")
     even, ks, a_values = TABLE_GRIDS[table_id]
+    samples = _Samples(DEFAULT_TOL)
     rows = []
     for a in a_values:
         for k in ks:
             n = 2 * k if even else 2 * k + 1
-            b = bound(n, a)
-            sj = abs(_epsilon_precise(n, a, b).value)
-            rows.append(TableRow(k=k, a=a, script_j=sj, bound=b))
+            rows.append(TableRow(k=k, a=a, script_j=abs(samples.eps(n, a)), bound=samples.bound(n, a)))
     return rows
-
-
-class _Samples:
-    """B_n(a), eps_n(a) (by ``_epsilon_precise``) and J_n(a) (to ``quad_tol``)
-    values, each computed at most once per instance.  A failed quadrature is
-    not stored: asked again, it raises again."""
-
-    def __init__(self, quad_tol: float):
-        self.bound = cached_bound = functools.cache(bound)
-        self.eps = functools.cache(lambda n, a: _epsilon_precise(n, a, cached_bound(n, a)).value)
-        self.j = functools.cache(lambda n, a: j_integral(IntegralParams(n, a, quad_tol)).value)
 
 
 def _modular_residual(samples: _Samples, n: int, a: float) -> float:

@@ -201,10 +201,11 @@ class TestBounds:
         assert bound_odd(2, 0.5) == pytest.approx(expected, rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("k", [1, 5])
-    @pytest.mark.parametrize("a", [1e-7, 1e7])
+    @pytest.mark.parametrize("a", [1e-7, 1e7, 0.1, 10.0, 1.0 / 200.0, 200.0])
     def test_extreme_scale_against_40_digit_evaluation(self, a, k):
         # lambda(x) needs 1 - exp(-pi x) at x = 1e-7 in one of the two energy
-        # terms; formed by subtraction it costs ~1e-10 relative
+        # terms; formed by subtraction it costs ~1e-10 relative.  At the other
+        # four a both energy terms are nonzero.
         assert bound_even(k, a) == pytest.approx(_bound_40_digits(2 * k, a), rel=1e-12, abs=0.0)
         assert bound_odd(k, a) == pytest.approx(_bound_40_digits(2 * k + 1, a), rel=1e-12, abs=0.0)
 
@@ -231,6 +232,9 @@ class TestBounds:
             b = bound(n, 10.0 ** e)
             overflows = log_small_a - 1.5 * e * math.log(10.0) > math.log(sys.float_info.max)
             assert b > 0.0 and math.isinf(b) == overflows, (e, b)
+        # at the smallest subnormal 1/a overflows too; its term must be 0.0,
+        # not inf * 0 = NaN
+        assert bound(n, 5e-324) == math.inf
 
     @pytest.mark.parametrize("n", [1, 2, 7, 30])
     def test_underflowed_term_is_not_integrated(self, n, monkeypatch):

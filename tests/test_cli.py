@@ -33,6 +33,19 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def _count_driver_calls(monkeypatch):
+    """Record every exp-sinh quadrature the library runs from here on."""
+    driver = ramanujan_integrals.quadrature._integrate_expsinh
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return driver(*args)
+
+    monkeypatch.setattr(ramanujan_integrals.quadrature, "_integrate_expsinh", counted)
+    return calls
+
+
 class TestEval:
     def test_known_value_text(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--n", "1", "--a", "1")
@@ -203,9 +216,24 @@ class TestBound:
             f"bound,4,2.0,{bound(4, 2.0)!r},{bound_asymptotic(2, 2.0)!r}\n"
         )
 
-    def test_estimate_requires_positive_k(self, capsys):
+    def test_estimate_requires_positive_k(self, capsys, monkeypatch):
+        calls = _count_driver_calls(monkeypatch)
         code, _, err = run_cli(capsys, "bound", "--n", "1", "--a", "1", "--estimate")
         assert code == 1
+        assert "k >= 1" in err
+        assert calls == []  # rejected before B_1 is integrated
+
+    @pytest.mark.parametrize(
+        "index", [("--n", "21"), ("--k", "10", "--parity", "odd")], ids=["n", "k-parity"]
+    )
+    def test_estimate_rejects_odd_index(self, capsys, monkeypatch, index):
+        # the estimate is of B_2k; printing it beside B_2k+1 would mislabel it
+        calls = _count_driver_calls(monkeypatch)
+        code, out, err = run_cli(capsys, "bound", *index, "--a", "1", "--estimate")
+        assert code == 1
+        assert out == ""
+        assert "even n only" in err
+        assert calls == []
 
 
 class TestTable:
