@@ -158,10 +158,12 @@ def _cmd_bound(args) -> int:
     fields = {"command": "bound", "n": n, "a": args.a, "bound": value}
     if not args.estimate:
         return _scalar_output(args, fields, value)
-    if not (math.pi / k <= args.a <= k):
+    # B and the estimate both scale by a^(3/2) under a <-> 1/a: a window symmetric in it
+    lo, hi = math.pi / (2 * k), 2 * k / math.pi
+    if not (lo <= args.a <= hi):
         sys.stderr.write(
-            f"warning: a={args.a:g} is outside [pi/k, k] = "
-            f"[{math.pi / k:.3g}, {k}]; the large-k estimate degrades there\n"
+            f"warning: a={args.a:g} is outside [pi/(2k), 2k/pi] = "
+            f"[{lo:.3g}, {hi:.3g}]; the large-k estimate degrades there\n"
         )
     fields["estimate"] = bound_asymptotic(k, args.a)
     return _scalar_output(args, fields, value, fields["estimate"])

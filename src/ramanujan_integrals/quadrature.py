@@ -271,10 +271,19 @@ def u_scaled(n: int, z: float) -> float:
     never formed.  G_n is positive and strictly decreasing in both n and z
     (the integrand is pointwise dominated).  The integral is evaluated to
     full relative accuracy.
+
+    The nodes are placed at length max(t*, min(1, 16/z)), where t* is the
+    integrand's peak, the root of n/t - (n + 3/2)/(1 + t) = z: about 2n/3 for
+    small z and sqrt(n/z) for large nz.  t* is formed with hypot and
+    sqrt(n)*sqrt(z), so nothing overflows up to z = 1.8e308.  Where t* is
+    shorter (small n at large z, or n = 0), 16/z follows the exponential.
     """
     _check_index("n", n, 0)
     if not z > 0.0:
         raise ValueError(f"z must be positive, got {z}")
+    b = z + 1.5
+    peak = 2.0 * n / (b + math.hypot(b, 2.0 * math.sqrt(n) * math.sqrt(z)))
+    length = max(peak, min(1.0, 16.0 / z))
 
     def f(t: float) -> float:
         g = math.exp(-z * t)
@@ -283,7 +292,7 @@ def u_scaled(n: int, z: float) -> float:
         s = 1.0 + t
         return g * (t / s) ** n / (s * math.sqrt(s))
 
-    return _integrate_expsinh(f, 0.0, _DEFAULT_REL).value
+    return _integrate_expsinh(f, 0.0, _DEFAULT_REL, 0.0, length).value
 
 
 def _bose_factor(x: float) -> float:
@@ -363,12 +372,20 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     moves the path to (0, inf) and concentrates nodes where (t-1)^n turns on.
     Theta sums are truncated per point, scaled to their own leading term.
 
+    The nodes are placed at length max(1, min(n, sqrt(2n/(pi min(a, 1/a))))),
+    near the peak u* of (u/(2+u))^n e^(-pi u min(a, 1/a)).  The cap at n
+    matters outside the window pi/(2k) << a << 2k/pi: there the Jacobi part
+    of the theta sum, about sqrt(a/t)/2 for Psi(t/a) at large a, outweighs
+    the exponential, the mass sits at u ~ n, and an uncapped length would
+    place the nodes past it and return a wrong value with a small estimate.
+
     For odd n at a = 1 the two theta sums coincide and the integrand vanishes
     identically; the result is exactly zero.
     """
     n, a = p.n, p.a
     odd = n % 2 == 1
     sq = math.sqrt(a)
+    length = max(1.0, min(n, math.sqrt(2.0 * n / (math.pi * min(a, 1.0 / a)))))
 
     def f(u: float) -> float:
         t = 1.0 + u
@@ -383,7 +400,7 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     if odd and a == 1.0:
         return QuadResult(0.0 * f(1.0), 0.0, 1)
 
-    return _integrate_expsinh(f, p.tol, 0.0, _index_roundoff(n), 1.0, 1.0 / (4.0 * math.pi * a))
+    return _integrate_expsinh(f, p.tol, 0.0, _index_roundoff(n), length, 1.0 / (4.0 * math.pi * a))
 
 
 def finite_check_integrals(m: int) -> tuple[float, float]:

@@ -192,7 +192,7 @@ class TestBound:
         assert float(out) == pytest.approx(bound_even(1, 1.0), rel=1e-14, abs=0.0)
 
     def test_estimate_warns_outside_window(self, capsys):
-        # k=1: the window [pi/k, k] = [3.14, 1] contains nothing; always warns
+        # k=1: the window [pi/(2k), 2k/pi] = [1.57, 0.637] contains nothing; always warns
         code, out, err = run_cli(capsys, "bound", "--n", "2", "--a", "1", "--estimate")
         assert code == 0
         assert "warning" in err
@@ -202,6 +202,14 @@ class TestBound:
         code, out, err = run_cli(capsys, "bound", "--n", "40", "--a", "1", "--estimate")
         assert code == 0
         assert err == ""
+
+    @pytest.mark.parametrize("a", [5.0, 7.0])
+    def test_estimate_window_is_symmetric_in_inverse(self, capsys, a):
+        # k = 10: [pi/20, 20/pi] = [0.157, 6.37]; a and 1/a warn alike, as the
+        # ratio of estimate to bound is the same at both
+        _, _, err = run_cli(capsys, "bound", "--n", "20", "--a", str(a), "--estimate")
+        _, _, err_inverse = run_cli(capsys, "bound", "--n", "20", "--a", str(1.0 / a), "--estimate")
+        assert ("warning" in err) == ("warning" in err_inverse) == (a > 20.0 / math.pi)
 
     def test_csv_layout(self, capsys):
         code, out, _ = run_cli(capsys, "bound", "--n", "4", "--a", "2", "--format", "csv")

@@ -404,19 +404,68 @@ class TestEpsilonIntegral:
         "n,a,tol,value,estimate,evaluations",
         [
             # tol None: 1e-6 of the bound, as a caller sizing it from B asks
-            (2, 1.0, 1e-10, 1.2503290434108736e-05, 5.132000866072762e-13, 93),
-            (7, 2.0, None, -7.663129411274699e-07, 6.000581509883253e-17, 146),
-            (41, 0.5, None, 2.28160357279612e-12, 5.453010473671107e-25, 189),
+            (2, 1.0, 1e-10, 1.2503290434108734e-05, 6.503430489650914e-13, 93),
+            (7, 2.0, None, -7.6631294112747e-07, 1.0047873288132896e-13, 78),
+            (41, 0.5, None, 2.281603572796118e-12, 6.439730315696032e-25, 99),
         ],
     )
     def test_bitwise_snapshot(self, monkeypatch, n, a, tol, value, estimate, evaluations):
-        # one positional driver call with length 1 and prefactor 1/(4 pi a);
-        # the counting wrapper, like the benchmark's, rejects keywords
+        # one positional driver call at length max(1, min(n, sqrt(2n/(pi
+        # min(a, 1/a))))) and prefactor 1/(4 pi a); the counting wrapper, like
+        # the benchmark's, rejects keywords.  Each value lies within its
+        # estimate of a 32-digit mpmath quadrature of the remainder integral.
         p = IntegralParams(n, a, tol=1e-6 * bound(n, a) if tol is None else tol)
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = epsilon_integral(p)
         assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
         assert calls == [evaluations]
+
+    # eps_n(a) outside the window pi/(2k) << a << 2k/pi, from 45-digit mpmath.
+    # For a >= 1e30 the Jacobi transform of Psi(t/a) gives, with u = (t-1)/(t+1),
+    #   4 pi a sigma eps_n(a) = sqrt(a)/2 K(1/2) - K(0)/2 + sqrt(a) int t^-1/2 Psi(a/t) k(t) dt
+    # (k the kernel, K(s) = int_1^inf t^-s k(t) dt = 2^-1/2 int_0^1 u^n (1-u)^-1/2
+    # ((1-u)/(1+u))^s du, the last integral O(1/a) of the rest; sqrt(a) Psi(a t)
+    # is below exp(-pi a)); a <= 1e-30 follows from eps_n(1/a) = sigma a^(3/2) eps_n(a).
+    # At a = 1e30 a direct 45-digit quadrature of the remainder integral agrees
+    # to 20 digits for n = 1 and 30.
+    _OUTSIDE_WINDOW = {
+        (1, 1e-100): 1.0987355991230197e98,
+        (1, 1e-30): 1.0987355991230159e28,
+        (1, 1e30): -1.0987355991230159e-17,
+        (1, 1e100): -1.0987355991230197e-52,
+        (1, 1e300): -1.0987355991230197e-152,
+        (2, 1e-100): 7.1256095162053760e97,
+        (2, 1e-30): 7.1256095162053460e27,
+        (2, 1e30): 7.1256095162053460e-18,
+        (2, 1e100): 7.1256095162053760e-53,
+        (2, 1e300): 7.1256095162053760e-153,
+        (30, 1e-100): 6.4688586501289822e96,
+        (30, 1e-30): 6.4688586501288923e26,
+        (30, 1e30): 6.4688586501288923e-19,
+        (30, 1e100): 6.4688586501289822e-54,
+        (30, 1e300): 6.4688586501289822e-154,
+    }
+
+    @pytest.mark.parametrize("n,a", sorted(_OUTSIDE_WINDOW))
+    def test_outside_window_against_references(self, n, a):
+        # the Jacobi part of Psi puts the mass at u ~ n, not at the exponential
+        # peak sqrt(2n/(pi min(a, 1/a))): nodes placed past n return a wrong
+        # value with a small estimate
+        res = epsilon_integral(IntegralParams(n, a, tol=1e-6 * bound(n, a)))
+        reference = self._OUTSIDE_WINDOW[n, a]
+        assert abs(Fraction(res.value) - Fraction(reference)) <= res.abs_error_estimate
+        assert res.evaluations <= 200
+
+    @pytest.mark.parametrize("n", [1, 2, 30])
+    def test_outside_window_references_are_consistent(self, n):
+        refs = self._OUTSIDE_WINDOW
+        for a, inverse in ((1e30, 1e-30), (1e100, 1e-100)):
+            assert refs[n, inverse] == pytest.approx(sigma(n) * a ** 1.5 * refs[n, a], rel=1e-15, abs=0.0)
+        # sqrt(a) eps_n(a) -> sigma K(1/2)/(8 pi); the next term is K(0)/(K(1/2) sqrt(a))
+        # relative, 1.4e-14 at n = 30 and a = 1e30
+        limit = math.sqrt(1e300) * refs[n, 1e300]
+        for a in (1e30, 1e100):
+            assert math.sqrt(a) * refs[n, a] == pytest.approx(limit, rel=1e-13, abs=0.0)
 
 
 class TestTheoremConsistency:
@@ -483,14 +532,47 @@ class TestUScaled:
         [
             (0, 1e-4, 1.9649474045646702, 937),
             (10, 2.0 * math.pi, 5.927096269225446e-07, 235),
-            (1000, 1.0, 3.068278660767157e-29, 2215),
+            (1000, 1.0, 3.068278660767144e-29, 120),
         ],
     )
     def test_bitwise_snapshot(self, monkeypatch, n, z, value, evaluations):
-        # one positional driver call at the default length and prefactor
+        # one positional driver call at length max(t*, min(1, 16/z)) and the
+        # default prefactor; each value lies within its estimate of the
+        # 32-digit n! hyperu(n+1, 1/2, z)
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         assert u_scaled(n, z) == value
         assert calls == [evaluations]
+
+    @pytest.mark.parametrize("n", [1, 10, 100, 1000])
+    def test_cost_is_flat_in_argument(self, monkeypatch, n):
+        # the integrand peaks at t* ~ 2n/3 for small z and sqrt(n/z) for
+        # large nz, far from 1; the nodes must follow it
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        for e in range(-8, 4):
+            u_scaled(n, 10.0 ** e)
+        assert max(calls) <= 2000, calls
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 10])
+    def test_cost_is_flat_at_huge_argument(self, monkeypatch, n):
+        # the mass lies within about 16/z of 0, where nodes at length 1 are
+        # too sparse to resolve it within the level budget
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        for e in range(4, 309):
+            u_scaled(n, 10.0 ** e)
+        assert max(calls) <= 250, calls
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_huge_argument_against_mpmath_hyperu(self, n):
+        # G_0 ~ 1/z is a normal float up to z = 1e308 and must not collapse to
+        # 0.0; the absolute term admits gradual underflow, where G_1 and G_2
+        # fall below the smallest normal float
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for e in range(4, 309):
+                z = 10.0 ** e
+                value = u_scaled(n, z)
+                reference = mp.factorial(n) * mp.hyperu(n + 1, 0.5, z)
+                assert abs(value - reference) <= 1e-14 * reference + 5e-324, e
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
