@@ -116,38 +116,54 @@ def bound_odd(k: int, a: float) -> float:
     return bound(2 * k + 1, a)
 
 
-def bound_asymptotic(k: int, a: float) -> float:
-    """Large-k estimate of B_2k(a):
+def bound_asymptotic(n: int, a: float) -> float:
+    """Large-k estimate of B_n(a) for even n = 2k >= 2:
 
         a^(-3/4) k^(-1/2) / (8 sqrt(pi)) *
             (a^(1/4) lambda(a) e^(-4 sqrt(pi a k))
              + a^(-1/4) lambda(1/a) e^(-4 sqrt(pi k / a)))
 
-    Valid for pi/(2k) << a << 2k/pi; the window is documented, not enforced.
+    Valid for pi/n << a << n/pi; the window is documented, not enforced.
     At a = 1 this reduces to lambda(1)/(4 sqrt(pi)) k^(-1/2) e^(-4 sqrt(pi k)).
     """
-    _check_index("k", k, 1)
+    if n < 2:
+        raise ValueError("the large-k estimate requires k >= 1")
+    if n % 2:
+        raise ValueError("the large-k estimate is defined for even n only")
     _check_a("a", a)
+    k = n // 2
     front = a ** -0.75 / (8.0 * math.sqrt(math.pi) * math.sqrt(k))
     term_a = a ** 0.25 * lambda_factor(a) * math.exp(-4.0 * math.sqrt(math.pi * a * k))
     term_inv = a ** -0.25 * lambda_factor(1.0 / a) * math.exp(-4.0 * math.sqrt(math.pi * k / a))
     return front * (term_a + term_inv)
 
 
-def drz_approx(k: int, a: float) -> float:
-    """Quartic-root approximation to J_2k(a):
+def drz_approx(n: int, a: float) -> float:
+    """Quartic-root approximation to J_n(a) for even n >= 0:
 
-        J_2k(a) ~ -F/(4 pi a) * (1 - (1 + a^2 + 2 pi a/(3F))^(1/4)),
-        F = 2F1(-2k, 1; 3/2; 2).
+        J_n(a) ~ F/(4 pi a) * ((1 + x)^(1/4) - 1),  x = a^2 + c a,
+        c = 2 pi/(3F),  F = 2F1(-n, 1; 3/2; 2).
 
-    Accurate for small and large a with k fixed; for a = O(1) its relative
-    error grows with k.  Even index only.
+    Accurate for small and large a with n fixed; for a = O(1) its relative
+    error grows with n.  Evaluated without cancellation over the whole float
+    range: below a = 1 through expm1/log1p with x/a = a + c, and where a^2
+    overflows by its leading term F/(4 pi sqrt(a)).
     """
-    _check_index("k", k, 0)
+    _check_index("n", n, 0)
+    if n % 2:
+        raise ValueError("the quartic-root approximation is defined for even n only")
     _check_a("a", a)
-    f = gauss_f(2 * k)
-    # F_2k > 0 by the finite identity behind T_2k, so the radicand exceeds 1
+    f = gauss_f(n)
+    # F_n > 0 for even n by the finite identity behind T_n, so c > 0
+    c = 2.0 * math.pi / (3.0 * f)
+    if a < 1.0:
+        x = a * (a + c)
+        # ((1 + x)^(1/4) - 1)/x; its series where x/4 would lose subnormal bits
+        q = 0.25 - 0.09375 * x if x < 1e-8 else math.expm1(math.log1p(x) / 4.0) / x
+        return f / (4.0 * math.pi) * q * (a + c)
     radicand = 1.0 + a * a + 2.0 * math.pi * a / (3.0 * f)
+    if math.isinf(radicand):  # a^2 overflows; the other terms are below 1e-77 relative
+        return f / (4.0 * math.pi * math.sqrt(a))
     return -f / (4.0 * math.pi * a) * (1.0 - radicand ** 0.25)
 
 

@@ -137,36 +137,28 @@ def _cmd_eval(args) -> int:
 
 def _cmd_approx(args) -> int:
     n = _resolve_index(args)
-    if args.method == "drz":
-        if n % 2:
-            raise ValueError("the quartic-root approximation is defined for even n only")
-        value = drz_approx(n // 2, args.a)
-    else:
-        value = approximant(n, args.a)
+    value = (drz_approx if args.method == "drz" else approximant)(n, args.a)
     fields = {"command": "approx", "method": args.method, "n": n, "a": args.a, "value": value}
     return _scalar_output(args, fields, value)
 
 
 def _cmd_bound(args) -> int:
     n = _resolve_index(args)
-    k = n // 2
-    if args.estimate and k < 1:
-        raise ValueError("the large-k estimate requires k >= 1")
-    if args.estimate and n % 2:
-        raise ValueError("the large-k estimate is defined for even n only")
+    # the estimate first: an index it rejects costs no quadrature
+    estimate = bound_asymptotic(n, args.a) if args.estimate else None
     value = bound(n, args.a)
     fields = {"command": "bound", "n": n, "a": args.a, "bound": value}
     if not args.estimate:
         return _scalar_output(args, fields, value)
-    # B and the estimate both scale by a^(3/2) under a <-> 1/a: a window symmetric in it
-    lo, hi = math.pi / (2 * k), 2 * k / math.pi
+    # [pi/(2k), 2k/pi] with n = 2k: symmetric in a <-> 1/a, as B and the estimate are
+    lo, hi = math.pi / n, n / math.pi
     if not (lo <= args.a <= hi):
         sys.stderr.write(
             f"warning: a={args.a:g} is outside [pi/(2k), 2k/pi] = "
             f"[{lo:.3g}, {hi:.3g}]; the large-k estimate degrades there\n"
         )
-    fields["estimate"] = bound_asymptotic(k, args.a)
-    return _scalar_output(args, fields, value, fields["estimate"])
+    fields["estimate"] = estimate
+    return _scalar_output(args, fields, value, estimate)
 
 
 def _cmd_table(args) -> int:

@@ -241,6 +241,10 @@ def integrate(
     accuracy.  ``f`` must be continuous on the open interval.  An endpoint
     at 0 is never sampled exactly; a nonzero endpoint is, by any node nearer
     to it than half its float spacing, so ``f`` singular there may raise.
+    On (lower, inf) ``f`` should decay on a length near 1: at the default
+    tolerances exp(-c t) lies within its estimate for 3e-17 <= c <= 1.8e13,
+    costs 4 021 evaluations at c = 1e-10 and ~40 000 below 1e-75, raises
+    below about 1e-142, and from c = 3e13 up may miss by more than the estimate.
 
     Raises:
         AccuracyError: target not reached within the level budget or below

@@ -111,10 +111,10 @@ def test_package_exports_are_pinned():
         "drz_approx", "ramanujan_i", "ramanujan_i_approx",
         "sigma", "t_even", "t_odd", "bound_even", "bound_odd",
         "ALL_CHECK_GROUPS", "CheckResult", "SuiteReport", "TABLE_GRIDS", "TableRow",
-        "TolProfile", "check_modular", "reproduce_table", "run_suite",
+        "TolProfile", "reproduce_table", "run_suite",
         "__version__",
     }
-    assert len(ramanujan_integrals.__all__) == 34
+    assert len(ramanujan_integrals.__all__) == 33
     for name in ramanujan_integrals.__all__:
         assert hasattr(ramanujan_integrals, name), name
 
@@ -259,6 +259,35 @@ class TestBounds:
             bound_even(1, -2.0)
 
 
+# drz_approx and bound_asymptotic frozen when they took the half index k
+_DRZ_BY_K = {
+    (0, 1.0): 0.033620220760461866, (0, 2.0): 0.029485975488525554,
+    (0, 10.0): 0.018486438744217282, (0, 1000.0): 0.002438200343908203,
+    (1, 1.0): 0.022132416975902413, (1, 2.0): 0.01733341396444837,
+    (1, 10.0): 0.009192506998888699, (1, 1000.0): 0.0011385278255899084,
+    (5, 1.0): 0.01453680011369796, (5, 2.0): 0.010453578500865967,
+    (5, 10.0): 0.004698205679599183, (5, 1000.0): 0.0005236190149768496,
+    (10, 1.0): 0.011905171931690559, (10, 2.0): 0.008314500731496791,
+    (10, 10.0): 0.003500259426204429, (10, 1000.0): 0.0003658900344478288,
+    (50, 1.0): 0.007332201687968644, (50, 2.0): 0.004875403479976685,
+    (50, 10.0): 0.0018269867374832909, (50, 1000.0): 0.00015948810135816654,
+}
+_ESTIMATE_BY_K = {
+    (1, 0.1): 0.07981493962994443, (1, 0.5): 0.0007115352966862205,
+    (1, 1.0): 0.00011780918911074384, (1, 2.0): 0.00025156571667020423,
+    (1, 10.0): 0.002523970005394612,
+    (5, 0.1): 0.002233861449728696, (5, 0.5): 6.422326778381592e-07,
+    (5, 1.0): 8.236774393411252e-09, (5, 2.0): 2.2706354079947885e-07,
+    (5, 10.0): 7.064090158388405e-05,
+    (10, 0.1): 0.00019801732248070928, (10, 0.5): 4.3711777802405936e-09,
+    (10, 1.0): 8.191809582524443e-12, (10, 2.0): 1.545444725090042e-09,
+    (10, 10.0): 6.2618575520710494e-06,
+    (50, 0.1): 1.3844624715375622e-08, (50, 0.5): 6.036421487936759e-18,
+    (50, 1.0): 3.3764888115019214e-24, (50, 2.0): 2.134197284110136e-18,
+    (50, 10.0): 4.378054745084734e-10,
+}
+
+
 class TestBoundAsymptotic:
     def test_direct_formula_oracle(self):
         # independent in-test evaluation of the a=1 reduction with its own
@@ -266,29 +295,40 @@ class TestBoundAsymptotic:
         k = 50
         lam = 1.0 + math.exp(-3.0 * PI) + math.exp(-2.0 * PI) / (1.0 - math.exp(-PI))
         expected = lam / (4.0 * math.sqrt(PI)) * k ** -0.5 * math.exp(-4.0 * math.sqrt(PI * k))
-        assert bound_asymptotic(k, 1.0) == pytest.approx(expected, rel=1e-14, abs=0.0)
-        assert bound_asymptotic(50, 1.0) == pytest.approx(3.3765e-24, rel=1e-4, abs=0.0)
+        assert bound_asymptotic(2 * k, 1.0) == pytest.approx(expected, rel=1e-14, abs=0.0)
+        assert bound_asymptotic(100, 1.0) == pytest.approx(3.3765e-24, rel=1e-4, abs=0.0)
 
     def test_reduction_at_one_equals_general_formula(self):
         for k in (5, 50):
-            general = bound_asymptotic(k, 1.0)
+            general = bound_asymptotic(2 * k, 1.0)
             reduced = lambda_factor(1.0) / (4.0 * math.sqrt(PI)) * k ** -0.5 * math.exp(
                 -4.0 * math.sqrt(PI * k)
             )
             assert general == pytest.approx(reduced, rel=1e-15, abs=0.0)
 
     def test_tracks_bound_within_factor_two_at_large_k(self):
-        ratio = bound_asymptotic(50, 1.0) / bound_even(50, 1.0)
+        ratio = bound_asymptotic(100, 1.0) / bound_even(50, 1.0)
         assert 0.5 <= ratio <= 2.0
 
     def test_ratio_moves_toward_one(self):
-        ratios = [bound_asymptotic(k, 1.0) / bound_even(k, 1.0) for k in (10, 20, 30, 50)]
+        ratios = [bound_asymptotic(2 * k, 1.0) / bound_even(k, 1.0) for k in (10, 20, 30, 50)]
         gaps = [abs(math.log(r)) for r in ratios]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            bound_asymptotic(0, 1.0)
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="the large-k estimate requires k >= 1"):
+                bound_asymptotic(n, 1.0)
+
+    @pytest.mark.parametrize("n", [3, 21])
+    def test_rejects_odd_index(self, n):
+        with pytest.raises(ValueError, match="the large-k estimate is defined for even n only"):
+            bound_asymptotic(n, 1.0)
+
+    def test_values_frozen_from_the_k_indexed_form(self):
+        # bound_asymptotic(k, a) before it took n = 2k; the formula still uses k
+        for (k, a), value in _ESTIMATE_BY_K.items():
+            assert bound_asymptotic(2 * k, a) == value, (k, a)
 
 
 def _drz_small_a(k, a):
@@ -320,8 +360,8 @@ class TestDrz:
     def test_reference_error_profile(self):
         # frozen mpmath values of J_10(1), J_20(1)
         j10, j20 = 0.013358829242783151, 0.0099885169902155625
-        err5 = abs(drz_approx(5, 1.0) - j10) / j10 * 100.0
-        err10 = abs(drz_approx(10, 1.0) - j20) / j20 * 100.0
+        err5 = abs(drz_approx(10, 1.0) - j10) / j10 * 100.0
+        err10 = abs(drz_approx(20, 1.0) - j20) / j20 * 100.0
         assert err5 == pytest.approx(8.8, abs=0.3)
         assert err10 == pytest.approx(19.2, abs=0.3)
         assert err10 > err5
@@ -329,19 +369,48 @@ class TestDrz:
     @pytest.mark.parametrize("k", [0, 2, 7])
     def test_small_scale_expansion_mode(self, k):
         a = 1e-6
-        assert _drz_small_a(k, a) == pytest.approx(drz_approx(k, a), rel=1e-9, abs=0.0)
+        assert _drz_small_a(k, a) == pytest.approx(drz_approx(2 * k, a), rel=1e-9, abs=0.0)
         assert _drz_small_a(k, 0.0) == pytest.approx(1.0 / 24.0, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("k", [0, 2, 7])
     def test_large_scale_expansion_mode(self, k):
         a = 1e8
-        assert _drz_large_a(k, a) == pytest.approx(drz_approx(k, a), rel=1e-10, abs=0.0)
+        assert _drz_large_a(k, a) == pytest.approx(drz_approx(2 * k, a), rel=1e-10, abs=0.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            drz_approx(-1, 1.0)
+            drz_approx(-2, 1.0)
         with pytest.raises(ValueError):
-            drz_approx(1, 0.0)
+            drz_approx(2, 0.0)
+
+    @pytest.mark.parametrize("n", [1, 3, 21])
+    def test_rejects_odd_index(self, n):
+        with pytest.raises(ValueError, match="the quartic-root approximation is defined for even n only"):
+            drz_approx(n, 1.0)
+
+    def test_values_frozen_from_the_k_indexed_form(self):
+        # drz_approx(k, a) before it took n = 2k: a >= 1 keeps its expression
+        for (k, a), value in _DRZ_BY_K.items():
+            assert drz_approx(2 * k, a) == value, (k, a)
+
+    def test_whole_float_range_against_40_digits(self):
+        # the same formula at 40 digits, with F rounded to binary64 as in the
+        # library: below a = 1 the plain form cancelled (-0.0 from a = 1e-16,
+        # NaN at 5e-324), and a^2 overflowed to +inf from a = 1.34e154
+        mp = pytest.importorskip("mpmath")
+        bad = []
+        with mp.workdps(40):
+            for k in (0, 1, 5, 50, 500):
+                f = mp.mpf(gauss_f(2 * k))
+                c = 2 * mp.pi / (3 * f)
+                for e in range(-1292, 1233):
+                    a = 10.0 ** (e / 4)
+                    x = mp.mpf(a) * (a + c)
+                    exact = f / (4 * mp.pi) * mp.expm1(mp.log1p(x) / 4) / x * (a + c)
+                    error = abs(drz_approx(2 * k, a) / exact - 1)
+                    if not error < 5e-16:  # also catches NaN
+                        bad.append((k, a, float(error)))
+        assert not bad, bad[:5]
 
 
 class TestRamanujanI:

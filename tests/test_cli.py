@@ -221,7 +221,7 @@ class TestBound:
         assert code == 0
         assert out == (
             "command,n,a,bound,estimate\n"
-            f"bound,4,2.0,{bound(4, 2.0)!r},{bound_asymptotic(2, 2.0)!r}\n"
+            f"bound,4,2.0,{bound(4, 2.0)!r},{bound_asymptotic(4, 2.0)!r}\n"
         )
 
     def test_estimate_requires_positive_k(self, capsys, monkeypatch):

@@ -8,12 +8,12 @@ import pytest
 
 from ramanujan_integrals import (
     ALL_CHECK_GROUPS,
+    DEFAULT_TOL,
     AccuracyError,
     QuadResult,
     SuiteReport,
     TableRow,
     TolProfile,
-    check_modular,
     reproduce_table,
     run_suite,
 )
@@ -62,24 +62,21 @@ class TestReproduceTable:
             reproduce_table(4)
 
 
+def _modular_residual(n, a):
+    return verify._modular_residual(verify._Samples(DEFAULT_TOL), n, a)
+
+
 class TestCheckModular:
     def test_even_residual_small(self):
-        assert check_modular(2, 2.0) < 1e-10
+        assert _modular_residual(2, 2.0) < 1e-10
 
     def test_odd_at_one_reproduces_exact_evaluation(self):
-        assert check_modular(1, 1.0) < 1e-10
+        assert _modular_residual(1, 1.0) < 1e-10
 
     def test_symmetric_instance_is_identically_zero(self):
         # a=1 maps alpha and beta to the same point; both sides are computed
         # by the same expressions and cancel exactly
-        assert check_modular(4, 1.0) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            check_modular(-1, 2.0)
-        for a in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="a must be positive and finite"):
-                check_modular(2, a)
+        assert _modular_residual(4, 1.0) == 0.0
 
 
 class TestRunSuite:
