@@ -383,8 +383,10 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     the exponential, the mass sits at u ~ n, and an uncapped length would
     place the nodes past it and return a wrong value with a small estimate.
 
-    For odd n at a = 1 the two theta sums coincide and the integrand vanishes
-    identically; the result is exactly zero.
+    Swapping Psi(t/a) and Psi(a*t) gives eps_n(1/a) = sigma(n) a^(3/2)
+    eps_n(a), as bound gives B_n(1/a) = a^(3/2) B_n(a).  For odd n at a = 1
+    the two theta sums coincide and the integrand vanishes identically; the
+    result is exactly zero.
     """
     n, a = p.n, p.a
     odd = n % 2 == 1

@@ -131,18 +131,32 @@ def _index_label(n: int) -> str:
     return f"{'odd' if n % 2 else 'even'}/k={n // 2}"
 
 
+def _folds(a: float) -> bool:
+    """True for a > 1 whose reciprocal is exact in binary64 (a power of two)."""
+    return a > 1.0 and math.frexp(a)[0] == 0.5
+
+
 class _Samples:
     """B_n(a), eps_n(a) and J_n(a) values, each computed at most once per
     instance.  B comes first and sets eps's tolerance to _EPS_REL_OF_BOUND
     times itself (B is cheap), giving ~6 significant digits of eps at any
     magnitude; J is integrated to ``quad_tol``.  A failed quadrature is not
-    stored: asked again, it raises again."""
+    stored: asked again, it raises again.
+
+    B and eps at a power of two a > 1 are read off the sample at 1/a, by
+    B_n(a) = a^(-3/2) B_n(1/a) and eps_n(a) = sigma(n) a^(-3/2) eps_n(1/a);
+    the tolerance 1e-6 B_n(1/a) scales to exactly 1e-6 B_n(a).  Other a,
+    whose reciprocal would round, are integrated as they are.  J is never
+    folded: the modular checks compare J at a and 1/a as independent
+    quadratures."""
 
     def __init__(self, quad_tol: float):
-        self.bound = cached_bound = functools.cache(bound)
-        self.eps = functools.cache(
-            lambda n, a: epsilon_integral(IntegralParams(n, a, _EPS_REL_OF_BOUND * cached_bound(n, a))).value
+        bound_at = functools.cache(bound)
+        eps_at = functools.cache(
+            lambda n, a: epsilon_integral(IntegralParams(n, a, _EPS_REL_OF_BOUND * bound_at(n, a))).value
         )
+        self.bound = lambda n, a: a ** -1.5 * bound_at(n, 1.0 / a) if _folds(a) else bound_at(n, a)
+        self.eps = lambda n, a: sigma(n) * a ** -1.5 * eps_at(n, 1.0 / a) if _folds(a) else eps_at(n, a)
         self.j = functools.cache(lambda n, a: j_integral(IntegralParams(n, a, quad_tol)).value)
 
 

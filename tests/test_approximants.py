@@ -195,6 +195,13 @@ class TestBounds:
     def test_reciprocal_symmetry_odd(self, k, a):
         assert bound_odd(k, 1.0 / a) == pytest.approx(a ** 1.5 * bound_odd(k, a), rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 41, 200, 1000])
+    @pytest.mark.parametrize("a", [2.0, 4.0, 8.0, 1 / 0.3, 10.0, 1e3, 1e8])
+    def test_reciprocal_symmetry_to_the_last_digits(self, n, a):
+        # verify._Samples reads B at a power of two a > 1 off B at 1/a by this
+        inverse = bound(n, 1.0 / a)
+        assert abs(inverse - a ** 1.5 * bound(n, a)) <= 4 * math.ulp(inverse)
+
     def test_odd_bound_against_40_digit_evaluation(self):
         # B_5(1/2), the Table 3 cell whose printed 1.106e-5 is an erratum
         expected = _bound_40_digits(5, 0.5)

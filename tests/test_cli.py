@@ -1,6 +1,7 @@
 """Tests for the command-line front end: exit codes, formats, round-trips."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -274,6 +275,21 @@ class TestTable:
             _, _, sj, b = line.split(",")
             assert float(sj) == pytest.approx(row.script_j, rel=1e-6, abs=0.0)
             assert float(b) == pytest.approx(row.bound, rel=1e-6, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "table_id,digest",
+        [
+            (1, "ba581354bcf27168f17115652615f70cb4fb6234d99f1fe99a1cef7e43bb1055"),
+            (2, "9896674c91fd2c4593594bec6954d3facc872fd756c22f5e8a33406511215b9f"),
+            (3, "80ada92ad845ef5be8cbecf09f84ab9dc10170175eff96d15aa27b3ed9d9f514"),
+        ],
+    )
+    def test_csv_golden_output(self, capsys, table_id, digest):
+        # the published reproduction, byte for byte: any change to a table's
+        # CSV must be deliberate and come with new digests
+        code, out, _ = run_cli(capsys, "table", "--id", str(table_id), "--format", "csv")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_json(self, capsys):
         code, out, _ = run_cli(capsys, "table", "--id", "3", "--format", "json")

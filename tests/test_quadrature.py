@@ -420,6 +420,18 @@ class TestEpsilonIntegral:
         assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
         assert calls == [evaluations]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 41, 200, 1000])
+    @pytest.mark.parametrize("a", [2.0, 4.0, 8.0, 1 / 0.3, 10.0, 1e3, 1e8])
+    def test_reciprocal_symmetry(self, n, a):
+        # eps_n(1/a) = sigma(n) a^(3/2) eps_n(a), by which verify._Samples reads
+        # eps at a power of two a > 1 off eps at 1/a; each side at tolerance
+        # 1e-6 B, agreeing within the sum of the two scaled estimates
+        direct = epsilon_integral(IntegralParams(n, a, tol=1e-6 * bound(n, a)))
+        inverse = epsilon_integral(IntegralParams(n, 1.0 / a, tol=1e-6 * bound(n, 1.0 / a)))
+        scale = a ** 1.5
+        budget = inverse.abs_error_estimate + scale * direct.abs_error_estimate
+        assert abs(inverse.value - sigma(n) * scale * direct.value) <= budget
+
     # eps_n(a) outside the window pi/(2k) << a << 2k/pi, from 45-digit mpmath.
     # For a >= 1e30 the Jacobi transform of Psi(t/a) gives, with u = (t-1)/(t+1),
     #   4 pi a sigma eps_n(a) = sqrt(a)/2 K(1/2) - K(0)/2 + sqrt(a) int t^-1/2 Psi(a/t) k(t) dt

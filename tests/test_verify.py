@@ -10,10 +10,13 @@ from ramanujan_integrals import (
     ALL_CHECK_GROUPS,
     DEFAULT_TOL,
     AccuracyError,
+    IntegralParams,
     QuadResult,
     SuiteReport,
     TableRow,
     TolProfile,
+    bound,
+    epsilon_integral,
     reproduce_table,
     run_suite,
 )
@@ -60,6 +63,33 @@ class TestReproduceTable:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             reproduce_table(4)
+
+    @pytest.mark.parametrize("table_id", [2, 3])
+    def test_reciprocal_columns_share_one_quadrature(self, monkeypatch, table_id):
+        calls = collections.Counter()
+        for name in ("epsilon_integral", "bound"):
+            monkeypatch.setattr(verify, name, _counting(calls, name, getattr(verify, name)))
+        reproduce_table(table_id)
+        # 8 rows at a = 0.5 are computed; the 8 at a = 2 are read off them
+        assert calls == {"epsilon_integral": 8, "bound": 8}
+
+    @pytest.mark.parametrize("table_id", [2, 3])
+    def test_reciprocal_columns_are_scaled_bit_for_bit(self, tables, table_id):
+        rows = {(r.k, r.a): r for r in tables[table_id]}
+        for k in TABLE_GRIDS[table_id][1]:
+            folded, computed = rows[k, 2.0], rows[k, 0.5]
+            assert folded.script_j == 2.0 ** -1.5 * computed.script_j
+            assert folded.bound == 2.0 ** -1.5 * computed.bound
+
+
+def _counting(calls, name, fn):
+    """``fn`` counting its calls into ``calls[name]``."""
+
+    def wrapper(*args):
+        calls[name] += 1
+        return fn(*args)
+
+    return wrapper
 
 
 def _modular_residual(n, a):
@@ -136,18 +166,21 @@ class TestRunSuite:
         def counting(name):
             fn = getattr(verify, name)
 
-            def wrapper(p):
-                calls[name, p.n, p.a, p.tol] += 1
-                return fn(p)
+            def wrapper(*args):
+                n, a = (args[0].n, args[0].a) if len(args) == 1 else args
+                # eps and B at a and 1/a are one sample; J at a and 1/a are two
+                calls[name, n, a if name == "j_integral" else min(a, 1.0 / a)] += 1
+                return fn(*args)
 
             return wrapper
 
-        for name in ("j_integral", "epsilon_integral"):
+        for name in ("j_integral", "epsilon_integral", "bound"):
             monkeypatch.setattr(verify, name, counting(name))
-        # the groups share their J and eps samples: no key is integrated twice
+        # the groups share their J, eps and B samples: no key is computed twice
         run_suite()
         assert len(calls) > 50
         assert max(calls.values()) == 1
+        assert {key[0] for key in calls} == {"j_integral", "epsilon_integral", "bound"}
         # modular reads J at a and 1/a from one sample per (n, a) point, and
         # nothing is kept from one run to the next
         for _ in range(2):
@@ -155,6 +188,15 @@ class TestRunSuite:
             run_suite(TolProfile(checks=("modular",)))
             assert sum(calls.values()) == 12
             assert {key[0] for key in calls} == {"j_integral"}
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("a", [0.9, 1.1])
+    def test_unpaired_sign_samples_are_direct_quadratures(self, n, a):
+        # 1/0.9 and 1/1.1 round in binary64, so these points are not folded
+        name = f"sign/odd/k={n // 2}/a={a:g}"
+        check = next(c for c in run_suite(TolProfile(checks=("sign",))).checks if c.name == name)
+        direct = epsilon_integral(IntegralParams(n, a, 1e-6 * bound(n, a))).value
+        assert check.residual == math.copysign(1.0, a - 1.0) * direct
 
     def test_empty_selection_is_vacuous_pass(self):
         report = run_suite(TolProfile(checks=()))
