@@ -11,6 +11,8 @@ Everything here is elementary but easy to get wrong in binary64:
 * ``_kummer_scaled`` evaluates scale*1F1(-n; 3/2; z) for the J integrand
   by the stable forward Laguerre recurrence instead of its alternating
   power series, which cancels catastrophically as n and z grow.
+* ``_kummer_series`` sums 1F1(a; b; z) for positive a, b and z, where every
+  term of the series is positive; ``u_scaled`` uses it at small argument.
 * ``theta_psi`` sums the theta series directly for tau >= 0.01, truncated
   against a rigorous geometric tail majorant scaled to its leading term, and
   below that through its Jacobi transform, whose direct sum there has a
@@ -90,6 +92,22 @@ def _kummer_scaled(n: int, z: float, scale: float, steps: tuple[tuple[float, flo
     for b, m, d in steps:
         previous, current = current, ((b - z) * current - m * previous) / d
     return current
+
+
+def _kummer_series(a: float, b: float, z: float) -> float:
+    """Return 1F1(a; b; z) for a, b, z > 0 by its power series (DLMF 13.2.2).
+
+    Every term is positive, so nothing cancels.  The sum stops after the
+    first term below 1e-17 of the total; where a*z/b <= 0.2, as in
+    ``u_scaled``'s series branch, that takes at most a dozen terms.
+    """
+    term = total = 1.0
+    k = 0
+    while term > 1e-17 * total:
+        term *= (a + k) / (b + k) * z / (k + 1)
+        total += term
+        k += 1
+    return total
 
 
 def gauss_f(n: int) -> float:

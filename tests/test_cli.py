@@ -341,6 +341,15 @@ class TestVerify:
         assert payload["overall"] is True
         assert len(payload["checks"]) > 100
 
+    def test_json_golden_output(self, capsys):
+        # the identity suite's report, byte for byte, like the table CSVs:
+        # a changed residual anywhere must be deliberate and come with a new
+        # digest
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 0
+        digest = "f4c0268d43e7a5d2d7266936f5a3a694fe0ebb4f3a29db77a199ff026fc7b39c"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_json_check_names_and_order(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--format", "json")
         names = [c["name"] for c in json.loads(out)["checks"]]

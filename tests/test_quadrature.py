@@ -542,27 +542,55 @@ class TestUScaled:
     @pytest.mark.parametrize(
         "n,z,value,evaluations",
         [
-            (0, 1e-4, 1.9649474045646702, 937),
+            (1, 0.1, 0.601461164364381, 390),
             (10, 2.0 * math.pi, 5.927096269225446e-07, 235),
             (1000, 1.0, 3.068278660767144e-29, 120),
         ],
     )
     def test_bitwise_snapshot(self, monkeypatch, n, z, value, evaluations):
-        # one positional driver call at length max(t*, min(1, 16/z)) and the
-        # default prefactor; each value lies within its estimate of the
-        # 32-digit n! hyperu(n+1, 1/2, z)
+        # above the series seam: one positional driver call at length
+        # max(t*, min(1, 16/z)) and the default prefactor; each value lies
+        # within its estimate of the 32-digit n! hyperu(n+1, 1/2, z)
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         assert u_scaled(n, z) == value
         assert calls == [evaluations]
 
+    def test_series_snapshot(self, monkeypatch):
+        # below the seam G is summed, not integrated; 40-digit mpmath gives
+        # 1.96494740456466993881...
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        assert u_scaled(0, 1e-4) == 1.9649474045646698
+        assert calls == []
+
     @pytest.mark.parametrize("n", [1, 10, 100, 1000])
     def test_cost_is_flat_in_argument(self, monkeypatch, n):
         # the integrand peaks at t* ~ 2n/3 for small z and sqrt(n/z) for
-        # large nz, far from 1; the nodes must follow it
+        # large nz, far from 1; the nodes must follow it.  At (n + 1) z <= 0.1
+        # the mass spreads over [1, 1/z] and the Kummer series replaces the
+        # quadrature.
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
-        for e in range(-8, 4):
-            u_scaled(n, 10.0 ** e)
-        assert max(calls) <= 2000, calls
+        for e in range(-12, 4):
+            z = 10.0 ** e
+            before = len(calls)
+            u_scaled(n, z)
+            if (n + 1) * z <= 0.1:
+                assert len(calls) == before, (n, z)
+        assert max(calls) <= 450, calls
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 10, 100, 2000])
+    def test_accuracy_across_series_seam(self, n):
+        # the series side cancels at most about one bit (the subtracted term
+        # is at most 0.56 of the first); the rest is R(n)'s own rounding
+        mp = pytest.importorskip("mpmath")
+        series = (1e-300, 1e-100, 1e-12, 1e-4, 0.1)
+        integrated = (0.1 * (1.0 + 1e-10), 0.15, 0.2, 1.0)
+        with mp.workdps(40):
+            for nz in series + integrated:
+                z = nz / (n + 1)
+                reference = mp.factorial(n) * mp.hyperu(n + 1, 0.5, z)
+                rel = 1e-14 if (n + 1) * z <= 0.1 else 2e-14
+                assert abs(u_scaled(n, z) - reference) <= rel * reference, nz
+        assert u_scaled(n, 5e-324) > 0.0
 
     @pytest.mark.parametrize("n", [0, 1, 2, 10])
     def test_cost_is_flat_at_huge_argument(self, monkeypatch, n):
