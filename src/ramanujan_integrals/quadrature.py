@@ -5,8 +5,12 @@ and multiplies the sum by length * prefactor.  A finite interval runs
 tanh-sinh as that same rule in s = exp(u) with x = tanh(u).
 The transformation pushes endpoint singularities like t**-0.5 and slowly
 decaying tails into a double-exponentially decaying weight.  Levels halve the
-step; previously computed nodes are reused, and the error estimate comes from
-successive level differences.
+step and reuse the nodes already summed.  The estimate is the difference of
+the last two levels, and the first level from _MIN_LEVEL on whose estimate
+meets the target is returned: halving the step roughly squares the error, so
+that difference is about the error of the coarser level and over-states the
+error of the value returned.  No estimate is below the roundoff floor, which
+counts the integrand's own rounding and that of the nodes exp(u).
 
 Nodes are placed relative to the nearest endpoint (``exp(-u)`` and
 ``1 - tanh(u)`` are formed directly), so an endpoint at 0 is approached to
@@ -114,12 +118,12 @@ class IntegralParams:
 
 
 @functools.cache
-def _expsinh_nodes(level: int) -> tuple[tuple[tuple[float, float], ...], tuple[tuple[float, float], ...]]:
-    """exp-sinh: x = exp(u), u = (pi/2) sinh(t).  Entries are (exp(+-u), weight)."""
+def _expsinh_nodes(level: int) -> tuple[tuple[tuple[float, float, float], ...], tuple[tuple[float, float, float], ...]]:
+    """exp-sinh: x = exp(u), u = (pi/2) sinh(t).  Entries are (exp(+-u), weight, |u|)."""
     h = 0.5 ** level
     start, step = (1, 2) if level > 0 else (0, 1)
-    pos: list[tuple[float, float]] = []
-    neg: list[tuple[float, float]] = []
+    pos: list[tuple[float, float, float]] = []
+    neg: list[tuple[float, float, float]] = []
     j = start
     while True:
         t = j * h
@@ -128,10 +132,10 @@ def _expsinh_nodes(level: int) -> tuple[tuple[tuple[float, float], ...], tuple[t
             break
         c = _HALF_PI * math.cosh(t)
         e = math.exp(u)
-        pos.append((e, c * e))
+        pos.append((e, c * e, u))
         if j > 0:
             em = math.exp(-u)
-            neg.append((em, c * em))
+            neg.append((em, c * em, u))
         j += step
     return tuple(pos), tuple(neg)
 
@@ -141,21 +145,25 @@ def _expsinh_nodes(level: int) -> tuple[tuple[tuple[float, float], ...], tuple[t
 # --------------------------------------------------------------------------
 
 
-def _sweep(values) -> tuple[float, float, int]:
-    """Sum weighted samples until the tail is negligible for this sweep.
+def _sweep(f, length, nodes) -> tuple[float, float, float, int]:
+    """Sum w*f(length*x) over the nodes until the tail is negligible.
 
-    Returns the sum, the sum of magnitudes and the sample count.
+    Returns the sum, the sum of magnitudes, the sum of magnitudes times |u|
+    and the sample count.
     """
     total = 0.0
     mass = 0.0
+    umass = 0.0
     count = 0
     peak = 0.0
     small = 0
-    for v in values:
+    for e, w, u in nodes:
+        v = w * f(length * e)
         total += v
         count += 1
         av = abs(v)
         mass += av
+        umass += u * av
         if av > peak:
             peak = av
             small = 0
@@ -165,44 +173,50 @@ def _sweep(values) -> tuple[float, float, int]:
                 break
         else:
             small = 0
-    return total, mass, count
+    return total, mass, umass, count
 
 
 def _refine(f, tol, rel_tol, roundoff=0.0, length=1.0, prefactor=1.0) -> QuadResult:
     """Integrate ``prefactor * f`` over (0, inf) at the exp-sinh nodes times
     ``length``, adding levels until the estimate meets ``max(tol, rel_tol*|value|)``.
 
-    The estimate never drops below the roundoff floor: a few ulps of the
-    value, and ``roundoff`` ulps of h*sum|w*f|, the size of the integrand's
-    own rounding error when each sample carries ``roundoff`` ulps of it.
+    The estimate at level L >= _MIN_LEVEL is d = |v_L - v_(L-1)|, and the
+    first level whose estimate meets the target is returned.  Halving h
+    roughly squares the error of a double-exponential rule, so d is about the
+    error of the coarser v_(L-1) and over-states that of v_L.
+
+    The estimate never drops below the roundoff floor: 4 ulps of the value,
+    and ulps of h*sum|w*f| for two kinds of rounding.  ``roundoff`` ulps are
+    the integrand's own rounding error when each sample carries that many.
+    A node exp(u) formed from a rounded u carries about |u| ulps, in the
+    weight and in the point sampled, so each sample adds 2|u| ulps of itself.
     """
     scale = length * prefactor
     total = 0.0
     mass = 0.0
+    umass = 0.0
     evaluations = 0
     previous = None
-    d_prev = None
     for level in range(_MAX_LEVEL + 1):
         pos, neg = _expsinh_nodes(level)
-        s1, m1, n1 = _sweep(w * f(length * e) for e, w in pos)
-        s2, m2, n2 = _sweep(w * f(length * e) for e, w in neg)
+        s1, m1, u1, n1 = _sweep(f, length, pos)
+        s2, m2, u2, n2 = _sweep(f, length, neg)
         total += s1 + s2
         mass += m1 + m2
+        umass += u1 + u2
         evaluations += n1 + n2
-        value = total * (0.5 ** level) * scale
+        h = 0.5 ** level
+        value = total * h * scale
         if not math.isfinite(value):
             result = QuadResult(value, math.inf, evaluations)
             raise AccuracyError(f"quadrature sum is not finite at level {level}: {result}", result)
-        floor = max(4.0 * _EPS * abs(value), roundoff * _EPS * mass * (0.5 ** level) * scale)
+        floor = max(4.0 * _EPS * abs(value), _EPS * (roundoff * mass + 2.0 * umass) * h * scale)
         target = max(tol, rel_tol * abs(value))
         if previous is not None:
-            d1 = abs(value - previous)
-            err = d1 if d_prev is None else max(d1, 0.1 * d_prev)
             # successive differences cannot certify below the roundoff floor
-            err = max(err, floor)
+            err = max(abs(value - previous), floor)
             if level >= _MIN_LEVEL and err <= target:
                 return QuadResult(value, err, evaluations)
-            d_prev = d1
         previous = value
     if floor > target:
         why = f"the roundoff floor {floor:g} exceeds it"
@@ -254,14 +268,14 @@ def integrate(
     at 0 is never sampled exactly; a nonzero endpoint is, by any node nearer
     to it than half its float spacing, so ``f`` singular there may raise.
     On (lower, inf) ``f`` should decay on a length near 1: at the default
-    tolerances exp(-c t) lies within its estimate for 3e-17 <= c <= 1.8e13,
-    costs 4 021 evaluations at c = 1e-10 and ~40 000 below 1e-75, raises
-    below about 1e-142, and from c = 3e13 up may miss by more than the estimate.
+    tolerances exp(-c t) lies within its estimate for 1e-98 <= c <= 1.8e13,
+    costs 2 027 evaluations at c = 1e-10 and ~20 000 below 1e-75, raises
+    below about 1e-98, and from c = 3e13 up may miss by more than the estimate.
 
     Raises:
         AccuracyError: target not reached within the level budget or below
-            the roundoff floor of a few ulps of the value, or a sample made
-            the sum non-finite; ``result`` holds the best estimate.
+            the roundoff floor, or a sample made the sum non-finite;
+            ``result`` holds the best estimate.
     """
     if not math.isfinite(lower):
         raise ValueError("lower limit must be finite")
@@ -298,12 +312,15 @@ def u_scaled(n: int, z: float) -> float:
     and (n + 1) z down to 5e-324 the error stays below 6.7e-15 relative, of
     which R(n)'s own rounding is 3.3e-15 at n = 2000.
 
-    Above the seam the integral is evaluated to full relative accuracy.  The
-    nodes are placed at length max(t*, min(1, 16/z)), where t* is the
-    integrand's peak, the root of n/t - (n + 3/2)/(1 + t) = z: about 2n/3 for
-    small z and sqrt(n/z) for large nz.  t* is formed with hypot and
-    sqrt(n)*sqrt(z), so nothing overflows up to z = 1.8e308.  Where t* is
-    shorter (small n at large z, or n = 0), 16/z follows the exponential.
+    Above the seam the integral is as accurate as its integrand, whose power
+    (t/(1+t))**n carries about n/2 ulps: against 40-digit mpmath on
+    quarter-decade z from the seam to 100 it is within 1.5e-14 relative at
+    n = 1000 and 4.6e-14 at n = 2000.  The nodes are placed at length
+    max(t*, min(1, 16/z)), where t* is the integrand's peak, the root of
+    n/t - (n + 3/2)/(1 + t) = z: about 2n/3 for small z and sqrt(n/z) for
+    large nz.  t* is formed with hypot and sqrt(n)*sqrt(z), so nothing
+    overflows up to z = 1.8e308.  Where t* is shorter (small n at large z, or
+    n = 0), 16/z follows the exponential.
     """
     _check_index("n", n, 0)
     if not z > 0.0:

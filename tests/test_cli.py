@@ -347,7 +347,7 @@ class TestVerify:
         # digest
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
         assert code == 0
-        digest = "f4c0268d43e7a5d2d7266936f5a3a694fe0ebb4f3a29db77a199ff026fc7b39c"
+        digest = "a0844e2b49f96bc9a9366d7ce3fc128a278496fa01611ee3537b7e401337dc65"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_json_check_names_and_order(self, capsys):

@@ -6,7 +6,9 @@ Gauss-Kronrod quadrature from scipy (a different node family) and scipy's
 confluent hypergeometric U.
 """
 
+import json
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -33,6 +35,8 @@ from ramanujan_integrals import (
 )
 from ramanujan_integrals import quadrature, run_suite
 from ramanujan_integrals.quadrature import _bose_factor
+
+_POOL = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "pool.json")
 
 
 def _count_calls(monkeypatch, name):
@@ -275,7 +279,7 @@ class TestJIntegral:
         eps = epsilon_integral(IntegralParams(n, a, tol=1e-18)).value
         assert abs(res.value - closed - eps) <= res.abs_error_estimate + 1e-15 * abs(closed)
 
-    @pytest.mark.parametrize("n,evaluations", [(30, 704), (200, 2832)])
+    @pytest.mark.parametrize("n,evaluations", [(30, 364), (200, 1432)], ids=["30", "200"])
     def test_evaluation_count_snapshot(self, n, evaluations):
         # exact and machine-independent: a change here is a change in cost
         assert j_integral(IntegralParams(n, 1.0)).evaluations == evaluations
@@ -294,12 +298,13 @@ class TestJIntegral:
             # bench/pool.json points; the results of the integrand with its
             # Laguerre coefficients formed inline at every node, which the
             # tabulated coefficients must reproduce bit for bit
-            (0, 2.34e-08, 0.04166666636036141, 1.4802973552847267e-16, 198),
-            (38, 0.1731, 0.016288852937478546, 3.9495571831905435e-16, 727),
-            (184, 2.788, 0.002158635625593458, 6.2454381943855e-16, 2775),
+            (0, 2.34e-08, 0.0416666663603614, 4.163336342344337e-16, 107),
+            (38, 0.1731, 0.01628885293747854, 4.1922971611031114e-16, 376),
+            (184, 2.788, 0.0021586356255934593, 6.2454381943855e-15, 1404),
             # up to a = 4 pi the integrand is sampled at x itself
-            (5, 4 * math.pi, 0.005476768274054172, 5.0804603410577747e-17, 321),
+            (5, 4 * math.pi, 0.0054767682740541725, 6.420565439948484e-17, 171),
         ],
+        ids=["0-2.34e-08", "38-0.1731", "184-2.788", "5-4pi"],
     )
     def test_bitwise_snapshot(self, n, a, value, estimate, evaluations):
         res = j_integral(IntegralParams(n, a))
@@ -355,6 +360,38 @@ class TestErrorEstimateHolds:
         res = epsilon_integral(IntegralParams(n, a, tol=1e-6 * bound(n, a)))
         assert abs(Fraction(res.value) - Fraction(reference)) <= res.abs_error_estimate
 
+    @pytest.mark.parametrize("e", [-25, -33, -39, -40, -45, -59, -98, -127, -150, -200, -254])
+    def test_integrate_exp_decay(self, e):
+        # a node exp(u) carries about |u| ulps; at c = 10^e the sums run over
+        # up to 45 000 nodes with |u| in the hundreds, and a floor of a few
+        # ulps of the value alone under-reports the rounding of those nodes
+        c = 10.0 ** e
+        try:
+            res = integrate(lambda t: math.exp(-c * t), 0.0, math.inf)
+        except AccuracyError:
+            return
+        assert abs(Fraction(res.value) - 1 / Fraction(c)) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("workload", ["index-sweep", "scale-sweep"])
+    def test_benchmark_pool(self, workload):
+        # every J and eps point of the benchmark's 32-digit reference pool,
+        # each called as the benchmark calls it: J at the default tolerance,
+        # eps at 1e-6 of the library's bound
+        with open(_POOL) as fh:
+            points = json.load(fh)[workload]
+        missed = []
+        for point in points:
+            n, a, ref = point["n"], point["a"], point["ref"]
+            results = {}
+            if "j" in ref:
+                results["j"] = j_integral(IntegralParams(n, a))
+            if "eps" in ref:
+                results["eps"] = epsilon_integral(IntegralParams(n, a, tol=1e-6 * bound(n, a)))
+            for name, res in results.items():
+                if abs(Fraction(res.value) - Fraction(ref[name])) > res.abs_error_estimate:
+                    missed.append((name, n, a))
+        assert missed == []
+
 
 class TestEpsilonIntegral:
     def test_odd_index_at_one_is_exactly_zero(self):
@@ -404,10 +441,11 @@ class TestEpsilonIntegral:
         "n,a,tol,value,estimate,evaluations",
         [
             # tol None: 1e-6 of the bound, as a caller sizing it from B asks
-            (2, 1.0, 1e-10, 1.2503290434108734e-05, 6.503430489650914e-13, 93),
-            (7, 2.0, None, -7.6631294112747e-07, 1.0047873288132896e-13, 78),
-            (41, 0.5, None, 2.281603572796118e-12, 6.439730315696032e-25, 99),
+            (2, 1.0, 1e-10, 1.2503290434096424e-05, 6.503430489650914e-12, 52),
+            (7, 2.0, None, -7.6631294112747e-07, 1.1867990382216816e-18, 78),
+            (41, 0.5, None, 2.281603572796117e-12, 6.439730315696032e-24, 57),
         ],
+        ids=["2-1.0-1e-10", "7-2.0-None", "41-0.5-None"],
     )
     def test_bitwise_snapshot(self, monkeypatch, n, a, tol, value, estimate, evaluations):
         # one positional driver call at length max(1, min(n, sqrt(2n/(pi
@@ -542,15 +580,16 @@ class TestUScaled:
     @pytest.mark.parametrize(
         "n,z,value,evaluations",
         [
-            (1, 0.1, 0.601461164364381, 390),
-            (10, 2.0 * math.pi, 5.927096269225446e-07, 235),
-            (1000, 1.0, 3.068278660767144e-29, 120),
+            (1, 0.1, 0.6014611643643811, 205),
+            (10, 2.0 * math.pi, 5.927096269225447e-07, 127),
+            (1000, 1.0, 3.0682786607672037e-29, 70),
         ],
+        ids=["1-0.1", "10-2pi", "1000-1.0"],
     )
     def test_bitwise_snapshot(self, monkeypatch, n, z, value, evaluations):
         # above the series seam: one positional driver call at length
         # max(t*, min(1, 16/z)) and the default prefactor; each value lies
-        # within its estimate of the 32-digit n! hyperu(n+1, 1/2, z)
+        # within 1.6e-14 relative of the 32-digit n! hyperu(n+1, 1/2, z)
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         assert u_scaled(n, z) == value
         assert calls == [evaluations]
@@ -591,6 +630,16 @@ class TestUScaled:
                 rel = 1e-14 if (n + 1) * z <= 0.1 else 2e-14
                 assert abs(u_scaled(n, z) - reference) <= rel * reference, nz
         assert u_scaled(n, 5e-324) > 0.0
+
+    @pytest.mark.parametrize("n", [1000, 2000])
+    def test_large_index_against_mpmath_hyperu(self, n):
+        # above the seam the rounding of (t/(1+t))**n, about n/2 ulps per sample,
+        # limits the integral to a few parts in 1e14 at n = 2000
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for z in (0.56, 1.0, 3.16, 31.6):
+                reference = mp.factorial(n) * mp.hyperu(n + 1, 0.5, z)
+                assert abs(u_scaled(n, z) - reference) <= 1e-13 * reference, z
 
     @pytest.mark.parametrize("n", [0, 1, 2, 10])
     def test_cost_is_flat_at_huge_argument(self, monkeypatch, n):
@@ -670,10 +719,11 @@ class TestFiniteCheckIntegrals:
     @pytest.mark.parametrize(
         "m,first,second,evaluations",
         [
-            (0, 1.414213562373095, 0.5857864376269051, [167, 157]),
-            (61, 0.1594922842241601, 0.008096900611086623, [217, 196]),
-            (2000, 0.028019702770770993, 0.0002499062773393551, [196, 176]),
+            (0, 1.4142135623730951, 0.585786437626905, [89, 85]),
+            (61, 0.15949228422416017, 0.008096900611086625, [117, 106]),
+            (2000, 0.02801970277077076, 0.0002499062773393551, [107, 176]),
         ],
+        ids=["0", "61", "2000"],
     )
     def test_bitwise_snapshot(self, monkeypatch, m, first, second, evaluations):
         # two positional driver calls, each at length max(1, sqrt(m))
