@@ -19,7 +19,7 @@ import sys
 
 from .approximants import approximant, bound, bound_asymptotic, drz_approx
 from .quadrature import DEFAULT_TOL, AccuracyError, IntegralParams, j_integral
-from .verify import TolProfile, reproduce_table, run_suite
+from .verify import reproduce_table, run_suite
 
 __all__ = ["main", "entrypoint"]
 
@@ -82,7 +82,6 @@ def _build_parser() -> _Parser:
     p_table.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
     add_output_args(p_table)
     p_verify = sub.add_parser("verify", help="run the identity suite")
-    p_verify.add_argument("--tol", type=_float_positive, default=DEFAULT_TOL)
     add_output_args(p_verify)
     return parser
 
@@ -101,10 +100,21 @@ def _resolve_index(args) -> int:
     return 2 * args.k if args.parity == "even" else 2 * args.k + 1
 
 
+def _json_safe(value):
+    """``value`` with every non-finite float replaced by None: json has no
+    inf or nan, and ``json.dumps`` would write them as bare tokens."""
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _emit(args, payload: dict, csv_lines: list[str], text_lines: list[str]) -> None:
-    """Write ``payload`` as one json line, or the csv or text lines, to
-    ``--out`` or stdout."""
-    lines = {"json": [json.dumps(payload)], "csv": csv_lines, "text": text_lines}[args.format]
+    """Write ``payload`` as one json line (non-finite numbers as null), or the
+    csv or text lines, to ``--out`` or stdout."""
+    json_line = json.dumps(_json_safe(payload), allow_nan=False)
+    lines = {"json": [json_line], "csv": csv_lines, "text": text_lines}[args.format]
     text = "\n".join(lines) + "\n"
     if args.out is None:
         sys.stdout.write(text)
@@ -172,7 +182,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(TolProfile(quad_tol=args.tol))
+    report = run_suite()
     csv_lines = ["name,residual,tolerance,passed"]
     csv_lines += [f"{c.name},{c.residual!r},{c.tolerance!r},{c.passed}" for c in report.checks]
     text_lines = [

@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass
 
 from .approximants import approximant, bound, drz_approx, sigma
 from .quadrature import (
-    DEFAULT_TOL,
     AccuracyError,
     IntegralParams,
     epsilon_integral,
@@ -100,20 +99,14 @@ class SuiteReport:
 
 @dataclass(frozen=True)
 class TolProfile:
-    """Quadrature tolerance of the identity suite, plus an optional check
-    selection.
+    """Check selection of the identity suite.
 
     ``checks=None`` runs every group; an empty tuple runs nothing and passes
-    vacuously.  Unknown or repeated group names are rejected, and so is a
-    ``quad_tol`` that is not positive and finite.
+    vacuously.  Unknown or repeated group names are rejected.  The check and
+    quadrature tolerances are fixed by the suite, not by the profile.
     """
 
-    quad_tol: float = DEFAULT_TOL
     checks: tuple[str, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if not (self.quad_tol > 0.0 and math.isfinite(self.quad_tol)):
-            raise ValueError(f"quad_tol must be positive and finite, got {self.quad_tol}")
 
     def selected(self) -> tuple[str, ...]:
         if self.checks is None:
@@ -140,7 +133,7 @@ class _Samples:
     """B_n(a), eps_n(a) and J_n(a) values, each computed at most once per
     instance.  B comes first and sets eps's tolerance to _EPS_REL_OF_BOUND
     times itself (B is cheap), giving ~6 significant digits of eps at any
-    magnitude; J is integrated to ``quad_tol``.  A failed quadrature is not
+    magnitude; J is integrated to DEFAULT_TOL.  A failed quadrature is not
     stored: asked again, it raises again.
 
     B and eps at a power of two a > 1 are read off the sample at 1/a, by
@@ -150,26 +143,26 @@ class _Samples:
     folded: the modular checks compare J at a and 1/a as independent
     quadratures."""
 
-    def __init__(self, quad_tol: float):
+    def __init__(self):
         bound_at = functools.cache(bound)
         eps_at = functools.cache(
             lambda n, a: epsilon_integral(IntegralParams(n, a, _EPS_REL_OF_BOUND * bound_at(n, a))).value
         )
         self.bound = lambda n, a: a ** -1.5 * bound_at(n, 1.0 / a) if _folds(a) else bound_at(n, a)
         self.eps = lambda n, a: sigma(n) * a ** -1.5 * eps_at(n, 1.0 / a) if _folds(a) else eps_at(n, a)
-        self.j = functools.cache(lambda n, a: j_integral(IntegralParams(n, a, quad_tol)).value)
+        self.j = functools.cache(lambda n, a: j_integral(IntegralParams(n, a)).value)
 
 
 def reproduce_table(table_id: int) -> list[TableRow]:
     """Recompute a reference table on its exact (k, a) grid.
 
-    Each row pairs the remainder magnitude with its bound; the bound is
-    evaluated first and sets the remainder's quadrature tolerance.
+    Each row pairs the remainder magnitude with its bound from the suite's
+    samples; the bound comes first and sets the remainder's tolerance.
     """
     if table_id not in TABLE_GRIDS:
         raise ValueError(f"table id must be 1, 2 or 3, got {table_id}")
     even, ks, a_values = TABLE_GRIDS[table_id]
-    samples = _Samples(DEFAULT_TOL)
+    samples = _Samples()
     rows = []
     for a in a_values:
         for k in ks:
@@ -300,7 +293,7 @@ ALL_CHECK_GROUPS = tuple(_GROUP_RUNNERS)
 
 
 def run_suite(profile: TolProfile | None = None) -> SuiteReport:
-    """Run the identity suite under the given tolerance profile.
+    """Run the identity suite on the profile's check selection.
 
     The groups share one table of samples, so a bound or quadrature that
     several checks read is computed once per run.  The report's overall flag
@@ -308,7 +301,7 @@ def run_suite(profile: TolProfile | None = None) -> SuiteReport:
     selection).
     """
     profile = profile or TolProfile()
-    samples = _Samples(profile.quad_tol)
+    samples = _Samples()
     results: list[CheckResult] = []
     for group in profile.selected():
         results.extend(_GROUP_RUNNERS[group](samples))

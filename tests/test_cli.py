@@ -13,7 +13,9 @@ import pytest
 
 import ramanujan_integrals
 from ramanujan_integrals import (
+    CheckResult,
     IntegralParams,
+    SuiteReport,
     bound,
     bound_asymptotic,
     bound_even,
@@ -32,6 +34,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """``json.loads`` that rejects the non-standard Infinity, -Infinity and NaN."""
+
+    def reject(token):
+        raise ValueError(f"non-standard json token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def _count_driver_calls(monkeypatch):
@@ -145,20 +156,23 @@ class TestParsing:
             ("table", "--id", "1"),
             ("approx", "--n", "2", "--a", "1"),
             ("bound", "--n", "2", "--a", "1"),
+            ("verify",),
         ],
-        ids=["table", "approx", "bound"],
+        ids=["table", "approx", "bound", "verify"],
     )
     def test_tol_is_not_an_option(self, capsys, argv):
-        # only eval and verify run a quadrature at a requested tolerance:
-        # approx and bound are closed forms, and table integrates every
-        # remainder to a fixed fraction of its bound
+        # only eval runs a quadrature at a requested tolerance: approx and
+        # bound are closed forms, table integrates every remainder to a fixed
+        # fraction of its bound, and verify checks fixed thresholds on samples
+        # at the library's own tolerances
         code, out, err = run_cli(capsys, *argv, "--tol", "1e-30")
         assert code == 1
         assert out == ""
         assert "error: unrecognized arguments: --tol" in err
 
     def test_eval_takes_tol(self, capsys):
-        # verify --tol is run by TestVerify::test_failure_exit_code
+        # --tol is the absolute tolerance of J_n(a), the one quadrature the
+        # CLI runs at a requested tolerance
         code, out, _ = run_cli(capsys, "eval", "--n", "1", "--a", "1", "--tol", "1e-10")
         assert code == 0
         assert out.startswith("0.02652582384864")
@@ -179,6 +193,17 @@ class TestApprox:
         code, out, _ = run_cli(capsys, "approx", "--n", "0", "--a", "1", "--method", "drz", "--format", "csv")
         assert code == 0
         assert out == f"command,method,n,a,value\napprox,drz,0,1.0,{drz_approx(0, 1.0)!r}\n"
+
+    def test_json_writes_non_finite_value_as_null(self, capsys):
+        # T_2(a) ~ -0.071/a overflows to -inf at a subnormal a; text and csv
+        # print it as it is
+        code, out, _ = run_cli(capsys, "approx", "--n", "2", "--a", "1e-320", "--format", "json")
+        assert code == 0
+        assert strict_json(out)["value"] is None
+        _, text, _ = run_cli(capsys, "approx", "--n", "2", "--a", "1e-320")
+        assert text == "-inf\n"
+        _, csv_out, _ = run_cli(capsys, "approx", "--n", "2", "--a", "1e-320", "--format", "csv")
+        assert csv_out.splitlines()[1].endswith(",-inf")
 
     def test_drz_rejects_odd_index(self, capsys):
         code, _, err = run_cli(capsys, "approx", "--n", "3", "--a", "1", "--method", "drz")
@@ -383,7 +408,7 @@ class TestVerify:
     def test_csv_report(self, capsys, monkeypatch, default_suite_report):
         import ramanujan_integrals.cli as cli_module
 
-        monkeypatch.setattr(cli_module, "run_suite", lambda profile: default_suite_report)
+        monkeypatch.setattr(cli_module, "run_suite", lambda: default_suite_report)
         code, out, _ = run_cli(capsys, "verify", "--format", "csv")
         assert code == 0
         lines = out.splitlines()
@@ -395,20 +420,37 @@ class TestVerify:
         assert [float(r["residual"]) for r in records] == [c.residual for c in default_suite_report.checks]
         assert out.endswith("\n") and not out.endswith("\n\n")
 
-    def test_failure_exit_code(self, capsys, monkeypatch):
-        import ramanujan_integrals.cli as cli_module
-        from ramanujan_integrals.verify import TolProfile as RealProfile
-
-        # an unattainable quadrature tolerance must fail the suite: restrict
-        # to one quadrature-backed group to keep the run short
-        monkeypatch.setattr(
-            cli_module,
-            "TolProfile",
-            lambda quad_tol: RealProfile(quad_tol=quad_tol, checks=("drz",)),
-        )
-        code, out, _ = run_cli(capsys, "verify", "--tol", "1e-30")
+    def test_failure_exit_code(self, capsys, failing_suite):
+        code, out, _ = run_cli(capsys, "verify")
         assert code == 2
         assert "FAIL" in out
+
+    def test_json_writes_infinite_residual_as_null(self, capsys, failing_suite):
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 2
+        payload = strict_json(out)
+        assert payload["overall"] is False
+        assert payload["checks"][1] == {
+            "name": "drz/error-growth", "residual": None, "tolerance": 0.0, "passed": False
+        }
+        # text and csv keep the infinite residual
+        _, csv_out, _ = run_cli(capsys, "verify", "--format", "csv")
+        assert csv_out.splitlines()[2] == "drz/error-growth,inf,0.0,False"
+        _, text, _ = run_cli(capsys, "verify")
+        assert "FAIL drz/error-growth residual=inf" in text
+
+
+@pytest.fixture
+def failing_suite(monkeypatch):
+    """The CLI's ``run_suite`` returning a report whose one failing check is
+    scored with an infinite residual, as a failed quadrature is."""
+    import ramanujan_integrals.cli as cli_module
+
+    checks = (
+        CheckResult("poisson/tau=1", 0.0, 1e-13, True),
+        CheckResult("drz/error-growth", math.inf, 0.0, False),
+    )
+    monkeypatch.setattr(cli_module, "run_suite", lambda: SuiteReport(checks, False))
 
 
 def run_child(*argv):

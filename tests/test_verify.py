@@ -59,6 +59,9 @@ class TestReproduceTable:
             TableRow(k=1, a=1.0, script_j=2.0e-5, bound=1.0e-5)
         with pytest.raises(ValueError):
             TableRow(k=1, a=1.0, script_j=1.0e-5, bound=0.0)
+        # a NaN remainder fails no comparison with its bound
+        with pytest.raises(ValueError, match="non-negative"):
+            TableRow(k=1, a=1.0, script_j=math.nan, bound=1.0)
 
     def test_unknown_id(self):
         with pytest.raises(ValueError):
@@ -93,7 +96,7 @@ def _counting(calls, name, fn):
 
 
 def _modular_residual(n, a):
-    return verify._modular_residual(verify._Samples(DEFAULT_TOL), n, a)
+    return verify._modular_residual(verify._Samples(), n, a)
 
 
 class TestCheckModular:
@@ -130,15 +133,17 @@ class TestRunSuite:
             assert 1.0 / tau >= specfun._JACOBI_SEAM
 
     def test_deterministic_order(self, default_suite_report):
-        # group selection preserves the fixed construction order
-        names = [c.name for c in default_suite_report.checks]
-        poisson_only = [c.name for c in run_suite(TolProfile(checks=("poisson",))).checks]
-        assert names[: len(poisson_only)] == poisson_only
+        # a run of one group, as the benchmark makes them, reproduces that
+        # group's slice of the full run in order, field for field, bit for bit
+        def fields(checks):
+            return [(c.name, c.residual.hex(), c.tolerance.hex(), c.passed) for c in checks]
 
-    def test_unattainable_tolerance_records_accuracy_failures(self):
-        report = run_suite(TolProfile(quad_tol=1e-30, checks=("drz",)))
-        assert not report.overall
-        assert any(math.isinf(c.residual) and not c.passed for c in report.checks)
+        start = 0
+        for group in ALL_CHECK_GROUPS:
+            alone = run_suite(TolProfile(checks=(group,))).checks
+            assert fields(alone) == fields(default_suite_report.checks[start : start + len(alone)]), group
+            start += len(alone)
+        assert start == len(default_suite_report.checks)
 
     def test_failing_quadratures_are_recorded_not_raised(self, monkeypatch):
         def fail(p):
@@ -168,6 +173,8 @@ class TestRunSuite:
 
             def wrapper(*args):
                 n, a = (args[0].n, args[0].a) if len(args) == 1 else args
+                # the suite has no tolerance setting: every J is at the default
+                assert name != "j_integral" or args[0].tol == DEFAULT_TOL
                 # eps and B at a and 1/a are one sample; J at a and 1/a are two
                 calls[name, n, a if name == "j_integral" else min(a, 1.0 / a)] += 1
                 return fn(*args)
@@ -207,15 +214,9 @@ class TestRunSuite:
         with pytest.raises(ValueError):
             run_suite(TolProfile(checks=("poisson", "nonsense")))
 
-    @pytest.mark.parametrize("quad_tol", [-1.0, 0.0, math.nan, math.inf])
-    def test_profile_rejects_quad_tol_not_positive_finite(self, quad_tol):
-        # rejected up front, not passed or raised inside some check groups only
-        with pytest.raises(ValueError, match="quad_tol"):
-            TolProfile(quad_tol=quad_tol, checks=("poisson",))
-
-    def test_profile_sets_only_quad_tol_and_checks(self):
-        # the per-group check tolerances are fixed constants of the suite
-        assert [f.name for f in dataclasses.fields(TolProfile)] == ["quad_tol", "checks"]
+    def test_profile_sets_only_checks(self):
+        # the check and quadrature tolerances are fixed constants of the suite
+        assert [f.name for f in dataclasses.fields(TolProfile)] == ["checks"]
 
     def test_repeated_group_rejected(self):
         # running a group twice would report each of its checks twice
