@@ -46,12 +46,20 @@ def approximant(n: int, a: float) -> float:
     J_n(a) well only for a = O(1).  For odd n at a = 1 the gamma-ratio term
     vanishes exactly and T_n(1) = F_n/(4 pi).  Multiplying by sigma = +-1
     is exact, so each parity evaluates the paper's own expression bit for bit.
+
+    Accepts every positive finite a.  The O(1/a) value overflows binary64 to
+    +-inf below about a = 6e-310 (without raising); above a = 1.43e307,
+    where 4*pi*a overflows, the numerator is divided by 4*pi and then by a.
     """
     _check_index("n", n, 1)
     _check_a("a", a)
     s = sigma(n)
     ratio_term = 0.5 * (1.0 + s * math.sqrt(a)) * _SQRT_HALF_PI * gamma_half_ratio(n)
-    return (ratio_term - s * gauss_f(n)) / (4.0 * math.pi * a)
+    numerator = ratio_term - s * gauss_f(n)
+    denominator = 4.0 * math.pi * a
+    if math.isinf(denominator):  # a > 1.43e307: divide by a last
+        return numerator / (4.0 * math.pi) / a
+    return numerator / denominator
 
 
 def _majorant_energy(x: float, n: int) -> float:
@@ -174,17 +182,26 @@ def ramanujan_i(alpha: float) -> float:
     with J_0 integrated to the absolute tolerance ``DEFAULT_TOL``.
 
     Satisfies the functional equation I(alpha) = I(beta) with alpha*beta = pi^2.
+    Finite over the whole float range: alpha*J_0 is formed before the factor
+    4, so nothing overflows at the top, and where alpha/pi underflows to 0.0
+    (alpha = 5e-324) J_0 is taken at the least positive a instead, since
+    4*alpha*J_0 <= alpha/6 is then far below an ulp of 1.
     """
     _check_a("alpha", alpha)
-    j0 = j_integral(IntegralParams(0, alpha / math.pi))
-    return alpha ** -0.25 * (1.0 + 4.0 * alpha * j0.value)
+    j0 = j_integral(IntegralParams(0, max(alpha / math.pi, math.ulp(0.0))))
+    return alpha ** -0.25 * (1.0 + 4.0 * (alpha * j0.value))
 
 
 def ramanujan_i_approx(alpha: float) -> float:
     """Quartic-root approximation (1/alpha + 1/beta + 2/3)^(1/4), beta = pi^2/alpha.
 
     beta is always derived from alpha at the use site; the modular constraint
-    alpha*beta = pi^2 has a single source of truth.
+    alpha*beta = pi^2 has a single source of truth.  Below alpha = 5.6e-309,
+    where 1/alpha overflows, the other terms are below 1e-308 of it and the
+    value is alpha^(-1/4).
     """
     _check_a("alpha", alpha)
-    return (1.0 / alpha + alpha / math.pi ** 2 + 2.0 / 3.0) ** 0.25
+    inverse = 1.0 / alpha
+    if math.isinf(inverse):
+        return alpha ** -0.25
+    return (inverse + alpha / math.pi ** 2 + 2.0 / 3.0) ** 0.25

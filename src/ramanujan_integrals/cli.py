@@ -19,7 +19,7 @@ import sys
 
 from .approximants import approximant, bound, bound_asymptotic, drz_approx
 from .quadrature import DEFAULT_TOL, AccuracyError, IntegralParams, j_integral
-from .verify import reproduce_table, run_suite
+from .verify import TABLE_GRIDS, reproduce_table, run_suite
 
 __all__ = ["main", "entrypoint"]
 
@@ -37,16 +37,6 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _float_positive(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite: {text}")
-    return value
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ramint", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -55,7 +45,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--n", type=int, help="full index n (parity inferred)")
         p.add_argument("--k", type=int, help="half index k, used with --parity")
         p.add_argument("--parity", choices=("even", "odd"), help="parity for --k")
-        p.add_argument("--a", type=_float_positive, required=True, help="scale a > 0")
+        p.add_argument("--a", type=float, required=True, help="scale a > 0")
         add_output_args(p)
 
     def add_output_args(p: _Parser) -> None:
@@ -64,7 +54,7 @@ def _build_parser() -> _Parser:
 
     p_eval = sub.add_parser("eval", help="J_n(a) by quadrature")
     add_index_args(p_eval)
-    p_eval.add_argument("--tol", type=_float_positive, default=DEFAULT_TOL)
+    p_eval.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_approx = sub.add_parser("approx", help="closed-form approximant T_n(a)")
     add_index_args(p_approx)
     p_approx.add_argument(
@@ -79,7 +69,7 @@ def _build_parser() -> _Parser:
         "--estimate", action="store_true", help="also print the large-k estimate (even n only)"
     )
     p_table = sub.add_parser("table", help="reproduce a reference table")
-    p_table.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
+    p_table.add_argument("--id", type=int, required=True, choices=tuple(TABLE_GRIDS))
     add_output_args(p_table)
     p_verify = sub.add_parser("verify", help="run the identity suite")
     add_output_args(p_verify)
@@ -90,8 +80,6 @@ def _resolve_index(args) -> int:
     if args.n is not None:
         if args.k is not None or args.parity is not None:
             raise _CliError("give either --n or --k with --parity, not both")
-        if args.n < 0:
-            raise _CliError("--n must be non-negative")
         return args.n
     if args.k is None or args.parity is None:
         raise _CliError("missing index: give --n, or --k with --parity")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -296,6 +297,7 @@ def integrate(
 def u_scaled(n: int, z: float) -> float:
     """G_n(z) = integral_0^inf exp(-z t) t^n (1+t)^(-n-3/2) dt = n! U(n+1, 1/2, z).
 
+    z must be positive and finite, as a scale is everywhere in the library.
     This factorial-premultiplied form is the only safe one: n! overflows
     binary64 at n = 171 while the product n!*U is tiny, so the factorial is
     never formed.  G_n is positive and strictly decreasing in both n and z
@@ -323,8 +325,7 @@ def u_scaled(n: int, z: float) -> float:
     n = 0), 16/z follows the exponential.
     """
     _check_index("n", n, 0)
-    if not z > 0.0:
-        raise ValueError(f"z must be positive, got {z}")
+    _check_a("z", z)
     if (n + 1) * z <= _SERIES_SEAM:
         first = gamma_half_ratio(n) * _kummer_series(n + 1, 0.5, z)
         return _SQRT_PI * (first - 2.0 * math.sqrt(z) * _kummer_series(n + 1.5, 1.5, z))
@@ -383,14 +384,20 @@ def j_integral(p: IntegralParams) -> QuadResult:
     Above a = 4 pi the Gaussian's length 1/sqrt(pi a) is shorter than the
     Bose factor's 1/(2 pi), so sampling at length L = sqrt(4 pi/a) keeps the
     nodes on the integrand and the cost flat in a; for a <= 4 pi, L is 1.
+    Every positive finite a is accepted and no factor overflows, from
+    J_n(5e-324) ~ 1/24 to J_n(1.8e308) ~ 1e-156.
     """
     n, a = p.n, p.a
-    c = 2.0 * math.pi * a
+    # z = c * (ax * x) * x: 2*pi*a itself overflows above a = 2.86e307, so
+    # there a multiplies the small x first; elsewhere ax = 1.0 changes no bit
+    c, ax = 2.0 * math.pi * a, 1.0
+    if math.isinf(c):
+        c, ax = 2.0 * math.pi, a
     length = min(1.0, math.sqrt(4.0 * math.pi / a))
     steps = _laguerre_steps(n)
 
     def f(x: float) -> float:
-        z = c * x * x
+        z = c * (ax * x) * x
         scale = math.exp(-0.5 * z)
         if scale == 0.0:
             return 0.0
@@ -426,6 +433,9 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     the exponential, the mass sits at u ~ n, and an uncapped length would
     place the nodes past it and return a wrong value with a small estimate.
 
+    Above a = 3.6e306, where 1/(4 pi a) would be subnormal, sqrt(a) moves
+    from the prefactor into the integrand.
+
     Swapping Psi(t/a) and Psi(a*t) gives eps_n(1/a) = sigma(n) a^(3/2)
     eps_n(a), as bound gives B_n(1/a) = a^(3/2) B_n(a).  For odd n at a = 1
     the two theta sums coincide and the integrand vanishes identically; the
@@ -449,7 +459,10 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     if odd and a == 1.0:
         return QuadResult(0.0 * f(1.0), 0.0, 1)
 
-    return _integrate_expsinh(f, p.tol, 0.0, _index_roundoff(n), length, 1.0 / (4.0 * math.pi * a))
+    integrand, prefactor = f, 1.0 / (4.0 * math.pi * a)
+    if prefactor < sys.float_info.min:  # subnormal above a = 3.6e306, 0.0 above 1.4e307
+        integrand, prefactor = lambda u: f(u) / sq, 1.0 / (4.0 * math.pi * sq)
+    return _integrate_expsinh(integrand, p.tol, 0.0, _index_roundoff(n), length, prefactor)
 
 
 def finite_check_integrals(m: int) -> tuple[float, float]:

@@ -21,6 +21,7 @@ from ramanujan_integrals import (
     lambda_factor,
     ramanujan_i,
     ramanujan_i_approx,
+    sigma,
     t_even,
     t_odd,
     u_scaled,
@@ -93,6 +94,15 @@ class TestNIndexedCore:
     )
     def test_approximant_against_32_digit_references(self, n, a, reference):
         assert approximant(n, a) == pytest.approx(float(reference), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 1736])
+    def test_approximant_at_top_of_float_range(self, n):
+        # sqrt(a)*T_n(a) -> sigma*sqrt(pi/2)*R(n)/(8 pi), with a correction
+        # of relative order 1/sqrt(a) < 1e-150; 4*pi*a overflows above
+        # a = 1.43e307, where T was returned as 0.0
+        limit = sigma(n) * math.sqrt(PI / 2.0) * gamma_half_ratio(n) / (8.0 * PI)
+        for a in (1e300, 1.4e307, 1.5e307, 1e308, 1.7976931348623157e308):
+            assert math.sqrt(a) * approximant(n, a) == pytest.approx(limit, rel=1e-15, abs=0.0), a
 
     @pytest.mark.parametrize("fn", [approximant, bound])
     def test_index_domain(self, fn):
@@ -445,4 +455,21 @@ class TestRamanujanI:
             ramanujan_i(0.0)
         with pytest.raises(ValueError):
             ramanujan_i_approx(-1.0)
+
+    def test_functional_equation_at_top_of_float_range(self):
+        # 4*alpha overflowed from alpha = 4.5e307 and J_0's 2*pi*a from 9e307:
+        # I(1e308) was inf.  The gap at 1e300 is J_0's absolute tolerance.
+        def gap(alpha):
+            return abs(ramanujan_i(alpha) / ramanujan_i(PI ** 2 / alpha) - 1.0)
+
+        at_1e300 = gap(1e300)
+        for alpha in (1e308, 1.7976931348623157e308):
+            assert gap(alpha) <= at_1e300 * (1.0 + 1e-4), alpha
+
+    @pytest.mark.parametrize("alpha", [5e-324, 1e-320, 1e-310])
+    def test_subnormal_argument(self, alpha):
+        # both are alpha^(-1/4) to binary64 here: alpha/pi underflowed to 0.0
+        # at 5e-324 (ValueError), and 1/alpha overflows below 5.6e-309 (inf)
+        assert ramanujan_i(alpha) == pytest.approx(alpha ** -0.25, rel=1e-15, abs=0.0)
+        assert ramanujan_i_approx(alpha) == pytest.approx(alpha ** -0.25, rel=1e-15, abs=0.0)
 

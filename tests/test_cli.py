@@ -16,6 +16,7 @@ from ramanujan_integrals import (
     CheckResult,
     IntegralParams,
     SuiteReport,
+    TABLE_GRIDS,
     bound,
     bound_asymptotic,
     bound_even,
@@ -132,7 +133,7 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "index,message",
-        [(("--n", "-1"), "--n must be non-negative"),
+        [(("--n", "-1"), "n must be a non-negative integer, got -1"),
          (("--k", "-1", "--parity", "even"), "--k must be non-negative")],
         ids=["n", "k"],
     )
@@ -176,6 +177,47 @@ class TestParsing:
         code, out, _ = run_cli(capsys, "eval", "--n", "1", "--a", "1", "--tol", "1e-10")
         assert code == 0
         assert out.startswith("0.02652582384864")
+
+    def test_eval_tol_accepts_what_the_library_accepts(self, capsys):
+        # inf asks for any accuracy: J at the first level that may return,
+        # with its estimate; 0 and NaN are rejected by IntegralParams
+        code, out, _ = run_cli(capsys, "eval", "--n", "1", "--a", "1", "--tol", "inf", "--format", "json")
+        assert code == 0
+        payload = strict_json(out)
+        result = j_integral(IntegralParams(1, 1.0, math.inf))
+        assert (payload["value"], payload["abs_error_estimate"], payload["evaluations"]) == (
+            result.value, result.abs_error_estimate, result.evaluations)
+        for tol in ("0", "-1e-13", "nan"):
+            code, out, err = run_cli(capsys, "eval", "--n", "1", "--a", "1", f"--tol={tol}")
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: tol must be positive, got {float(tol)}\n"), tol
+
+    @pytest.mark.parametrize("command", ["eval", "approx", "bound"])
+    @pytest.mark.parametrize("a", ["-1", "0", "inf", "nan"])
+    def test_scale_is_checked_by_the_library(self, capsys, command, a):
+        code, out, err = run_cli(capsys, command, "--n", "2", "--a", a)
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: a must be positive and finite, got {float(a)}\n")
+
+    @pytest.mark.parametrize(
+        "argv,least",
+        [(("eval",), "non-negative"), (("approx",), "positive"), (("bound",), "positive"),
+         (("approx", "--method", "drz"), "non-negative")],
+        ids=["eval", "approx", "bound", "drz"],
+    )
+    def test_index_is_checked_by_the_library(self, capsys, argv, least):
+        # the least n is the core's: 0 for J and the quartic-root formula, 1 for T and B
+        bad = "-1" if least == "non-negative" else "0"
+        code, out, err = run_cli(capsys, *argv, "--n", bad, "--a", "1")
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: n must be a {least} integer, got {bad}\n")
+
+    def test_table_ids_are_the_library_grids(self, capsys):
+        # --id's choices are TABLE_GRIDS' keys, stated once, and --help lists them
+        with pytest.raises(SystemExit):
+            main(["table", "--help"])
+        assert "--id {1,2,3}" in capsys.readouterr().out
+        assert tuple(TABLE_GRIDS) == (1, 2, 3)
 
 
 class TestApprox:

@@ -1,0 +1,106 @@
+"""The public API and the CLI at the edges of the float range.
+
+Every public function of a scale is called at the smallest subnormal, deep
+in the subnormals, near the bottom and the top of the normal range, and at
+the largest float.  Each call returns a finite value, overflows where its
+docstring says it does, or raises ValueError or AccuracyError.  None
+returns NaN, and the CLI exits 0 or 1 with an ``error:`` line, never a
+traceback.
+"""
+
+import math
+
+import pytest
+
+from ramanujan_integrals import (
+    AccuracyError,
+    IntegralParams,
+    approximant,
+    bound,
+    bound_asymptotic,
+    bound_even,
+    bound_odd,
+    drz_approx,
+    epsilon_integral,
+    j_integral,
+    ramanujan_i,
+    ramanujan_i_approx,
+    t_even,
+    t_odd,
+    u_scaled,
+)
+from ramanujan_integrals.cli import main
+
+EDGES = (5e-324, 1e-310, 1e-300, 1e300, 1e308, 1.7976931348623157e308)
+INDICES = (0, 1, 2, 10)
+
+# The documented overflows: T_n(a) ~ c/a to +-inf below about 6e-310, and
+# B_n(a) ~ a^(-3/2), with its large-k estimate, to +inf below about 1e-205.
+_T_OVERFLOW = 6e-310
+_B_OVERFLOW = 1e-205
+
+# name -> (f(index, a), a below which it may overflow, signs it may overflow to)
+_FUNCTIONS = {
+    "j_integral": (lambda n, a: j_integral(IntegralParams(n, a)).value, 0.0, ()),
+    "epsilon_integral": (lambda n, a: epsilon_integral(IntegralParams(n, a)).value, 0.0, ()),
+    "approximant": (approximant, _T_OVERFLOW, (1, -1)),
+    "t_even": (t_even, _T_OVERFLOW, (1, -1)),
+    "t_odd": (t_odd, _T_OVERFLOW, (1, -1)),
+    "bound": (bound, _B_OVERFLOW, (1,)),
+    "bound_even": (bound_even, _B_OVERFLOW, (1,)),
+    "bound_odd": (bound_odd, _B_OVERFLOW, (1,)),
+    "bound_asymptotic": (bound_asymptotic, _B_OVERFLOW, (1,)),
+    "drz_approx": (drz_approx, 0.0, ()),
+    "u_scaled": (u_scaled, 0.0, ()),
+    "ramanujan_i": (lambda n, a: ramanujan_i(a), 0.0, ()),
+    "ramanujan_i_approx": (lambda n, a: ramanujan_i_approx(a), 0.0, ()),
+}
+
+
+def _allowed(value, a, overflows_below, signs):
+    """A finite value, or an infinity of an allowed sign below the documented edge."""
+    if math.isinf(value):
+        return a < overflows_below and math.copysign(1, value) in signs
+    return math.isfinite(value)
+
+
+@pytest.mark.parametrize("name", sorted(_FUNCTIONS))
+def test_public_functions_at_the_edges(name):
+    f, overflows_below, signs = _FUNCTIONS[name]
+    bad = []
+    for index in INDICES:
+        for a in EDGES:
+            try:
+                value = f(index, a)
+            except (ValueError, AccuracyError):
+                continue
+            if not _allowed(value, a, overflows_below, signs):
+                bad.append((index, a, value))
+    assert not bad, bad
+
+
+_COMMANDS = {
+    # argv -> (a below which a printed value may be infinite, allowed signs)
+    ("eval",): (0.0, ()),
+    ("approx",): (_T_OVERFLOW, (1, -1)),
+    ("approx", "--method", "drz"): (0.0, ()),
+    ("bound",): (_B_OVERFLOW, (1,)),
+    ("bound", "--estimate"): (_B_OVERFLOW, (1,)),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_COMMANDS), ids=" ".join)
+def test_cli_at_the_edges(capsys, argv):
+    overflows_below, signs = _COMMANDS[argv]
+    bad = []
+    for n in INDICES:
+        for a in EDGES:
+            code = main([*argv, "--n", str(n), "--a", repr(a)])
+            out, err = capsys.readouterr()
+            if code == 1 and out == "" and err.startswith("error: ") and "Traceback" not in err:
+                continue
+            values = [float(line) for line in out.splitlines()] if code == 0 else []
+            fine = values and all(_allowed(v, a, overflows_below, signs) for v in values)
+            if not fine or "Traceback" in err:
+                bad.append((n, a, code, out, err))
+    assert not bad, bad

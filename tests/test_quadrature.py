@@ -310,6 +310,17 @@ class TestJIntegral:
         res = j_integral(IntegralParams(n, a))
         assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 10])
+    def test_top_of_float_range(self, n):
+        # sqrt(a)*J_n(a) tends to a constant as a -> inf; above a = 2.86e307
+        # 2*pi*a overflows, and every sample was inf or NaN
+        def scaled(a):
+            return math.sqrt(a) * j_integral(IntegralParams(n, a, 1e-12 / (4.0 * math.pi * math.sqrt(a)))).value
+
+        reference = scaled(1e300)
+        for a in (2.9e307, 1e308, 1.7976931348623157e308):
+            assert scaled(a) == pytest.approx(reference, rel=1e-14, abs=0.0), a
+
 
 class TestErrorEstimateHolds:
     """True error <= abs_error_estimate at points where an n-free roundoff
@@ -507,6 +518,17 @@ class TestEpsilonIntegral:
         assert res.evaluations <= 200
 
     @pytest.mark.parametrize("n", [1, 2, 30])
+    def test_top_of_float_range(self, n):
+        # 1/(4 pi a) is subnormal from a = 3.6e306 and was 0.0 from 1.4e307,
+        # where eps came back as 0.0 with estimate 0.0.  sqrt(a)*eps_n(a) is
+        # constant to 1e-150 relative here, so the 1e300 reference scales.
+        limit = 1e150 * self._OUTSIDE_WINDOW[n, 1e300]
+        for a in (3.6e306, 1e307, 1.5e307, 1e308, 1.7976931348623157e308):
+            res = epsilon_integral(IntegralParams(n, a, tol=1e-15 / math.sqrt(a)))
+            assert math.sqrt(a) * res.value == pytest.approx(limit, rel=1e-14, abs=0.0), a
+            assert abs(res.value - limit / math.sqrt(a)) <= res.abs_error_estimate, a
+
+    @pytest.mark.parametrize("n", [1, 2, 30])
     def test_outside_window_references_are_consistent(self, n):
         refs = self._OUTSIDE_WINDOW
         for a, inverse in ((1e30, 1e-30), (1e100, 1e-100)):
@@ -668,6 +690,11 @@ class TestUScaled:
             u_scaled(-1, 1.0)
         with pytest.raises(ValueError):
             u_scaled(0, 0.0)
+
+    def test_infinite_argument_is_a_domain_error(self):
+        # z is checked as a scale is everywhere: inf ran a quadrature to NaN
+        with pytest.raises(ValueError, match="z must be positive and finite, got inf"):
+            u_scaled(0, math.inf)
 
 
 class TestFiniteCheckIntegrals:
