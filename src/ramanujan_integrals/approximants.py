@@ -178,8 +178,8 @@ def drz_approx(n: int, a: float) -> float:
 
 
 def ramanujan_i(alpha: float) -> float:
-    """I(alpha) = alpha^(-1/4) * (1 + 4*alpha*J_0(alpha/pi)) by quadrature,
-    with J_0 integrated to the absolute tolerance ``DEFAULT_TOL``.
+    """I(alpha) = alpha^(-1/4) * (1 + 4*alpha*J_0(alpha/pi)), with J_0 from
+    ``j_integral``: its series from about alpha = 100 pi up, quadrature below.
 
     Satisfies the functional equation I(alpha) = I(beta) with alpha*beta = pi^2.
     Finite over the whole float range: alpha*J_0 is formed before the factor

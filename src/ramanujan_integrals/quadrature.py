@@ -17,6 +17,11 @@ Nodes are placed relative to the nearest endpoint (``exp(-u)`` and
 1e-300 without losing digits; a node nearer to a nonzero endpoint than half
 its float spacing is sampled at the endpoint itself.
 
+Two members of the family need no quadrature where a series converges
+fast: ``u_scaled`` at small argument (its Kummer series) and ``j_integral``
+at large scale (its Bernoulli-Laplace series, ``_j_series``).  Each keeps the
+quadrature on the other side of its seam.
+
 Determinism: node tables are fixed per level and summation order is fixed, so
 identical inputs give bitwise-identical results.
 """
@@ -37,6 +42,7 @@ from .specfun import (
     _kummer_series,
     _laguerre_steps,
     gamma_half_ratio,
+    gauss_f,
     theta_psi,
 )
 
@@ -68,6 +74,10 @@ _U_MAX = 690.0
 # u_scaled sums its Kummer series at and below this (n + 1)*z, and integrates
 # above it.
 _SERIES_SEAM = 0.1
+# j_integral sums its Bernoulli-Laplace series at and above a = _J_SEAM*(n + 2)
+# for n <= _J_SERIES_MAX_N, and integrates below it.
+_J_SEAM = 50.0
+_J_SERIES_MAX_N = 2000
 
 
 @dataclass(frozen=True)
@@ -372,14 +382,73 @@ def _index_roundoff(n: int) -> float:
     return 2.0 * (n + 8)
 
 
+def _j_series(n: int, a: float) -> QuadResult:
+    """J_n(a) by its Bernoulli-Laplace series in s = (pi a)^(-1/2).
+
+    Expanding x/(e^(2 pi x) - 1) by DLMF 24.2.1 and integrating term by term
+    with DLMF 13.10.3 gives, with H_n(b) = 2F1(-n, b; 3/2; 2),
+
+        J_n(a) ~ (1/4 pi) [sqrt(pi) s H_n(1/2) - pi s^2 H_n(1)
+                 + sum_{j>=1} (-1)^(j+1) 2 zeta(2j) Gamma(j + 1/2) s^(2j+1) H_n(j + 1/2)],
+
+    since B_2j (2 pi)^(2j)/(2j)! = (-1)^(j+1) 2 zeta(2j) (DLMF 25.6.2).  By
+    Pfaff's transformation (DLMF 15.8.1) H_n(b) = (-1)^n H_n(3/2 - b), so
+    H_n(1/2) = (-1)^n F_n with F_n = H_n(1) = gauss_f(n), and H_n(j + 1/2) =
+    (-1)^n P_j, where P_j = 2F1(-n, 1 - j; 3/2; 2) is a sum of min(n, j - 1) + 1
+    positive terms, so the only O(n) work is F_n.  zeta(2j) follows from
+    zeta(2) = pi^2/6 by (j + 1/2) zeta(2j) = sum_{k=1}^{j-1} zeta(2k) zeta(2j - 2k),
+    whose terms are positive too.  Gamma(j + 1/2) s^(2j) is built multiplicatively and s as
+    1/(sqrt(pi) sqrt(a)), so nothing overflows up to the largest float.
+
+    The series is asymptotic; its terms grow like (n/(pi a))^j j!.  The sum
+    stops at the first term that is larger than the one before it or below
+    1e-17 of the sum, and the estimate is that omitted term plus
+    ``_index_roundoff(n)`` ulps of the sum of magnitudes, for the rounding of
+    F_n (``gauss_f`` is within 4.9e-15 relative for n <= 5000).
+    ``evaluations`` is the number of terms summed.
+    """
+    s = 1.0 / (_SQRT_PI * math.sqrt(a))
+    s2 = s * s
+    sign = -1.0 if n % 2 else 1.0
+    f = sign * gauss_f(n)  # H_n(1/2) = (-1)^n F_n
+    total = _SQRT_PI * f
+    mass = abs(total)
+    term = -sign * math.pi * s * f
+    previous = math.inf
+    zetas: list[float] = []  # zeta(2), ..., zeta(2j)
+    power = _SQRT_PI  # Gamma(j + 1/2) s^(2j)
+    while 1e-17 * abs(total) <= abs(term) <= previous:
+        total += term
+        mass += abs(term)
+        previous = abs(term)
+        j = len(zetas) + 1
+        zetas.append(sum(x * y for x, y in zip(zetas, reversed(zetas))) / (j + 0.5) if j > 1 else math.pi ** 2 / 6.0)
+        power *= (j - 0.5) * s2
+        p = c = 1.0
+        for k in range(j - 1):  # from k = n on, c is 0.0
+            c *= 2.0 * (n - k) * (j - 1 - k) / ((k + 1.5) * (k + 1))
+            p += c
+        term = (sign if j % 2 else -sign) * 2.0 * zetas[-1] * power * p
+    scale = s / (4.0 * math.pi)
+    return QuadResult(total * scale, (abs(term) + _index_roundoff(n) * _EPS * mass) * scale, len(zetas) + 1)
+
+
 def j_integral(p: IntegralParams) -> QuadResult:
     """J_n(a) = integral_0^inf x e^(-pi a x^2)/(e^(2 pi x)-1) 1F1(-n;3/2;2 pi a x^2) dx.
 
-    The Kummer factor is evaluated by the stable Laguerre recurrence with the
-    Bose factor and the Gaussian e^(-z/2) folded into its start values, so no
-    intermediate value overflows and the cost per sample is O(n) at full
-    accuracy for every n.  The error estimate is never below the integrand's
-    roundoff floor, 2(n + 8) ulps of integral |f|.
+    At and above a = 50(n + 2), for n <= 2000, J_n(a) is the sum of its
+    Bernoulli-Laplace series (``_j_series``): at most a dozen terms, no
+    quadrature, and the value keeps full relative precision up to the largest
+    float, where J_n(a) ~ (-1)^n F_n/(4 pi sqrt(a)).  Its estimate is the first
+    omitted term plus 2(n + 8) ulps; if that exceeds ``p.tol`` the quadrature
+    below runs instead, so an unattainable tolerance still raises.
+
+    Elsewhere the integral is summed by exp-sinh quadrature to the absolute
+    ``p.tol``.  The Kummer factor is evaluated by the stable Laguerre
+    recurrence with the Bose factor and the Gaussian e^(-z/2) folded into its
+    start values, so no intermediate value overflows and the cost per sample
+    is O(n) at full accuracy for every n.  The error estimate is never below
+    the integrand's roundoff floor, 2(n + 8) ulps of integral |f|.
 
     Above a = 4 pi the Gaussian's length 1/sqrt(pi a) is shorter than the
     Bose factor's 1/(2 pi), so sampling at length L = sqrt(4 pi/a) keeps the
@@ -387,6 +456,16 @@ def j_integral(p: IntegralParams) -> QuadResult:
     Every positive finite a is accepted and no factor overflows, from
     J_n(5e-324) ~ 1/24 to J_n(1.8e308) ~ 1e-156.
     """
+    n, a = p.n, p.a
+    if n <= _J_SERIES_MAX_N and a >= _J_SEAM * (n + 2):
+        series = _j_series(n, a)
+        if series.abs_error_estimate <= p.tol:
+            return series
+    return _j_quadrature(p)
+
+
+def _j_quadrature(p: IntegralParams) -> QuadResult:
+    """J_n(a) by exp-sinh quadrature of its defining integral, to the absolute ``p.tol``."""
     n, a = p.n, p.a
     # z = c * (ax * x) * x: 2*pi*a itself overflows above a = 2.86e307, so
     # there a multiplies the small x first; elsewhere ax = 1.0 changes no bit

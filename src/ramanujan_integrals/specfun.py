@@ -173,6 +173,8 @@ def lambda_factor(a: float) -> float:
     lambda(a) = 1 + exp(-3*pi*a) + exp(-2*pi*a) / (1 - exp(-pi*a)); it exceeds
     1 for every a > 0 and tends to 1 as a grows.  The denominator is formed
     by ``expm1``: the subtraction 1 - exp(-pi*a) loses digits at small a.
+    Since lambda(a) ~ 1/(pi a) there, it overflows to +inf below about
+    a = 1.8e-309 (``lambda_factor(5e-324)`` is inf) and does not raise.
     """
     if not a > 0.0:
         raise ValueError(f"a must be positive, got {a}")

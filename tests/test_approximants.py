@@ -456,15 +456,19 @@ class TestRamanujanI:
         with pytest.raises(ValueError):
             ramanujan_i_approx(-1.0)
 
+    @pytest.mark.parametrize("alpha", [1e16, 1e100, 1e300])
+    def test_functional_equation_at_large_argument(self, alpha):
+        # J_0(alpha/pi) integrated to the absolute 1e-13 left a gap of 1.9e-11
+        # from alpha = 1e16 up; its Bernoulli-Laplace series keeps full precision
+        gap = ramanujan_i(alpha) / ramanujan_i(PI ** 2 / alpha) - 1.0
+        assert abs(gap) <= 1e-14
+
     def test_functional_equation_at_top_of_float_range(self):
         # 4*alpha overflowed from alpha = 4.5e307 and J_0's 2*pi*a from 9e307:
-        # I(1e308) was inf.  The gap at 1e300 is J_0's absolute tolerance.
-        def gap(alpha):
-            return abs(ramanujan_i(alpha) / ramanujan_i(PI ** 2 / alpha) - 1.0)
-
-        at_1e300 = gap(1e300)
+        # I(1e308) was inf
         for alpha in (1e308, 1.7976931348623157e308):
-            assert gap(alpha) <= at_1e300 * (1.0 + 1e-4), alpha
+            gap = ramanujan_i(alpha) / ramanujan_i(PI ** 2 / alpha) - 1.0
+            assert abs(gap) <= 1e-14, alpha
 
     @pytest.mark.parametrize("alpha", [5e-324, 1e-320, 1e-310])
     def test_subnormal_argument(self, alpha):

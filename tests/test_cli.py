@@ -93,6 +93,18 @@ class TestEval:
         assert payload["abs_error_estimate"] >= 0.0
         assert payload["evaluations"] >= 1
 
+    def test_top_of_float_range_to_full_precision(self, capsys, monkeypatch):
+        # the quadrature met its absolute tolerance 1e-13 at level 3 and printed
+        # 3.7136152588194e-156, 2.2e-8 off; the series needs no quadrature, and
+        # its evaluation count is the number of terms it summed
+        calls = _count_driver_calls(monkeypatch)
+        code, out, err = run_cli(capsys, "eval", "--n", "2", "--a", "1e308", "--format", "json")
+        assert code == 0 and err == ""
+        payload = strict_json(out)
+        assert payload["value"] == pytest.approx(3.713615338810893e-156, rel=1e-14, abs=0.0)
+        assert payload["evaluations"] == j_integral(IntegralParams(2, 1e308)).evaluations == 1
+        assert calls == []
+
     def test_csv_layout(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--n", "2", "--a", "1", "--format", "csv")
         assert code == 0 and err == ""

@@ -322,6 +322,86 @@ class TestJIntegral:
             assert scaled(a) == pytest.approx(reference, rel=1e-14, abs=0.0), a
 
 
+class TestJSeries:
+    """Above a = 50(n + 2), n <= 2000, J_n(a) is its Bernoulli-Laplace series."""
+
+    _TOP = 1.7976931348623157e308
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 10, 30, 100, 200])
+    def test_against_quadrature(self, n):
+        # the quadrature, asked for 1e-12 relative, is the oracle; at the
+        # default absolute 1e-13 it kept few digits at large a: 2.2e-8 at
+        # (2, 1e20) and 0.58 at (200, 1e100)
+        bound = 1e-14 if n <= 10 else 1e-13
+        for a in (50.0 * (n + 2), 1e4, 1e20, 1e100, 1e300, 1e308, self._TOP):
+            if a < 50.0 * (n + 2):
+                continue  # (200, 1e4) lies below the seam
+            series = j_integral(IntegralParams(n, a)).value
+            oracle = quadrature._j_quadrature(IntegralParams(n, a, 1e-12 * abs(series))).value
+            scale = math.sqrt(a)
+            assert scale * series == pytest.approx(scale * oracle, rel=bound, abs=0.0), a
+
+    @pytest.mark.parametrize("n", [500, 1000, 2000])
+    def test_large_index_against_mpmath_series(self, n):
+        # the same series summed to 40 digits, with H_n(b) = 2F1(-n, b; 3/2; 2)
+        # and zeta from mpmath: the binary64 sum lies within its estimate
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            h = {b: mp.hyp2f1(-n, b, 1.5, 2) for b in (0.5, 1.0)}
+            for a in (50.0 * (n + 2), 500.0 * (n + 2), 1e100, self._TOP):
+                res = j_integral(IntegralParams(n, a))
+                s = 1 / mp.sqrt(mp.pi * mp.mpf(a))
+                total = mp.sqrt(mp.pi) * s * h[0.5] - mp.pi * s ** 2 * h[1.0]
+                for j in range(1, res.evaluations - 1):
+                    if j + 0.5 not in h:
+                        h[j + 0.5] = mp.hyp2f1(-n, j + 0.5, 1.5, 2)
+                    total += (-1) ** (j + 1) * 2 * mp.zeta(2 * j) * mp.gamma(j + 0.5) * s ** (2 * j + 1) * h[j + 0.5]
+                assert abs(mp.mpf(res.value) - total / (4 * mp.pi)) <= res.abs_error_estimate, a
+
+    def test_large_index_against_reference(self, monkeypatch):
+        # the quadrature raised here after 21 158 evaluations; the reference is
+        # a 40-digit mpmath quadrature of the defining integral
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = j_integral(IntegralParams(500, 25100.0))
+        assert abs(Fraction(res.value) - Fraction("1.423686037595935819288996353847947e-5")) <= res.abs_error_estimate
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "n,a,value,estimate,evaluations",
+        [
+            (2, 1e308, 3.7136153388108917e-156, 1.6491765014996014e-170, 1),
+            (10, 3174000.0, 9.568272566025237e-06, 7.659216469356493e-20, 4),
+        ],
+        ids=["2-1e308", "10-3.174e6"],
+    )
+    def test_bitwise_snapshot(self, monkeypatch, n, a, value, estimate, evaluations):
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = j_integral(IntegralParams(n, a))
+        assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 200, 2000])
+    def test_no_quadrature_at_or_above_the_seam(self, monkeypatch, n):
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        seam = 50.0 * (n + 2)
+        for a in (seam, 10.0 * seam, 1e20, 1e300, self._TOP):
+            assert j_integral(IntegralParams(n, a)).evaluations <= 12, a
+        assert calls == []
+        if n <= 10:  # below the seam the quadrature runs, as it always did
+            j_integral(IntegralParams(n, math.nextafter(seam, 0.0)))
+            assert len(calls) == 1
+
+    def test_unattainable_tolerance_reaches_the_quadrature(self, monkeypatch):
+        # the series estimate is above 1e-300, so the request falls through to
+        # the quadrature, which raises as it did before the series
+        driver = quadrature._integrate_expsinh
+        calls = []
+        monkeypatch.setattr(quadrature, "_integrate_expsinh", lambda *args: calls.append(args) or driver(*args))
+        with pytest.raises(AccuracyError):
+            j_integral(IntegralParams(0, 1e4, tol=1e-300))
+        assert len(calls) == 1
+
+
 class TestErrorEstimateHolds:
     """True error <= abs_error_estimate at points where an n-free roundoff
     floor of one ulp of h*sum|w*f| misses the true error (at n = 17 only
@@ -347,6 +427,11 @@ class TestErrorEstimateHolds:
             (2, 106500.0, "1.1344722295280721964715150027411e-4"),
             (10, 1234000.0, "1.5340257634371112554325298827329e-5"),
             (9, 96720000.0, "1.4165734128629507497990522028989e-6"),
+            # three more pool points at and above a = 50(n + 2), where, like the
+            # four before them, J_n(a) is now the sum of its series
+            (0, 1289.0, "2.1556435945686762938845231890091e-3"),
+            (8, 1875.0, "4.3198349138067421213801297523363e-4"),
+            (10, 3174000.0, "9.5682725660252386290743419636436e-6"),
         ],
     )
     def test_j_integral(self, n, a, reference):
