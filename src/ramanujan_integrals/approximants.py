@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 
 from .quadrature import IntegralParams, j_integral, u_scaled
-from .specfun import _check_a, _check_index, gamma_half_ratio, gauss_f, lambda_factor
+from .specfun import _approximant, _check_a, _check_index, gauss_f, lambda_factor
 
 __all__ = [
     "approximant",
@@ -28,7 +28,6 @@ __all__ = [
     "sigma",
 ]
 
-_SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 _BOUND_COEF = 1.0 / (4.0 * math.sqrt(2.0) * math.pi)
 
 
@@ -50,16 +49,14 @@ def approximant(n: int, a: float) -> float:
     Accepts every positive finite a.  The O(1/a) value overflows binary64 to
     +-inf below about a = 6e-310 (without raising); above a = 1.43e307,
     where 4*pi*a overflows, the numerator is divided by 4*pi and then by a.
+
+    The arithmetic is ``specfun._approximant``, which also bounds T's rounding
+    error for ``j_integral``: from n = 11 on, J_n(a) is sigma*T_n(a) + eps_n(a)
+    computed from this same T.
     """
     _check_index("n", n, 1)
     _check_a("a", a)
-    s = sigma(n)
-    ratio_term = 0.5 * (1.0 + s * math.sqrt(a)) * _SQRT_HALF_PI * gamma_half_ratio(n)
-    numerator = ratio_term - s * gauss_f(n)
-    denominator = 4.0 * math.pi * a
-    if math.isinf(denominator):  # a > 1.43e307: divide by a last
-        return numerator / (4.0 * math.pi) / a
-    return numerator / denominator
+    return _approximant(n, a)[0]
 
 
 def _majorant_energy(x: float, n: int) -> float:

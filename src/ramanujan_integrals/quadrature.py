@@ -20,7 +20,11 @@ its float spacing is sampled at the endpoint itself.
 Two members of the family need no quadrature where a series converges
 fast: ``u_scaled`` at small argument (its Kummer series) and ``j_integral``
 at large scale (its Bernoulli-Laplace series, ``_j_series``).  Each keeps the
-quadrature on the other side of its seam.
+quadrature on the other side of its seam.  Below its seam and from n = 11 on,
+``j_integral`` integrates the paper's remainder eps_n instead of its own
+integrand, J = sigma*T + eps, and keeps its own quadrature (``_j_quadrature``)
+as the fallback where T's rounding or eps's quadrature would miss the
+tolerance.
 
 Determinism: node tables are fixed per level and summation order is fixed, so
 identical inputs give bitwise-identical results.
@@ -35,9 +39,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .specfun import (
+    _EPS,
     _SQRT_PI,
+    _approximant,
     _check_a,
     _check_index,
+    _index_roundoff,
     _kummer_scaled,
     _kummer_series,
     _laguerre_steps,
@@ -60,7 +67,6 @@ __all__ = [
 
 DEFAULT_TOL = 1e-13
 
-_EPS = 2.220446049250313e-16
 _HALF_PI = math.pi / 2.0
 _MAX_LEVEL = 12
 _MIN_LEVEL = 3
@@ -78,6 +84,11 @@ _SERIES_SEAM = 0.1
 # for n <= _J_SERIES_MAX_N, and integrates below it.
 _J_SEAM = 50.0
 _J_SERIES_MAX_N = 2000
+# Below that seam j_integral takes J = sigma*T + eps from this n up, where the
+# Laguerre recurrence's n steps per sample cost more than eps's two theta
+# sums.  A cost rule, not an accuracy rule: below it the direct quadrature
+# takes no more time.
+_J_THEOREM_MIN_N = 11
 
 
 @dataclass(frozen=True)
@@ -370,18 +381,6 @@ def _bose_factor(x: float) -> float:
     return x * em / -math.expm1(-2.0 * math.pi * x)
 
 
-def _index_roundoff(n: int) -> float:
-    """Relative rounding error, in ulps, of the J and eps integrands at index n.
-
-    Both carry a factor whose rounding error grows linearly in n: the
-    Laguerre recurrence for 1F1(-n; 3/2; z) and the power r**n.  Against
-    32-digit mpmath references at 0.1 <= a <= 10, the true errors reached
-    245 ulps of h*sum|w*f| for J (n = 200) and 136 for eps (n = 1736), and
-    at most 1.2(n + 8) ulps at any n.
-    """
-    return 2.0 * (n + 8)
-
-
 def _j_series(n: int, a: float) -> QuadResult:
     """J_n(a) by its Bernoulli-Laplace series in s = (pi a)^(-1/2).
 
@@ -434,33 +433,56 @@ def _j_series(n: int, a: float) -> QuadResult:
 
 
 def j_integral(p: IntegralParams) -> QuadResult:
-    """J_n(a) = integral_0^inf x e^(-pi a x^2)/(e^(2 pi x)-1) 1F1(-n;3/2;2 pi a x^2) dx.
+    """J_n(a) = integral_0^inf x e^(-pi a x^2)/(e^(2 pi x)-1) 1F1(-n;3/2;2 pi a x^2) dx,
+    to the absolute ``p.tol``: the estimate returned never exceeds it.
 
     At and above a = 50(n + 2), for n <= 2000, J_n(a) is the sum of its
     Bernoulli-Laplace series (``_j_series``): at most a dozen terms, no
     quadrature, and the value keeps full relative precision up to the largest
     float, where J_n(a) ~ (-1)^n F_n/(4 pi sqrt(a)).  Its estimate is the first
-    omitted term plus 2(n + 8) ulps; if that exceeds ``p.tol`` the quadrature
-    below runs instead, so an unattainable tolerance still raises.
+    omitted term plus 2(n + 8) ulps.
 
-    Elsewhere the integral is summed by exp-sinh quadrature to the absolute
-    ``p.tol``.  The Kummer factor is evaluated by the stable Laguerre
+    Below that seam, from n = 11 on, J_n(a) is the paper's theorem
+    sigma*T_n(a) + eps_n(a): T in closed form (``specfun._approximant``) and
+    eps by ``epsilon_integral``, whose integrand costs O(1) per sample where
+    the defining one costs O(n).  The route is taken when T's rounding bound,
+    2(n + 8) ulps of (|ratio term| + |F_n|)/(4 pi a) plus 4 ulps of |T|, is at
+    most ``p.tol``/2; eps is then integrated to ``p.tol`` less that bound, and
+    the estimate is eps's plus T's bound plus 2 ulps of the sum.  Below n = 11
+    the direct quadrature takes no more time.
+
+    Wherever neither route applies, or its estimate would exceed ``p.tol``,
+    or eps raises ``AccuracyError``, the defining integral is summed by
+    exp-sinh quadrature (``_j_quadrature``), so an unattainable tolerance
+    still raises.  Its Kummer factor is evaluated by the stable Laguerre
     recurrence with the Bose factor and the Gaussian e^(-z/2) folded into its
     start values, so no intermediate value overflows and the cost per sample
-    is O(n) at full accuracy for every n.  The error estimate is never below
-    the integrand's roundoff floor, 2(n + 8) ulps of integral |f|.
+    is O(n) at full accuracy for every n.  Its estimate is never below the
+    integrand's roundoff floor, 2(n + 8) ulps of integral |f|.
 
     Above a = 4 pi the Gaussian's length 1/sqrt(pi a) is shorter than the
-    Bose factor's 1/(2 pi), so sampling at length L = sqrt(4 pi/a) keeps the
-    nodes on the integrand and the cost flat in a; for a <= 4 pi, L is 1.
-    Every positive finite a is accepted and no factor overflows, from
-    J_n(5e-324) ~ 1/24 to J_n(1.8e308) ~ 1e-156.
+    Bose factor's 1/(2 pi), so the quadrature samples at length
+    L = sqrt(4 pi/a), which keeps the nodes on the integrand and the cost flat
+    in a; for a <= 4 pi, L is 1.  Every positive finite a is accepted and no
+    factor overflows, from J_n(5e-324) ~ 1/24 to J_n(1.8e308) ~ 1e-156.
     """
     n, a = p.n, p.a
     if n <= _J_SERIES_MAX_N and a >= _J_SEAM * (n + 2):
         series = _j_series(n, a)
         if series.abs_error_estimate <= p.tol:
             return series
+    elif n >= _J_THEOREM_MIN_N:
+        t, t_error = _approximant(n, a)
+        if t_error <= 0.5 * p.tol:
+            try:
+                eps = epsilon_integral(IntegralParams(n, a, p.tol - t_error))
+            except AccuracyError:
+                pass
+            else:
+                value = (-t if n % 2 else t) + eps.value
+                estimate = eps.abs_error_estimate + t_error + 2.0 * _EPS * abs(value)
+                if estimate <= p.tol:
+                    return QuadResult(value, estimate, eps.evaluations)
     return _j_quadrature(p)
 
 

@@ -22,9 +22,9 @@ from .approximants import approximant, bound, drz_approx, sigma
 from .quadrature import (
     AccuracyError,
     IntegralParams,
+    _j_quadrature,
     epsilon_integral,
     finite_check_integrals,
-    j_integral,
 )
 from .specfun import gamma_half_ratio, gauss_f, theta_psi
 
@@ -136,6 +136,10 @@ class _Samples:
     magnitude; J is integrated to DEFAULT_TOL.  A failed quadrature is not
     stored: asked again, it raises again.
 
+    J is always the direct quadrature of its defining integral, never
+    ``j_integral``'s route sigma*T + eps, so the consistency, modular and drz
+    checks test an integral computed independently of T and eps.
+
     B and eps at a power of two a > 1 are read off the sample at 1/a, by
     B_n(a) = a^(-3/2) B_n(1/a) and eps_n(a) = sigma(n) a^(-3/2) eps_n(1/a);
     the tolerance 1e-6 B_n(1/a) scales to exactly 1e-6 B_n(a).  Other a,
@@ -150,7 +154,7 @@ class _Samples:
         )
         self.bound = lambda n, a: a ** -1.5 * bound_at(n, 1.0 / a) if _folds(a) else bound_at(n, a)
         self.eps = lambda n, a: sigma(n) * a ** -1.5 * eps_at(n, 1.0 / a) if _folds(a) else eps_at(n, a)
-        self.j = functools.cache(lambda n, a: j_integral(IntegralParams(n, a)).value)
+        self.j = functools.cache(lambda n, a: _j_quadrature(IntegralParams(n, a)).value)
 
 
 def reproduce_table(table_id: int) -> list[TableRow]:

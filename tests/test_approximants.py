@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -26,7 +27,7 @@ from ramanujan_integrals import (
     t_odd,
     u_scaled,
 )
-from ramanujan_integrals import approximants
+from ramanujan_integrals import approximants, specfun
 from reference_tables import fourth_digit_tol
 
 PI = math.pi
@@ -94,6 +95,9 @@ class TestNIndexedCore:
     )
     def test_approximant_against_32_digit_references(self, n, a, reference):
         assert approximant(n, a) == pytest.approx(float(reference), rel=1e-13, abs=0.0)
+        # the rounding bound that j_integral's route sigma*T + eps spends
+        t, error = specfun._approximant(n, a)
+        assert abs(Fraction(t) - Fraction(reference)) <= error
 
     @pytest.mark.parametrize("n", [1, 2, 10, 1736])
     def test_approximant_at_top_of_float_range(self, n):

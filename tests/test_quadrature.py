@@ -181,14 +181,20 @@ class TestIntegrate:
         assert "level budget" in message
         assert "roundoff floor" not in message
 
-    def test_failure_names_the_roundoff_floor(self):
-        # 2(n + 8) ulps of J_30(1) ~ 2e-16 alone exceed the 1e-20 request
+    def test_failure_names_the_roundoff_floor(self, monkeypatch):
+        # 2(n + 8) ulps of J_30(1) ~ 2e-16 alone exceed the 1e-20 request; so
+        # does T's rounding bound, so no eps quadrature runs before the direct one
+        expsinh = quadrature._integrate_expsinh
+        calls = []
+        monkeypatch.setattr(quadrature, "_integrate_expsinh", lambda *args: calls.append(args) or expsinh(*args))
         with pytest.raises(AccuracyError) as excinfo:
             j_integral(IntegralParams(30, 1.0, tol=1e-20))
         message = str(excinfo.value)
         assert "roundoff floor" in message
         assert "level budget" not in message
         assert excinfo.value.result.value == pytest.approx(0.0083458190634480, abs=1e-15)
+        assert len(calls) == 1
+        assert excinfo.value.result.evaluations == 21560
 
     def test_determinism(self):
         a = integrate(lambda t: math.exp(-t) / (1.0 + t), 0.0, math.inf)
@@ -272,8 +278,9 @@ class TestJIntegral:
     def test_large_index_against_decomposition(self, n, a):
         # independent route J = sigma*T + eps: recurrence Gauss values in T, a
         # different integrand in eps; the power-sum integrand raised or went
-        # wrong from n ~ 20 on
-        res = j_integral(IntegralParams(n, a))
+        # wrong from n ~ 20 on.  j_integral itself takes that route here, so
+        # the direct quadrature is the one tested
+        res = quadrature._j_quadrature(IntegralParams(n, a))
         t = t_even(n // 2, a) if n % 2 == 0 else t_odd((n - 1) // 2, a)
         closed = sigma(n) * t
         eps = epsilon_integral(IntegralParams(n, a, tol=1e-18)).value
@@ -281,8 +288,10 @@ class TestJIntegral:
 
     @pytest.mark.parametrize("n,evaluations", [(30, 364), (200, 1432)], ids=["30", "200"])
     def test_evaluation_count_snapshot(self, n, evaluations):
-        # exact and machine-independent: a change here is a change in cost
-        assert j_integral(IntegralParams(n, 1.0)).evaluations == evaluations
+        # exact and machine-independent: a change here is a change in cost of
+        # the direct quadrature, which j_integral takes from n = 11 on only
+        # where sigma*T + eps cannot meet the tolerance
+        assert quadrature._j_quadrature(IntegralParams(n, 1.0)).evaluations == evaluations
 
     @pytest.mark.parametrize("n", [0, 5, 10])
     def test_cost_is_flat_in_scale(self, n):
@@ -307,7 +316,7 @@ class TestJIntegral:
         ids=["0-2.34e-08", "38-0.1731", "184-2.788", "5-4pi"],
     )
     def test_bitwise_snapshot(self, n, a, value, estimate, evaluations):
-        res = j_integral(IntegralParams(n, a))
+        res = quadrature._j_quadrature(IntegralParams(n, a))
         assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 10])
@@ -400,6 +409,76 @@ class TestJSeries:
         with pytest.raises(AccuracyError):
             j_integral(IntegralParams(0, 1e4, tol=1e-300))
         assert len(calls) == 1
+
+
+class TestJTheorem:
+    """Below the series seam, from n = 11 on, j_integral returns sigma*T + eps
+    where T's rounding and eps's quadrature fit the tolerance, and the direct
+    quadrature of the defining integral otherwise."""
+
+    @pytest.mark.parametrize(
+        "n,a,value,estimate,evaluations",
+        [
+            (30, 1.0, 0.008345819063448038, 5.002162802794572e-16, 35),
+            (200, 1.0, 0.0034204905668463394, 9.89030505236486e-16, 29),
+            (184, 2.788, 0.002158635625593383, 4.1792580530386516e-16, 31),
+        ],
+        ids=["30-1", "200-1", "184-2.788"],
+    )
+    def test_bitwise_snapshot(self, n, a, value, estimate, evaluations):
+        res = j_integral(IntegralParams(n, a))
+        assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
+
+    def test_large_index_pool_points(self):
+        # the index-sweep points above n = 200, where the benchmark runs no J:
+        # the reference is sigma*t + eps from the pool's 32-digit T and eps
+        with open(_POOL) as fh:
+            points = [p for p in json.load(fh)["index-sweep"] if p["n"] > 200]
+        assert len(points) == 12
+        for point in points:
+            n, a, ref = point["n"], point["a"], point["ref"]
+            res = j_integral(IntegralParams(n, a))
+            exact = sigma(n) * Fraction(ref["t"]) + Fraction(ref["eps"])
+            assert abs(Fraction(res.value) - exact) <= res.abs_error_estimate, (n, a)
+
+    @pytest.mark.parametrize("n", [11, 12, 15, 20, 30, 50, 100, 200])
+    def test_within_estimate_of_the_direct_quadrature(self, n):
+        # quarter-decade a below the seam; the direct quadrature's own error
+        # is charged to the route, so this is stricter than the estimate needs
+        routed = 0
+        for e in range(-12, 16):
+            a = 10.0 ** (e / 4)
+            if a >= 50.0 * (n + 2):
+                continue
+            res = j_integral(IntegralParams(n, a))
+            direct = quadrature._j_quadrature(IntegralParams(n, a))
+            if res != direct:
+                routed += 1
+                assert abs(res.value - direct.value) <= res.abs_error_estimate, a
+        assert routed >= 15
+
+    @pytest.mark.parametrize("n,a", [(10, 1.0), (30, 1e-3), (200, 1e-2)])
+    def test_direct_quadrature_below_the_cost_seam_or_the_budget(self, monkeypatch, n, a):
+        # n = 10 is below the cost seam; at small a T ~ 1/a rounds by more
+        # than half the tolerance, so no eps quadrature runs
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = j_integral(IntegralParams(n, a))
+        assert len(calls) == 1
+        assert res == quadrature._j_quadrature(IntegralParams(n, a))
+
+    def test_failed_remainder_falls_back(self, monkeypatch):
+        def fail(p):
+            raise AccuracyError("forced failure", QuadResult(0.0, 1.0, 1))
+
+        monkeypatch.setattr(quadrature, "epsilon_integral", fail)
+        assert j_integral(IntegralParams(30, 1.0)) == quadrature._j_quadrature(IntegralParams(30, 1.0))
+
+    @pytest.mark.parametrize("n", [11, 30, 100, 1000, 2000])
+    def test_no_cost_cliff_in_index(self, n):
+        # the direct quadrature took 1 432 evaluations at (200, 1) and 5 641
+        # at (2000, 1)
+        for a in (0.1, 0.3, 1.0, 3.0, 10.0):
+            assert j_integral(IntegralParams(n, a)).evaluations <= 100, a
 
 
 class TestErrorEstimateHolds:

@@ -150,7 +150,7 @@ class TestRunSuite:
             raise AccuracyError("forced failure", QuadResult(0.0, 1.0, 1))
 
         monkeypatch.setattr(verify, "epsilon_integral", fail)
-        monkeypatch.setattr(verify, "j_integral", fail)
+        monkeypatch.setattr(verify, "_j_quadrature", fail)
         report = run_suite()
         groups = {g: [c for c in report.checks if c.name.split("/")[0] == g] for g in ALL_CHECK_GROUPS}
         # groups without J or eps quadratures still run and pass
@@ -174,27 +174,27 @@ class TestRunSuite:
             def wrapper(*args):
                 n, a = (args[0].n, args[0].a) if len(args) == 1 else args
                 # the suite has no tolerance setting: every J is at the default
-                assert name != "j_integral" or args[0].tol == DEFAULT_TOL
+                assert name != "_j_quadrature" or args[0].tol == DEFAULT_TOL
                 # eps and B at a and 1/a are one sample; J at a and 1/a are two
-                calls[name, n, a if name == "j_integral" else min(a, 1.0 / a)] += 1
+                calls[name, n, a if name == "_j_quadrature" else min(a, 1.0 / a)] += 1
                 return fn(*args)
 
             return wrapper
 
-        for name in ("j_integral", "epsilon_integral", "bound"):
+        for name in ("_j_quadrature", "epsilon_integral", "bound"):
             monkeypatch.setattr(verify, name, counting(name))
         # the groups share their J, eps and B samples: no key is computed twice
         run_suite()
         assert len(calls) > 50
         assert max(calls.values()) == 1
-        assert {key[0] for key in calls} == {"j_integral", "epsilon_integral", "bound"}
+        assert {key[0] for key in calls} == {"_j_quadrature", "epsilon_integral", "bound"}
         # modular reads J at a and 1/a from one sample per (n, a) point, and
         # nothing is kept from one run to the next
         for _ in range(2):
             calls.clear()
             run_suite(TolProfile(checks=("modular",)))
             assert sum(calls.values()) == 12
-            assert {key[0] for key in calls} == {"j_integral"}
+            assert {key[0] for key in calls} == {"_j_quadrature"}
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("a", [0.9, 1.1])
