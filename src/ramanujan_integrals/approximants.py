@@ -176,7 +176,10 @@ def drz_approx(n: int, a: float) -> float:
 
 def ramanujan_i(alpha: float) -> float:
     """I(alpha) = alpha^(-1/4) * (1 + 4*alpha*J_0(alpha/pi)), with J_0 from
-    ``j_integral``: its series from about alpha = 100 pi up, quadrature below.
+    ``j_integral``: its large-a series from alpha = 100 pi up, its small-a
+    series from alpha = pi/100 down, and quadrature between.  Outside that
+    range both sides of I(alpha) = I(pi^2/alpha) are series sums and agree to
+    a few ulps.
 
     Satisfies the functional equation I(alpha) = I(beta) with alpha*beta = pi^2.
     Finite over the whole float range: alpha*J_0 is formed before the factor

@@ -19,12 +19,13 @@ its float spacing is sampled at the endpoint itself.
 
 Two members of the family need no quadrature where a series converges
 fast: ``u_scaled`` at small argument (its Kummer series) and ``j_integral``
-at large scale (its Bernoulli-Laplace series, ``_j_series``).  Each keeps the
-quadrature on the other side of its seam.  Below its seam and from n = 11 on,
-``j_integral`` integrates the paper's remainder eps_n instead of its own
-integrand, J = sigma*T + eps, and keeps its own quadrature (``_j_quadrature``)
-as the fallback where T's rounding or eps's quadrature would miss the
-tolerance.
+at large and at small scale (its two Bernoulli series, ``_j_series``, with
+the same terms in powers of 1/(pi a) and of a/pi).  ``u_scaled`` keeps
+the quadrature above its seam, ``j_integral`` between its two.  There, from
+n = 11 on, ``j_integral`` integrates the paper's remainder eps_n instead of
+its own integrand, J = sigma*T + eps, and keeps its own quadrature
+(``_j_quadrature``) as the fallback where T's rounding or eps's quadrature
+would miss the tolerance.
 
 Determinism: node tables are fixed per level and summation order is fixed, so
 identical inputs give bitwise-identical results.
@@ -33,6 +34,7 @@ identical inputs give bitwise-identical results.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -80,14 +82,15 @@ _U_MAX = 690.0
 # u_scaled sums its Kummer series at and below this (n + 1)*z, and integrates
 # above it.
 _SERIES_SEAM = 0.1
-# j_integral sums its Bernoulli-Laplace series at and above a = _J_SEAM*(n + 2)
-# for n <= _J_SERIES_MAX_N, and integrates below it.
+# For n <= _J_SERIES_MAX_N j_integral sums its Bernoulli series at and above
+# a = _J_SEAM*(n + 2) and at and below a = 1/(_J_SEAM*(n + 2)), and integrates
+# between them.
 _J_SEAM = 50.0
 _J_SERIES_MAX_N = 2000
-# Below that seam j_integral takes J = sigma*T + eps from this n up, where the
-# Laguerre recurrence's n steps per sample cost more than eps's two theta
-# sums.  A cost rule, not an accuracy rule: below it the direct quadrature
-# takes no more time.
+# Between those seams j_integral takes J = sigma*T + eps from this n up,
+# where the Laguerre recurrence's n steps per sample cost more than eps's two
+# theta sums.  A cost rule, not an accuracy rule: below it the direct
+# quadrature takes no more time.
 _J_THEOREM_MIN_N = 11
 
 
@@ -381,11 +384,53 @@ def _bose_factor(x: float) -> float:
     return x * em / -math.expm1(-2.0 * math.pi * x)
 
 
-def _j_series(n: int, a: float) -> QuadResult:
-    """J_n(a) by its Bernoulli-Laplace series in s = (pi a)^(-1/2).
+def _bernoulli_terms(n: int, x: float, power: float, sign: float):
+    """Yield (-1)^(j+1) sign 2 zeta(2j) g_j P_j for j = 1, 2, ..., where
+    g_1 = ``power`` and g_(j+1) = (j + 1/2) x g_j: Gamma(j + 1/2) x^j up to
+    a constant factor, built multiplicatively.
 
-    Expanding x/(e^(2 pi x) - 1) by DLMF 24.2.1 and integrating term by term
-    with DLMF 13.10.3 gives, with H_n(b) = 2F1(-n, b; 3/2; 2),
+    P_j = 2F1(-n, 1 - j; 3/2; 2) is a sum of min(n, j - 1) + 1 positive
+    terms, and zeta(2j) follows from zeta(2) = pi^2/6 by
+    (j + 1/2) zeta(2j) = sum_{k=1}^{j-1} zeta(2k) zeta(2j - 2k), whose terms
+    are positive too.
+    """
+    zetas: list[float] = []  # zeta(2), ..., zeta(2j)
+    while True:
+        j = len(zetas) + 1
+        zetas.append(sum(u * v for u, v in zip(zetas, reversed(zetas))) / (j + 0.5) if j > 1 else math.pi ** 2 / 6.0)
+        p = c = 1.0
+        for k in range(j - 1):  # from k = n on, c is 0.0
+            c *= 2.0 * (n - k) * (j - 1 - k) / ((k + 1.5) * (k + 1))
+            p += c
+        yield (sign if j % 2 else -sign) * 2.0 * zetas[-1] * power * p
+        power *= (j + 0.5) * x
+
+
+def _sum_asymptotic(first: float, terms) -> tuple[float, float, float, int]:
+    """Sum ``first`` and then ``terms`` up to the first term that is larger
+    than the one before it or below 1e-17 of the sum.
+
+    Returns the sum, the sum of magnitudes, the magnitude of that first
+    omitted term and the number of terms summed, ``first`` included.
+    """
+    total = first
+    mass = previous = abs(first)
+    count = 1
+    for term in terms:
+        if not 1e-17 * abs(total) <= abs(term) <= previous:
+            break
+        total += term
+        mass += abs(term)
+        previous = abs(term)
+        count += 1
+    return total, mass, abs(term), count
+
+
+def _j_series(n: int, a: float) -> QuadResult:
+    """J_n(a) by its Bernoulli series: in s^2 = 1/(pi a) for a >= 1, in a/pi below.
+
+    Large a.  Expanding x/(e^(2 pi x) - 1) by DLMF 24.2.1 and integrating term
+    by term with DLMF 13.10.3 gives, with H_n(b) = 2F1(-n, b; 3/2; 2),
 
         J_n(a) ~ (1/4 pi) [sqrt(pi) s H_n(1/2) - pi s^2 H_n(1)
                  + sum_{j>=1} (-1)^(j+1) 2 zeta(2j) Gamma(j + 1/2) s^(2j+1) H_n(j + 1/2)],
@@ -393,56 +438,57 @@ def _j_series(n: int, a: float) -> QuadResult:
     since B_2j (2 pi)^(2j)/(2j)! = (-1)^(j+1) 2 zeta(2j) (DLMF 25.6.2).  By
     Pfaff's transformation (DLMF 15.8.1) H_n(b) = (-1)^n H_n(3/2 - b), so
     H_n(1/2) = (-1)^n F_n with F_n = H_n(1) = gauss_f(n), and H_n(j + 1/2) =
-    (-1)^n P_j, where P_j = 2F1(-n, 1 - j; 3/2; 2) is a sum of min(n, j - 1) + 1
-    positive terms, so the only O(n) work is F_n.  zeta(2j) follows from
-    zeta(2) = pi^2/6 by (j + 1/2) zeta(2j) = sum_{k=1}^{j-1} zeta(2k) zeta(2j - 2k),
-    whose terms are positive too.  Gamma(j + 1/2) s^(2j) is built multiplicatively and s as
+    (-1)^n P_j, where P_j = 2F1(-n, 1 - j; 3/2; 2) is a sum of positive terms
+    (``_bernoulli_terms``), so the only O(n) work is F_n.  s is formed as
     1/(sqrt(pi) sqrt(a)), so nothing overflows up to the largest float.
 
-    The series is asymptotic; its terms grow like (n/(pi a))^j j!.  The sum
-    stops at the first term that is larger than the one before it or below
-    1e-17 of the sum, and the estimate is that omitted term plus
-    ``_index_roundoff(n)`` ulps of the sum of magnitudes, for the rounding of
-    F_n (``gauss_f`` is within 4.9e-15 relative for n <= 5000).
-    ``evaluations`` is the number of terms summed.
+    Small a.  Expanding e^(-pi a x^2) 1F1(-n; 3/2; 2 pi a x^2) in powers of a
+    (its x^(2k) coefficient is (-pi a)^k P_(k+1)/k!) and integrating term by
+    term with integral_0^inf x^(2j-1)/(e^(2 pi x) - 1) dx =
+    (2j-1)! zeta(2j)/(2 pi)^(2j) (DLMF 25.5.1) gives the same terms in
+    powers of a/pi instead,
+
+        J_n(a) ~ 1/(4 pi^(5/2)) sum_{j>=1} (-1)^(j+1) 2 zeta(2j) Gamma(j + 1/2) (a/pi)^(j-1) P_j,
+
+    whose first term is exactly 1/24.  The power starts at Gamma(3/2) for
+    j = 1, so nothing is divided by a and nothing overflows down to
+    a = 5e-324, where the later terms underflow to 0.0.
+
+    Both series are asymptotic; their terms grow like (n/(pi a))^j j! and
+    (n a/pi)^j j!.  Each stops at the first term that is larger than the one
+    before it or below 1e-17 of the sum (``_sum_asymptotic``), and the
+    estimate is that omitted term plus ``_index_roundoff(n)`` ulps of the sum
+    of magnitudes, for the rounding of F_n (``gauss_f`` is within 4.9e-15
+    relative for n <= 5000) and of P_j.  ``evaluations`` is the number of
+    terms summed.
     """
-    s = 1.0 / (_SQRT_PI * math.sqrt(a))
-    s2 = s * s
-    sign = -1.0 if n % 2 else 1.0
-    f = sign * gauss_f(n)  # H_n(1/2) = (-1)^n F_n
-    total = _SQRT_PI * f
-    mass = abs(total)
-    term = -sign * math.pi * s * f
-    previous = math.inf
-    zetas: list[float] = []  # zeta(2), ..., zeta(2j)
-    power = _SQRT_PI  # Gamma(j + 1/2) s^(2j)
-    while 1e-17 * abs(total) <= abs(term) <= previous:
-        total += term
-        mass += abs(term)
-        previous = abs(term)
-        j = len(zetas) + 1
-        zetas.append(sum(x * y for x, y in zip(zetas, reversed(zetas))) / (j + 0.5) if j > 1 else math.pi ** 2 / 6.0)
-        power *= (j - 0.5) * s2
-        p = c = 1.0
-        for k in range(j - 1):  # from k = n on, c is 0.0
-            c *= 2.0 * (n - k) * (j - 1 - k) / ((k + 1.5) * (k + 1))
-            p += c
-        term = (sign if j % 2 else -sign) * 2.0 * zetas[-1] * power * p
-    scale = s / (4.0 * math.pi)
-    return QuadResult(total * scale, (abs(term) + _index_roundoff(n) * _EPS * mass) * scale, len(zetas) + 1)
+    if a < 1.0:
+        terms = _bernoulli_terms(n, a / math.pi, 0.5 * _SQRT_PI, 1.0)
+        first, scale = next(terms), 0.25 / math.pi ** 2.5
+    else:
+        s = 1.0 / (_SQRT_PI * math.sqrt(a))
+        s2 = s * s
+        sign = -1.0 if n % 2 else 1.0
+        f = sign * gauss_f(n)  # H_n(1/2) = (-1)^n F_n
+        # Gamma(j + 1/2) s^(2j) from j = 1
+        terms = itertools.chain((-sign * math.pi * s * f,), _bernoulli_terms(n, s2, _SQRT_PI * (0.5 * s2), sign))
+        first, scale = _SQRT_PI * f, s / (4.0 * math.pi)
+    total, mass, omitted, count = _sum_asymptotic(first, terms)
+    return QuadResult(total * scale, (omitted + _index_roundoff(n) * _EPS * mass) * scale, count)
 
 
 def j_integral(p: IntegralParams) -> QuadResult:
     """J_n(a) = integral_0^inf x e^(-pi a x^2)/(e^(2 pi x)-1) 1F1(-n;3/2;2 pi a x^2) dx,
     to the absolute ``p.tol``: the estimate returned never exceeds it.
 
-    At and above a = 50(n + 2), for n <= 2000, J_n(a) is the sum of its
-    Bernoulli-Laplace series (``_j_series``): at most a dozen terms, no
-    quadrature, and the value keeps full relative precision up to the largest
-    float, where J_n(a) ~ (-1)^n F_n/(4 pi sqrt(a)).  Its estimate is the first
-    omitted term plus 2(n + 8) ulps.
+    At and above a = 50(n + 2), and at and below its mirror a = 1/(50(n + 2)),
+    for n <= 2000, J_n(a) is the sum of its Bernoulli series (``_j_series``):
+    at most a dozen terms, no quadrature, and the value keeps full relative
+    precision at both ends of the float range, where J_n(a) ~
+    (-1)^n F_n/(4 pi sqrt(a)) and J_n(a) -> 1/24.  Its estimate is the first
+    omitted term plus 2(n + 8) ulps of the terms' magnitudes.
 
-    Below that seam, from n = 11 on, J_n(a) is the paper's theorem
+    Between the seams, from n = 11 on, J_n(a) is the paper's theorem
     sigma*T_n(a) + eps_n(a): T in closed form (``specfun._approximant``) and
     eps by ``epsilon_integral``, whose integrand costs O(1) per sample where
     the defining one costs O(n).  The route is taken when T's rounding bound,
@@ -457,8 +503,9 @@ def j_integral(p: IntegralParams) -> QuadResult:
     still raises.  Its Kummer factor is evaluated by the stable Laguerre
     recurrence with the Bose factor and the Gaussian e^(-z/2) folded into its
     start values, so no intermediate value overflows and the cost per sample
-    is O(n) at full accuracy for every n.  Its estimate is never below the
-    integrand's roundoff floor, 2(n + 8) ulps of integral |f|.
+    is O(n) for every n.  Its estimate is never below the integrand's
+    roundoff floor, 2(n + 8) ulps of integral |f|; at large n just above the
+    small-a seam the true error exceeds it, by 3.9 times at (2000, 1e-5).
 
     Above a = 4 pi the Gaussian's length 1/sqrt(pi a) is shorter than the
     Bose factor's 1/(2 pi), so the quadrature samples at length
@@ -467,7 +514,7 @@ def j_integral(p: IntegralParams) -> QuadResult:
     factor overflows, from J_n(5e-324) ~ 1/24 to J_n(1.8e308) ~ 1e-156.
     """
     n, a = p.n, p.a
-    if n <= _J_SERIES_MAX_N and a >= _J_SEAM * (n + 2):
+    if n <= _J_SERIES_MAX_N and not 1.0 / (_J_SEAM * (n + 2)) < a < _J_SEAM * (n + 2):
         series = _j_series(n, a)
         if series.abs_error_estimate <= p.tol:
             return series

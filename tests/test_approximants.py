@@ -27,7 +27,7 @@ from ramanujan_integrals import (
     t_odd,
     u_scaled,
 )
-from ramanujan_integrals import approximants, specfun
+from ramanujan_integrals import approximants, quadrature, specfun
 from reference_tables import fourth_digit_tol
 
 PI = math.pi
@@ -466,6 +466,19 @@ class TestRamanujanI:
         # from alpha = 1e16 up; its Bernoulli-Laplace series keeps full precision
         gap = ramanujan_i(alpha) / ramanujan_i(PI ** 2 / alpha) - 1.0
         assert abs(gap) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [1e3, 1e6, 1e10])
+    def test_functional_equation_in_the_mid_range(self, alpha):
+        # J_0(alpha/pi) is the large-a series and J_0(beta/pi) the small-a
+        # one, which share their terms; the small side is also checked
+        # against the quadrature asked for 1e-12 relative, so the two series
+        # are not compared only with each other
+        beta = PI ** 2 / alpha
+        gap = ramanujan_i(alpha) / ramanujan_i(beta) - 1.0
+        assert abs(gap) <= 1e-14
+        small = j_integral(IntegralParams(0, beta / PI)).value
+        oracle = quadrature._j_quadrature(IntegralParams(0, beta / PI, 1e-12 * small)).value
+        assert small == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_functional_equation_at_top_of_float_range(self):
         # 4*alpha overflowed from alpha = 4.5e307 and J_0's 2*pi*a from 9e307:

@@ -296,10 +296,12 @@ class TestJIntegral:
     @pytest.mark.parametrize("n", [0, 5, 10])
     def test_cost_is_flat_in_scale(self, n):
         # at large a the Gaussian squeezes the integrand towards x = 0, where
-        # exp-sinh nodes are sparse unless x is taken in its own length scale
-        at_one = j_integral(IntegralParams(n, 1.0)).evaluations
+        # exp-sinh nodes are sparse unless x is taken in its own length scale;
+        # j_integral sums its series at both ends, so the direct quadrature,
+        # its fallback, is the one tested
+        at_one = quadrature._j_quadrature(IntegralParams(n, 1.0)).evaluations
         for e in range(-8, 9):
-            assert j_integral(IntegralParams(n, 10.0 ** e)).evaluations <= 2 * at_one, e
+            assert quadrature._j_quadrature(IntegralParams(n, 10.0 ** e)).evaluations <= 2 * at_one, e
 
     @pytest.mark.parametrize(
         "n,a,value,estimate,evaluations",
@@ -411,8 +413,75 @@ class TestJSeries:
         assert len(calls) == 1
 
 
+class TestJSmallSeries:
+    """At and below a = 1/(50(n + 2)), n <= 2000, J_n(a) is its small-a
+    Bernoulli series, the same terms as TestJSeries's in powers of a/pi."""
+
+    @staticmethod
+    def _seam(n):
+        return 1.0 / (50.0 * (n + 2))
+
+    def _points(self, n):
+        seam = self._seam(n)
+        return [seam, seam / 10.0] + [a for a in (1e-6, 1e-8, 1e-100, 5e-324) if a <= seam]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 10, 30, 200, 500, 1000, 2000])
+    def test_against_mpmath_series(self, n):
+        # the series summed to 40 digits, with Q_k = 2F1(-n, -k; 3/2; 2) and
+        # zeta from mpmath, ten terms past where the binary64 sum stopped, so
+        # the estimate is charged with the truncation as well as the rounding
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for a in self._points(n):
+                res = j_integral(IntegralParams(n, a))
+                x = mp.mpf(a)
+                total = 0
+                for k in range(res.evaluations + 10):
+                    total += (
+                        (-x) ** k * mp.factorial(2 * k + 1) * mp.zeta(2 * k + 2) * mp.hyp2f1(-n, -k, 1.5, 2)
+                        / (mp.factorial(k) * 4 ** (k + 1) * mp.pi ** (k + 2))
+                    )
+                assert abs(mp.mpf(res.value) - total) <= res.abs_error_estimate, a
+
+    @pytest.mark.parametrize(
+        "n,a,value,estimate,evaluations",
+        [
+            (0, 5e-324, 0.041666666666666664, 1.4802973661668753e-16, 1),
+            (10, 1.0 / 600.0, 0.0413572874939024, 3.3572111428331775e-16, 9),
+        ],
+        ids=["0-5e-324", "10-seam"],
+    )
+    def test_bitwise_snapshot(self, monkeypatch, n, a, value, estimate, evaluations):
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = j_integral(IntegralParams(n, a))
+        assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 200, 500, 1000, 2000])
+    def test_no_quadrature_at_or_below_the_seam(self, monkeypatch, n):
+        # the direct quadrature took 107 evaluations at (0, 2.34e-8) and 377
+        # at (2000, 1e-8), and tens of milliseconds at n = 2000
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        for a in self._points(n):
+            assert j_integral(IntegralParams(n, a)).evaluations <= 12, a
+        assert calls == []
+        if n <= 10:  # above the seam the quadrature runs, as it always did
+            j_integral(IntegralParams(n, math.nextafter(self._seam(n), math.inf)))
+            assert len(calls) == 1
+
+    def test_unattainable_tolerance_reaches_the_quadrature(self, monkeypatch):
+        # the series estimate is above 1e-300, so the request falls through to
+        # the quadrature, which raises as it did before the series
+        driver = quadrature._integrate_expsinh
+        calls = []
+        monkeypatch.setattr(quadrature, "_integrate_expsinh", lambda *args: calls.append(args) or driver(*args))
+        with pytest.raises(AccuracyError):
+            j_integral(IntegralParams(0, 1e-4, tol=1e-300))
+        assert len(calls) == 1
+
+
 class TestJTheorem:
-    """Below the series seam, from n = 11 on, j_integral returns sigma*T + eps
+    """Between the series seams, from n = 11 on, j_integral returns sigma*T + eps
     where T's rounding and eps's quadrature fit the tolerance, and the direct
     quadrature of the defining integral otherwise."""
 
@@ -511,6 +580,12 @@ class TestErrorEstimateHolds:
             (0, 1289.0, "2.1556435945686762938845231890091e-3"),
             (8, 1875.0, "4.3198349138067421213801297523363e-4"),
             (10, 3174000.0, "9.5682725660252386290743419636436e-6"),
+            # at and below a = 1/(50(n + 2)), where J_n(a) is the sum of its
+            # small-a series; the direct quadrature missed these by 2.56, 1.90
+            # and 1.19 times its estimate
+            (2000, 1e-8, "4.1666317474097265860711115887563e-2"),
+            (2000, 1e-6, "4.1631788746612692954705743440076e-2"),
+            (500, 1e-6, "4.1657929548462858829225089436137e-2"),
         ],
     )
     def test_j_integral(self, n, a, reference):
