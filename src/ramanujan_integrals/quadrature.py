@@ -82,11 +82,9 @@ _U_MAX = 690.0
 # u_scaled sums its Kummer series at and below this (n + 1)*z, and integrates
 # above it.
 _SERIES_SEAM = 0.1
-# For n <= _J_SERIES_MAX_N j_integral sums its Bernoulli series at and above
-# a = _J_SEAM*(n + 2) and at and below a = 1/(_J_SEAM*(n + 2)), and integrates
-# between them.
+# j_integral sums its Bernoulli series at and above a = _J_SEAM*(n + 2) and at
+# and below a = 1/(_J_SEAM*(n + 2)), and integrates between them.
 _J_SEAM = 50.0
-_J_SERIES_MAX_N = 2000
 # Between those seams j_integral takes J = sigma*T + eps from this n up,
 # where the Laguerre recurrence's n steps per sample cost more than eps's two
 # theta sums.  A cost rule, not an accuracy rule: below it the direct
@@ -458,8 +456,8 @@ def _j_series(n: int, a: float) -> QuadResult:
     (n a/pi)^j j!.  Each stops at the first term that is larger than the one
     before it or below 1e-17 of the sum (``_sum_asymptotic``), and the
     estimate is that omitted term plus ``_index_roundoff(n)`` ulps of the sum
-    of magnitudes, for the rounding of F_n (``gauss_f`` is within 4.9e-15
-    relative for n <= 5000) and of P_j.  ``evaluations`` is the number of
+    of magnitudes, for the rounding of F_n (``gauss_f`` is within 1.1e-14
+    relative for n <= 50 000) and of P_j.  ``evaluations`` is the number of
     terms summed.
     """
     if a < 1.0:
@@ -482,11 +480,11 @@ def j_integral(p: IntegralParams) -> QuadResult:
     to the absolute ``p.tol``: the estimate returned never exceeds it.
 
     At and above a = 50(n + 2), and at and below its mirror a = 1/(50(n + 2)),
-    for n <= 2000, J_n(a) is the sum of its Bernoulli series (``_j_series``):
-    at most a dozen terms, no quadrature, and the value keeps full relative
-    precision at both ends of the float range, where J_n(a) ~
-    (-1)^n F_n/(4 pi sqrt(a)) and J_n(a) -> 1/24.  Its estimate is the first
-    omitted term plus 2(n + 8) ulps of the terms' magnitudes.
+    J_n(a) is the sum of its Bernoulli series (``_j_series``): at most a
+    dozen terms, no quadrature, and full relative precision at both ends of
+    the float range, where J_n(a) ~ (-1)^n F_n/(4 pi sqrt(a)) and -> 1/24.
+    Its estimate, the first omitted term plus 2(n + 8) ulps of the terms'
+    magnitudes, exceeds 1e-13 on the small-a side from n = 5351 on.
 
     Between the seams, from n = 11 on, J_n(a) is the paper's theorem
     sigma*T_n(a) + eps_n(a): T in closed form (``specfun._approximant``) and
@@ -514,7 +512,7 @@ def j_integral(p: IntegralParams) -> QuadResult:
     factor overflows, from J_n(5e-324) ~ 1/24 to J_n(1.8e308) ~ 1e-156.
     """
     n, a = p.n, p.a
-    if n <= _J_SERIES_MAX_N and not 1.0 / (_J_SEAM * (n + 2)) < a < _J_SEAM * (n + 2):
+    if not 1.0 / (_J_SEAM * (n + 2)) < a < _J_SEAM * (n + 2):
         series = _j_series(n, a)
         if series.abs_error_estimate <= p.tol:
             return series

@@ -114,6 +114,9 @@ class TestNIndexedCore:
             fn(0, 1.0)
         with pytest.raises(ValueError):
             fn(1, 0.0)
+        for n in (2.5, 2.0):  # bound(2.5, 1.0) returned 5.98e-6
+            with pytest.raises(ValueError, match=f"n must be a positive integer, got {n}"):
+                fn(n, 1.0)
 
 
 def test_package_exports_are_pinned():

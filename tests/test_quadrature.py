@@ -71,6 +71,11 @@ class TestResultTypes:
             IntegralParams(2, 1.0, tol=0.0)
         with pytest.raises(ValueError):
             IntegralParams(2, math.inf)
+        # a float index is no index, whole or not: j_integral and
+        # epsilon_integral both take theirs from here
+        for n in (2.5, 2.0):
+            with pytest.raises(ValueError, match=f"n must be a non-negative integer, got {n}"):
+                IntegralParams(n, 1.0)
 
 
 class TestIntegrate:
@@ -334,7 +339,7 @@ class TestJIntegral:
 
 
 class TestJSeries:
-    """Above a = 50(n + 2), n <= 2000, J_n(a) is its Bernoulli-Laplace series."""
+    """At and above a = 50(n + 2), J_n(a) is its Bernoulli-Laplace series."""
 
     _TOP = 1.7976931348623157e308
 
@@ -352,20 +357,30 @@ class TestJSeries:
             scale = math.sqrt(a)
             assert scale * series == pytest.approx(scale * oracle, rel=bound, abs=0.0), a
 
-    @pytest.mark.parametrize("n", [500, 1000, 2000])
+    @pytest.mark.parametrize("n", [500, 1000, 2000, 3000, 5000])
     def test_large_index_against_mpmath_series(self, n):
-        # the same series summed to 40 digits, with H_n(b) = 2F1(-n, b; 3/2; 2)
-        # and zeta from mpmath: the binary64 sum lies within its estimate
+        # the same series summed to 60 digits, with zeta from mpmath and
+        # H_n(b) = 2F1(-n, b; 3/2; 2) as H_n(1) = F_n from F_n's recurrence,
+        # H_n(1/2) = (-1)^n F_n and H_n(j + 1/2) = (-1)^n P_j from P_j's finite
+        # sum of positive terms (mpmath's hyp2f1(-5000, 0.5, 1.5, 2) does not
+        # converge): the binary64 sum lies within its estimate
         mp = pytest.importorskip("mpmath")
-        with mp.workdps(40):
-            h = {b: mp.hyp2f1(-n, b, 1.5, 2) for b in (0.5, 1.0)}
+        with mp.workdps(60):
+            previous, f = mp.mpf(0), mp.mpf(1)
+            for m in range(n):
+                previous, f = f, (2 * m * previous - f) / (2 * m + 3)
+            h = {0.5: (-1) ** n * f, 1.0: f}
             for a in (50.0 * (n + 2), 500.0 * (n + 2), 1e100, self._TOP):
                 res = j_integral(IntegralParams(n, a))
                 s = 1 / mp.sqrt(mp.pi * mp.mpf(a))
                 total = mp.sqrt(mp.pi) * s * h[0.5] - mp.pi * s ** 2 * h[1.0]
                 for j in range(1, res.evaluations - 1):
                     if j + 0.5 not in h:
-                        h[j + 0.5] = mp.hyp2f1(-n, j + 0.5, 1.5, 2)
+                        p = c = mp.mpf(1)
+                        for k in range(min(n, j - 1)):
+                            c *= mp.mpf(2 * (n - k) * (j - 1 - k)) / ((k + mp.mpf(1.5)) * (k + 1))
+                            p += c
+                        h[j + 0.5] = (-1) ** n * p
                     total += (-1) ** (j + 1) * 2 * mp.zeta(2 * j) * mp.gamma(j + 0.5) * s ** (2 * j + 1) * h[j + 0.5]
                 assert abs(mp.mpf(res.value) - total / (4 * mp.pi)) <= res.abs_error_estimate, a
 
@@ -391,7 +406,7 @@ class TestJSeries:
         assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
         assert calls == []
 
-    @pytest.mark.parametrize("n", [0, 1, 10, 200, 2000])
+    @pytest.mark.parametrize("n", [0, 1, 10, 200, 2000, 2001, 5000, 10000])
     def test_no_quadrature_at_or_above_the_seam(self, monkeypatch, n):
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         seam = 50.0 * (n + 2)
@@ -414,8 +429,8 @@ class TestJSeries:
 
 
 class TestJSmallSeries:
-    """At and below a = 1/(50(n + 2)), n <= 2000, J_n(a) is its small-a
-    Bernoulli series, the same terms as TestJSeries's in powers of a/pi."""
+    """At and below a = 1/(50(n + 2)), J_n(a) is its small-a Bernoulli
+    series, the same terms as TestJSeries's in powers of a/pi."""
 
     @staticmethod
     def _seam(n):
@@ -425,7 +440,7 @@ class TestJSmallSeries:
         seam = self._seam(n)
         return [seam, seam / 10.0] + [a for a in (1e-6, 1e-8, 1e-100, 5e-324) if a <= seam]
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 10, 30, 200, 500, 1000, 2000])
+    @pytest.mark.parametrize("n", [0, 1, 2, 10, 30, 200, 500, 1000, 2000, 3000, 5000])
     def test_against_mpmath_series(self, n):
         # the series summed to 40 digits, with Q_k = 2F1(-n, -k; 3/2; 2) and
         # zeta from mpmath, ten terms past where the binary64 sum stopped, so
@@ -457,10 +472,12 @@ class TestJSmallSeries:
         assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
         assert calls == []
 
-    @pytest.mark.parametrize("n", [0, 1, 10, 200, 500, 1000, 2000])
+    @pytest.mark.parametrize("n", [0, 1, 10, 200, 500, 1000, 2000, 2001, 3000, 5000])
     def test_no_quadrature_at_or_below_the_seam(self, monkeypatch, n):
         # the direct quadrature took 107 evaluations at (0, 2.34e-8) and 377
-        # at (2000, 1e-8), and tens of milliseconds at n = 2000
+        # at (2000, 1e-8), and 11 193 evaluations and seconds at (5000, 1e-8);
+        # the series estimate exceeds the default tolerance from n = 5351 at
+        # the seam and from n = 5397 at a <= 1e-8
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         for a in self._points(n):
             assert j_integral(IntegralParams(n, a)).evaluations <= 12, a
@@ -586,6 +603,15 @@ class TestErrorEstimateHolds:
             (2000, 1e-8, "4.1666317474097265860711115887563e-2"),
             (2000, 1e-6, "4.1631788746612692954705743440076e-2"),
             (500, 1e-6, "4.1657929548462858829225089436137e-2"),
+            # above n = 2000, where the series now run too; the direct
+            # quadrature missed the first three by 2.56, 7.05 and 2.93 times,
+            # and kept about nine digits at the fourth.  The fourth reference
+            # is sigma*T + eps at 60 digits, since 60-digit quadrature of the
+            # defining integral does not resolve its 2001 Laguerre zeros
+            (2001, 1e-8, "4.1666317299568520803769873307225e-2"),
+            (3000, 1.0 / (50.0 * 3002), "4.1321868520722073566909227642070e-2"),
+            (3000, 1e-8, "4.1666142946395521189791257681686e-2"),
+            (2001, 1e8, "1.1047616027630160430359790756591e-7"),
         ],
     )
     def test_j_integral(self, n, a, reference):
@@ -929,6 +955,9 @@ class TestUScaled:
             u_scaled(-1, 1.0)
         with pytest.raises(ValueError):
             u_scaled(0, 0.0)
+        for n in (2.5, 2.0):
+            with pytest.raises(ValueError, match=f"n must be a non-negative integer, got {n}"):
+                u_scaled(n, 1.0)
 
     def test_infinite_argument_is_a_domain_error(self):
         # z is checked as a scale is everywhere: inf ran a quadrature to NaN
@@ -1009,3 +1038,6 @@ class TestFiniteCheckIntegrals:
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             finite_check_integrals(-1)
+        for m in (2.5, 2.0):
+            with pytest.raises(ValueError, match=f"m must be a non-negative integer, got {m}"):
+                finite_check_integrals(m)
