@@ -32,7 +32,8 @@ _BOUND_COEF = 1.0 / (4.0 * math.sqrt(2.0) * math.pi)
 
 
 def sigma(n: int) -> int:
-    """Sign with which T_n enters J_n = sigma*T_n + eps_n."""
+    """Sign with which T_n enters J_n = sigma*T_n + eps_n, for n >= 0."""
+    _check_index("n", n, 0)
     return -1 if n % 2 else 1
 
 
@@ -133,6 +134,7 @@ def bound_asymptotic(n: int, a: float) -> float:
     Valid for pi/n << a << n/pi; the window is documented, not enforced.
     At a = 1 this reduces to lambda(1)/(4 sqrt(pi)) k^(-1/2) e^(-4 sqrt(pi k)).
     """
+    _check_index("n", n, 0)
     if n < 2:
         raise ValueError("the large-k estimate requires k >= 1")
     if n % 2:

@@ -18,12 +18,14 @@ Nodes are placed relative to the nearest endpoint (``exp(-u)`` and
 its float spacing is sampled at the endpoint itself.
 
 Two members of the family need no quadrature where a series converges
-fast: ``u_scaled`` at small argument (its Kummer series) and ``j_integral``
-at large and at small scale (its two Bernoulli series, ``_j_series``, with
-the same terms in powers of 1/(pi a) and of a/pi).  ``u_scaled`` keeps
-the quadrature above its seam, ``j_integral`` between its two.  There, from
-n = 11 on, ``j_integral`` integrates the paper's remainder eps_n instead of
-its own integrand, J = sigma*T + eps, and keeps its own quadrature
+fast: ``u_scaled`` at small argument (its Kummer series) and, from n = 11
+up, above it (its uniform large-n expansion), and ``j_integral`` at large
+and at small scale (its two Bernoulli series, ``_j_series``, with the same
+terms in powers of 1/(pi a) and of a/pi).  ``u_scaled`` keeps the
+quadrature above its seam below n = 11 and where the expansion does not
+converge, ``j_integral`` between its two seams.  There, from n = 11 on,
+``j_integral`` integrates the paper's remainder eps_n instead of its own
+integrand, J = sigma*T + eps, and keeps its own quadrature
 (``_j_quadrature``) as the fallback where T's rounding or eps's quadrature
 would miss the tolerance.
 
@@ -42,6 +44,7 @@ from typing import Callable
 
 from .specfun import (
     _EPS,
+    _EXPANSION_MIN_N,
     _SQRT_PI,
     _approximant,
     _check_a,
@@ -50,6 +53,8 @@ from .specfun import (
     _kummer_scaled,
     _kummer_series,
     _laguerre_steps,
+    _sum_asymptotic,
+    _u_olver,
     gamma_half_ratio,
     gauss_f,
     theta_psi,
@@ -325,32 +330,48 @@ def u_scaled(n: int, z: float) -> float:
     never formed.  G_n is positive and strictly decreasing in both n and z
     (the integrand is pointwise dominated).
 
-    At and below (n + 1) z = 0.1 the mass spreads over [1, 1/z] and no
-    quadrature runs: the connection formula (DLMF 13.2.42 at b = 1/2)
+    Three routes, none of which costs more as n grows:
 
-        G_n(z) = sqrt(pi) (R(n) M(n+1, 1/2, z) - 2 sqrt(z) M(n+3/2, 3/2, z)),
+    * At and below (n + 1) z = 0.1 the mass spreads over [1, 1/z] and no
+      quadrature runs: the connection formula (DLMF 13.2.42 at b = 1/2)
 
-    with R = gamma_half_ratio and M = 1F1, sums two positive series of at
-    most a dozen terms each.  The subtracted term is at most 0.56 of the
-    first, so about one bit cancels: against 40-digit mpmath for n <= 2000
-    and (n + 1) z down to 5e-324 the error stays below 6.7e-15 relative, of
-    which R(n)'s own rounding is 3.3e-15 at n = 2000.
+          G_n(z) = sqrt(pi) (R(n) M(n+1, 1/2, z) - 2 sqrt(z) M(n+3/2, 3/2, z)),
 
-    Above the seam the integral is as accurate as its integrand, whose power
-    (t/(1+t))**n carries about n/2 ulps: against 40-digit mpmath on
-    quarter-decade z from the seam to 100 it is within 1.5e-14 relative at
-    n = 1000 and 4.6e-14 at n = 2000.  The nodes are placed at length
-    max(t*, min(1, 16/z)), where t* is the integrand's peak, the root of
-    n/t - (n + 3/2)/(1 + t) = z: about 2n/3 for small z and sqrt(n/z) for
-    large nz.  t* is formed with hypot and sqrt(n)*sqrt(z), so nothing
-    overflows up to z = 1.8e308.  Where t* is shorter (small n at large z, or
-    n = 0), 16/z follows the exponential.
+      with R = gamma_half_ratio and M = 1F1, sums two positive series of at
+      most a dozen terms each.  The subtracted term is at most 0.56 of the
+      first, so about one bit cancels: against 40-digit mpmath for n <= 2000
+      and (n + 1) z down to 5e-324 the error stays below 1e-15 relative.
+    * Above that seam, from n = 11 up, G is the sum of its uniform large-n
+      expansion (``specfun._u_olver``, Olver's expansion of the
+      parabolic-cylinder function): 2 to 16 terms, no quadrature.  Its
+      exponent E (about -sqrt((4n + 3) z) for z < 4n + 3) carries about |E|
+      ulps, so G keeps 13 digits even near the bottom of the float range:
+      against 40-digit mpmath on quarter-decade z from the seam to 1e12 it
+      is within 8.6e-15 relative at n = 11 to 30 and 7.7e-14 at n = 1000
+      (the quadrature there: 1.5e-14).  Where 16 terms do not reach 1e-17 of
+      the sum, the quadrature runs instead: at 4 of 615 483 points (every n
+      from 11 to 100 and nine more up to 50 000, 1/20-decade z from the seam
+      to 1e308), each where a pair of terms nearly cancels and the next
+      pair is larger.
+    * Otherwise the integral is summed by exp-sinh quadrature, as accurate as
+      its integrand, whose power (t/(1+t))**n carries about n/2 ulps.  The
+      nodes are placed at length max(t*, min(1, 16/z)), where t* is the
+      integrand's peak, the root of n/t - (n + 3/2)/(1 + t) = z: about 2n/3
+      for small z and sqrt(n/z) for large nz.  t* is formed with hypot and
+      sqrt(n)*sqrt(z), so nothing overflows up to z = 1.8e308.  Where t* is
+      shorter (small n at large z, or n = 0), 16/z follows the exponential.
+      At n in {0, 1, 2, 3, 5, 10} no point costs more than 395 evaluations
+      on quarter-decade z from 1e-12 to 1e12.
     """
     _check_index("n", n, 0)
     _check_a("z", z)
     if (n + 1) * z <= _SERIES_SEAM:
         first = gamma_half_ratio(n) * _kummer_series(n + 1, 0.5, z)
         return _SQRT_PI * (first - 2.0 * math.sqrt(z) * _kummer_series(n + 1.5, 1.5, z))
+    if n >= _EXPANSION_MIN_N:
+        g = _u_olver(n, z)
+        if g is not None:
+            return g
     b = z + 1.5
     peak = 2.0 * n / (b + math.hypot(b, 2.0 * math.sqrt(n) * math.sqrt(z)))
     length = max(peak, min(1.0, 16.0 / z))
@@ -404,26 +425,6 @@ def _bernoulli_terms(n: int, x: float, power: float, sign: float):
         power *= (j + 0.5) * x
 
 
-def _sum_asymptotic(first: float, terms) -> tuple[float, float, float, int]:
-    """Sum ``first`` and then ``terms`` up to the first term that is larger
-    than the one before it or below 1e-17 of the sum.
-
-    Returns the sum, the sum of magnitudes, the magnitude of that first
-    omitted term and the number of terms summed, ``first`` included.
-    """
-    total = first
-    mass = previous = abs(first)
-    count = 1
-    for term in terms:
-        if not 1e-17 * abs(total) <= abs(term) <= previous:
-            break
-        total += term
-        mass += abs(term)
-        previous = abs(term)
-        count += 1
-    return total, mass, abs(term), count
-
-
 def _j_series(n: int, a: float) -> QuadResult:
     """J_n(a) by its Bernoulli series: in s^2 = 1/(pi a) for a >= 1, in a/pi below.
 
@@ -437,8 +438,9 @@ def _j_series(n: int, a: float) -> QuadResult:
     Pfaff's transformation (DLMF 15.8.1) H_n(b) = (-1)^n H_n(3/2 - b), so
     H_n(1/2) = (-1)^n F_n with F_n = H_n(1) = gauss_f(n), and H_n(j + 1/2) =
     (-1)^n P_j, where P_j = 2F1(-n, 1 - j; 3/2; 2) is a sum of positive terms
-    (``_bernoulli_terms``), so the only O(n) work is F_n.  s is formed as
-    1/(sqrt(pi) sqrt(a)), so nothing overflows up to the largest float.
+    (``_bernoulli_terms``), so the only O(n) work is F_n, and that only
+    below n = 11.  s is formed as 1/(sqrt(pi) sqrt(a)), so nothing overflows
+    up to the largest float.
 
     Small a.  Expanding e^(-pi a x^2) 1F1(-n; 3/2; 2 pi a x^2) in powers of a
     (its x^(2k) coefficient is (-pi a)^k P_(k+1)/k!) and integrating term by
@@ -456,8 +458,8 @@ def _j_series(n: int, a: float) -> QuadResult:
     (n a/pi)^j j!.  Each stops at the first term that is larger than the one
     before it or below 1e-17 of the sum (``_sum_asymptotic``), and the
     estimate is that omitted term plus ``_index_roundoff(n)`` ulps of the sum
-    of magnitudes, for the rounding of F_n (``gauss_f`` is within 1.1e-14
-    relative for n <= 50 000) and of P_j.  ``evaluations`` is the number of
+    of magnitudes, for the rounding of F_n (``gauss_f`` is within 5.9e-16
+    relative for n <= 5000) and of P_j.  ``evaluations`` is the number of
     terms summed.
     """
     if a < 1.0:

@@ -3,16 +3,23 @@
 Everything here is elementary but easy to get wrong in binary64:
 
 * ``gamma_half_ratio`` forms Gamma(m+1)/Gamma(m+3/2) by a multiplicative
-  recurrence.  Gamma itself overflows binary64 already at argument 172, while
+  recurrence below m = 11 and by the difference of two Stirling series from
+  m = 11 up.  Gamma itself overflows binary64 already at argument 172, while
   the ratio decays slowly like m**-0.5 and is representable for any practical m.
 * ``gauss_f`` evaluates 2F1(-n, 1; 3/2; 2) by its stable three-term recurrence
-  in n: the series alternates with terms growing like 2**n, so summing it in
-  floating point loses all significant digits long before n = 50.
+  in n below n = 11, and from n = 11 up by the finite identity
+  2F_n = sigma(n) sqrt(pi/2) R(n) + S_n with S_n summed by Watson's lemma:
+  the hypergeometric series alternates with terms growing like 2**n, so
+  summing it in floating point loses all significant digits long before
+  n = 50.
 * ``_kummer_scaled`` evaluates scale*1F1(-n; 3/2; z) for the J integrand
   by the stable forward Laguerre recurrence instead of its alternating
   power series, which cancels catastrophically as n and z grow.
 * ``_kummer_series`` sums 1F1(a; b; z) for positive a, b and z, where every
   term of the series is positive; ``u_scaled`` uses it at small argument.
+* ``_u_olver`` sums the uniform large-n expansion of G_n(z) = n! U(n+1, 1/2, z)
+  (Olver's expansion of the parabolic-cylinder function); ``u_scaled`` uses
+  it above its series seam from n = 11 up.
 * ``_approximant`` forms the closed form T_n(a) from ``gamma_half_ratio`` and
   ``gauss_f`` with a bound on its rounding error, for ``approximant`` and for
   ``j_integral``'s route J = sigma*T + eps alike.
@@ -21,6 +28,10 @@ Everything here is elementary but easy to get wrong in binary64:
   below that through its Jacobi transform, whose direct sum there has a
   single nonzero term.  No call sums more than 36 terms, where the direct
   sum alone needs about 3.4*tau**-0.5 of them.
+
+So from n = 11 up, R(n), F_n and G_n(z) cost O(1) in n; below it the loops
+cost at most ten steps.  The expansions' coefficient tables are built at
+import from exact literals or short recurrences in floats and integers.
 """
 
 from __future__ import annotations
@@ -42,6 +53,68 @@ _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 # evaluates (and its reciprocal) lies at or above it, so that check compares
 # the direct sum with itself rather than the transform with its definition.
 _JACOBI_SEAM = 0.01
+# From this index up, R(n), F_n and G_n(z) come from their asymptotic
+# expansions in n; below it from the loops (and G from its quadrature).  At
+# n = 11 Watson's series for F still reaches its least term, about 1e-16 of
+# F, and G's expansion needs at most 16 terms at all but a few z.
+_EXPANSION_MIN_N = 11
+# B_2k/(2k(2k - 1)) for k = 1..8, the coefficients of Stirling's series for
+# ln Gamma (DLMF 5.11.1); each quotient of two exact integers is correctly
+# rounded.  At m = 11 the ninth term would be below 1e-19.
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400)
+
+
+def _watson_table(count: int) -> tuple[float, ...]:
+    """c_k (2k)! for k < ``count``, where cosh(v/2)^(-1/2) = sum_k c_k v^(2k).
+
+    c_k (2k)! = N_k/8^k with integers N_k: the power rule for
+    g^(-1/2), g = cosh(sqrt(w)/2) = sum_j w^j/(4^j (2j)!), gives
+    k N_k = sum_{j=1}^k (j - 2k) C(2k, 2j) 2^(j-1) N_(k-j) from N_0 = 1, in
+    exact integers, and each N_k/8^k is a correctly rounded quotient.
+    """
+    numerators = [1]
+    for k in range(1, count):
+        total = sum((j - 2 * k) * math.comb(2 * k, 2 * j) * 2 ** (j - 1) * numerators[k - j] for j in range(1, k + 1))
+        numerators.append(total // k)
+    return tuple(nk / 8 ** k for k, nk in enumerate(numerators))
+
+
+def _olver_table(count: int) -> tuple[tuple[float, ...], ...]:
+    """The polynomials A_1 ... A_count of ``_u_olver``'s expansion.
+
+    A_0 = 1 and A_(s+1)(tau) = -(1 - tau^2)^2 A_s'(tau)/2
+    + (1/2) integral_0^tau (1/2 - 5 v^2/4) A_s(v) dv + c, with c such that
+    A_(s+1)(0) = 0.  This is the recurrence of DLMF 12.10.9 rewritten in
+    tau = t/sqrt(1 + t^2) = 2 tau_DLMF + 1 for the terms (-1)^s A_s, with
+    each constant fixed at t = 0 instead of at t = inf, so that
+    G_n(0) = sqrt(pi) R(n) normalises the sum.  A_s has the parity of s and
+    degree 3s; each entry holds the coefficients of its nonzero powers,
+    tau^(s mod 2) first, built in floats within 5 ulps of the exact
+    rationals.
+    """
+    polys = [[1.0]]
+    for _ in range(count):
+        a = polys[-1]
+        new = [0.0] * (len(a) + 3)
+        for k in range(1, len(a)):
+            c = k * a[k]
+            new[k - 1] -= 0.5 * c
+            new[k + 1] += c
+            new[k + 3] -= 0.5 * c
+        for k, c in enumerate(a):
+            new[k + 1] += 0.25 * c / (k + 1)
+            new[k + 3] -= 0.625 * c / (k + 3)
+        new[0] = 0.0
+        polys.append(new)
+    return tuple(tuple(p[s % 2::2]) for s, p in enumerate(polys) if s)
+
+
+# c_k (2k)! for Watson's lemma on S_n: the least term, at k near pi(n + 3/4)/2,
+# is reached within these 20 from n = 11 on.
+_WATSON = _watson_table(20)
+# A_1 ... A_16 of G_n's uniform expansion; where 16 terms are not enough,
+# u_scaled integrates instead.
+_OLVER = _olver_table(16)
 
 
 def _check_index(name: str, value: int, least: int) -> None:
@@ -58,15 +131,38 @@ def _check_a(name: str, value: float) -> None:
 def gamma_half_ratio(m: int) -> float:
     """Return R(m) = Gamma(m+1)/Gamma(m+3/2).
 
-    Computed by the recurrence R(m) = m*R(m-1)/(m+1/2) from R(0) = 2/sqrt(pi),
-    which keeps full relative precision and cannot overflow: R is strictly
-    decreasing, with R(m) ~ m**-0.5 for large m.
+    Below m = 11 it is the recurrence R(m) = m*R(m-1)/(m+1/2) from
+    R(0) = 2/sqrt(pi), which keeps full relative precision and cannot
+    overflow: R is strictly decreasing, with R(m) ~ m**-0.5 for large m.
+    From m = 11 up it is the difference of two Stirling series (DLMF 5.11.1)
+    at x = m + 1 and x + 1/2,
+
+        ln R(m) = -ln(x)/2 - x log1p(1/(2x)) + 1/2
+                  + sum_{k=1}^8 B_2k/(2k(2k-1)) (x^(1-2k) - (x + 1/2)^(1-2k)),
+
+    formed as exp(all but the first term)/sqrt(x), so its cost does not grow
+    with m.  Against 30-digit mpmath it is within 3.4e-16 relative at every
+    m from 11 to 3000 and every 97th up to 50 000.
     """
     _check_index("m", m, 0)
+    if m >= _EXPANSION_MIN_N:
+        return _stirling_ratio(m)
     r = 2.0 / _SQRT_PI
     for i in range(1, m + 1):
         r = (i * r) / (i + 0.5)
     return r
+
+
+def _stirling_ratio(m: int) -> float:
+    """R(m) for m >= 11 by Stirling's series; see ``gamma_half_ratio``."""
+    x = m + 1.0
+    s = 0.5 - x * math.log1p(0.5 / x)
+    xp, yp = 1.0 / x, 1.0 / (m + 1.5)
+    x2, y2 = xp * xp, yp * yp
+    for c in _STIRLING:
+        s += c * (xp - yp)
+        xp, yp = xp * x2, yp * y2
+    return math.exp(s) / math.sqrt(x)
 
 
 def _laguerre_steps(n: int) -> tuple[tuple[float, float, float], ...]:
@@ -115,6 +211,76 @@ def _kummer_series(a: float, b: float, z: float) -> float:
     return total
 
 
+def _sum_asymptotic(first: float, terms) -> tuple[float, float, float, int]:
+    """Sum ``first`` and then ``terms`` up to the first term that is larger
+    than the one before it or below 1e-17 of the sum.
+
+    Returns the sum, the sum of magnitudes, the magnitude of that first
+    omitted term and the number of terms summed, ``first`` included.  The
+    omitted term is below 1e-17 of the sum exactly when the sum stopped
+    there, not because the terms grew or ran out.
+    """
+    total = first
+    mass = previous = abs(first)
+    count = 1
+    for term in terms:
+        if not 1e-17 * abs(total) <= abs(term) <= previous:
+            break
+        total += term
+        mass += abs(term)
+        previous = abs(term)
+        count += 1
+    return total, mass, abs(term), count
+
+
+def _u_olver(n: int, z: float) -> float | None:
+    """G_n(z) = n! U(n+1, 1/2, z) for n >= 11 by its uniform expansion in
+    u = 4n + 3, or None where 16 terms do not reach 1e-17 of the sum.
+
+    G_n(z) = n! 2^(n+1) e^(z/2) U(2n + 3/2, sqrt(2z)) is a parabolic-cylinder
+    function (DLMF 12.7.14), and Olver's expansion of U(u/2, sqrt(2u) t)
+    (DLMF 12.10.3) gives, with t = sqrt(z/u) and tau = t/sqrt(1 + t^2),
+
+        G_n(z) ~ sqrt(pi) R(n) e^E (1 + t^2)^(-1/4) sum_s (-1)^s A_s(tau)/u^s,
+        E = -(u/2) (t/(t + sqrt(1 + t^2)) + asinh t),
+
+    uniformly in z >= 0: the A_s (``_olver_table``) vanish at tau = 0, where
+    G_n(0) = sqrt(pi) R(n).  E is formed without cancellation, but as one
+    float, so e^E carries about |E| ulps; above t = 1 its asinh part is
+    (t + sqrt(1 + t^2))^(-u/2), whose rounding is u/2 ulps where
+    exp(-(u/2) asinh t) would carry (u/2) asinh t of them.  A_s(tau)
+    has the parity of s, so an odd term can exceed the even one before it
+    (near tau = 0, by up to 1.6 times above the series seam); the terms are
+    therefore summed in pairs, up to the first pair below 1e-17 of the sum.
+    """
+    u = 4.0 * n + 3.0
+    t = math.sqrt(z / u)
+    r = math.sqrt(1.0 + t * t)
+    tau = t / r
+    tau2 = tau * tau
+    w = t / (t + r)  # t sqrt(1 + t^2) - t^2
+    if t > 1.0:
+        g = math.exp(-0.5 * u * w) * (t + r) ** (-0.5 * u)
+    else:
+        g = math.exp(-0.5 * u * (w + math.asinh(t)))
+
+    def pairs():  # -A_(2j-1)/u^(2j-1) + A_(2j)/u^(2j)
+        scale = u
+        for odd, even in zip(_OLVER[::2], _OLVER[1::2]):
+            p = q = 0.0
+            for c in reversed(odd):
+                p = p * tau2 + c
+            for c in reversed(even):
+                q = q * tau2 + c
+            scale /= u * u
+            yield scale * (q / u - tau * p)
+
+    total, _, omitted, _ = _sum_asymptotic(1.0, pairs())
+    if not omitted < 1e-17 * total:
+        return None
+    return _SQRT_PI * _stirling_ratio(n) * g / math.sqrt(r) * total
+
+
 def _index_roundoff(n: int) -> float:
     """Relative rounding error, in ulps, of the O(n) recurrences at index n.
 
@@ -122,23 +288,45 @@ def _index_roundoff(n: int) -> float:
     linearly in n: the Laguerre recurrence for 1F1(-n; 3/2; z) and the power
     r**n.  Against 32-digit mpmath references at 0.1 <= a <= 10, the true
     errors reached 245 ulps of h*sum|w*f| for J (n = 200) and 136 for eps
-    (n = 1736), and at most 1.2(n + 8) ulps at any n.  From n = 6 on it
-    also covers the rounding of T_n's two terms: the 2n roundings of
-    ``gamma_half_ratio`` (at most n ulps) plus the error of ``gauss_f`` (at
-    most 22 ulps for n <= 5000).
+    (n = 1736), and at most 1.2(n + 8) ulps at any n.  It also covers the
+    rounding of T_n's two terms, whose ulps no longer grow with n: below
+    n = 11 the 2n roundings of ``gamma_half_ratio`` (at most n ulps) plus the
+    error of ``gauss_f`` (the recurrence's), and from n = 11 up Stirling's
+    and Watson's sums, each within about 2 ulps.  So for T alone, and for
+    F_n in ``_j_series``, the charge is pessimistic from n = 11 on; it stays
+    because the J and eps integrands still carry n ulps.
     """
     return 2.0 * (n + 8)
 
 
 def gauss_f(n: int) -> float:
-    """Return F_n = 2F1(-n, 1; 3/2; 2) by the contiguous recurrence
-    (2m + 3) F_{m+1} = 2m F_{m-1} - F_m from F_0 = 1, at O(n) flops.  It is
-    stable: against the exact rational F_n it stays within 1.5e-15 relative
-    for n <= 200, 4.2e-15 for n <= 2000 and 4.9e-15 for n <= 5000, and
-    against the recurrence at 60 digits within 8.7e-15 for n <= 10 000 and
-    1.1e-14 for n <= 50 000.
+    """Return F_n = 2F1(-n, 1; 3/2; 2).
+
+    Below n = 11 it is the contiguous recurrence
+    (2m + 3) F_{m+1} = 2m F_{m-1} - F_m from F_0 = 1, which is stable.  From
+    n = 11 up it is the finite identity behind T_n (the ``finite`` check of
+    the identity suite),
+
+        2 F_n = sigma(n) sqrt(pi/2) R(n) + S_n,
+        S_n = integral_0^1 (1-t)^n (1+t)^(-n-3/2) dt
+            = (1/2) integral_0^inf exp(-(n + 3/4) v) cosh(v/2)^(-1/2) dv,
+
+    (t = tanh(v/2)), with R(n) by Stirling's series and S_n by Watson's
+    lemma: S_n ~ (1/2) sum_k c_k (2k)!/(n + 3/4)^(2k+1), where
+    cosh(v/2)^(-1/2) = sum_k c_k v^(2k).  The series is asymptotic (c_k
+    falls like pi^(-2k)); it stops at its least term, about exp(-pi n) of
+    S_n, or below 1e-17 of the sum, after at most 19 terms.  Both terms are
+    O(1) in n and the difference cancels at most a third of a bit, so F_n is
+    within 5.9e-16 relative of the exact rational for 11 <= n <= 5000 and
+    2.0e-16 at n = 50 000.
     """
     _check_index("n", n, 0)
+    if n >= _EXPANSION_MIN_N:
+        lam = n + 0.75
+        l2 = 1.0 / (lam * lam)
+        s, _, _, _ = _sum_asymptotic(1.0, (c * l2 ** k for k, c in enumerate(_WATSON[1:], 1)))
+        r = _SQRT_HALF_PI * _stirling_ratio(n)
+        return 0.5 * ((r if n % 2 == 0 else -r) + 0.5 * s / lam)
     previous, current = 0.0, 1.0  # F_{-1} has weight 0 in the step m = 0
     for m in range(n):
         previous, current = current, (2 * m * previous - current) / (2 * m + 3)

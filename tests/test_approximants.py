@@ -118,6 +118,13 @@ class TestNIndexedCore:
             with pytest.raises(ValueError, match=f"n must be a positive integer, got {n}"):
                 fn(n, 1.0)
 
+    def test_sigma_rejects_non_integer(self):
+        # sigma(2.5) returned -1, as if 2.5 were odd
+        assert (sigma(0), sigma(1), sigma(2)) == (1, -1, 1)
+        for n in (2.5, 2.0):
+            with pytest.raises(ValueError, match=f"n must be a non-negative integer, got {n}"):
+                sigma(n)
+
 
 def test_package_exports_are_pinned():
     assert set(ramanujan_integrals.__all__) == {
@@ -283,7 +290,14 @@ class TestBounds:
             bound_even(1, -2.0)
 
 
-# drz_approx and bound_asymptotic frozen when they took the half index k
+# drz_approx and bound_asymptotic frozen when they took the half index k.
+# The k = 10 drz values were re-frozen when F_20 moved from its recurrence to
+# Watson's lemma; old value and relative error against the 40-digit quartic
+# root with exact F, then the new one's:
+#   (10, 1.0)    0.011905171931690559  2.3e-16  ->  8.0e-17
+#   (10, 2.0)    0.008314500731496791  1.0e-16  ->  1.1e-16
+#   (10, 10.0)   0.003500259426204429  3.3e-16  ->  3.7e-17
+#   (10, 1000.0) 0.0003658900344478288 3.4e-16  ->  1.1e-16
 _DRZ_BY_K = {
     (0, 1.0): 0.033620220760461866, (0, 2.0): 0.029485975488525554,
     (0, 10.0): 0.018486438744217282, (0, 1000.0): 0.002438200343908203,
@@ -291,8 +305,8 @@ _DRZ_BY_K = {
     (1, 10.0): 0.009192506998888699, (1, 1000.0): 0.0011385278255899084,
     (5, 1.0): 0.01453680011369796, (5, 2.0): 0.010453578500865967,
     (5, 10.0): 0.004698205679599183, (5, 1000.0): 0.0005236190149768496,
-    (10, 1.0): 0.011905171931690559, (10, 2.0): 0.008314500731496791,
-    (10, 10.0): 0.003500259426204429, (10, 1000.0): 0.0003658900344478288,
+    (10, 1.0): 0.01190517193169056, (10, 2.0): 0.008314500731496793,
+    (10, 10.0): 0.00350025942620443, (10, 1000.0): 0.000365890034447829,
     (50, 1.0): 0.007332201687968644, (50, 2.0): 0.004875403479976685,
     (50, 10.0): 0.0018269867374832909, (50, 1000.0): 0.00015948810135816654,
 }
@@ -347,6 +361,12 @@ class TestBoundAsymptotic:
     @pytest.mark.parametrize("n", [3, 21])
     def test_rejects_odd_index(self, n):
         with pytest.raises(ValueError, match="the large-k estimate is defined for even n only"):
+            bound_asymptotic(n, 1.0)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0])
+    def test_rejects_non_integer(self, n):
+        # bound_asymptotic(4.0, 1.0) returned 4.418e-06, the value at n = 4
+        with pytest.raises(ValueError, match=f"n must be a non-negative integer, got {n}"):
             bound_asymptotic(n, 1.0)
 
     def test_values_frozen_from_the_k_indexed_form(self):

@@ -426,7 +426,7 @@ class TestVerify:
         # digest
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
         assert code == 0
-        digest = "a0844e2b49f96bc9a9366d7ce3fc128a278496fa01611ee3537b7e401337dc65"
+        digest = "fe4f3eaea8ade070a88a182ebd7260caa5930e0d348e40aa6d008906a3923665"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_json_check_names_and_order(self, capsys):

@@ -38,8 +38,26 @@ class TestGammaHalfRatio:
         assert gamma_half_ratio(m) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_recurrence_is_bitwise_reproducible(self):
-        for m in (1, 2, 7, 40, 123):
+        # below m = 11; from there on R is Stirling's series
+        for m in (1, 2, 7, 10):
             assert gamma_half_ratio(m) == (m * gamma_half_ratio(m - 1)) / (m + 0.5)
+
+    @pytest.mark.parametrize("m", [10, 11, 12, 13, 20, 100, 2000, 50000])
+    def test_against_mpmath(self, m):
+        # m = 10 is the last recurrence step and m = 11 the first Stirling
+        # sum; the recurrence's 2m roundings reached 3.2e-15 at m = 2000
+        with mpmath.workdps(40):
+            expected = mpmath.gamma(m + 1) / mpmath.gamma(m + mpmath.mpf(3) / 2)
+            assert abs(gamma_half_ratio(m) - expected) <= 5e-16 * expected
+
+    def test_stirling_constants_regenerate_exactly(self):
+        # B_2k/(2k(2k - 1)) for k = 1..8, with the Bernoulli numbers from
+        # sum_{j<=n} C(n + 1, j) B_j = 0
+        bernoulli = [Fraction(1)]
+        for n in range(1, 17):
+            bernoulli.append(-sum(math.comb(n + 1, j) * bernoulli[j] for j in range(n)) / (n + 1))
+        exact = [bernoulli[2 * k] / (2 * k * (2 * k - 1)) for k in range(1, 9)]
+        assert specfun._STIRLING == tuple(float(c) for c in exact)
 
     @given(st.integers(min_value=1, max_value=400))
     def test_strictly_decreasing(self, m):
@@ -205,6 +223,69 @@ class TestGaussF:
     def test_rejects_non_integer(self, n):
         with pytest.raises(ValueError, match=f"n must be a non-negative integer, got {n}"):
             gauss_f(n)
+
+
+class TestWatsonF:
+    """From n = 11 up F_n = (sigma(n) sqrt(pi/2) R(n) + S_n)/2, S_n by Watson's lemma."""
+
+    @pytest.mark.parametrize("n", [10, 11, 12, 13, 20, 100, 2000])
+    def test_against_mpmath(self, n):
+        # n = 10 is the last recurrence step and n = 11 the first Watson sum
+        with mpmath.workdps(40):
+            expected = mpmath.hyp2f1(-n, 1, mpmath.mpf(3) / 2, 2)
+            assert abs(gauss_f(n) - expected) <= 5e-16 * abs(expected)
+
+    def test_against_60_digit_recurrence_at_50000(self):
+        # where the recurrence in binary64 was 1.1e-14 off
+        with mpmath.workdps(60):
+            previous, current = mpmath.mpf(0), mpmath.mpf(1)
+            for m in range(50000):
+                previous, current = current, (2 * m * previous - current) / (2 * m + 3)
+            assert abs(gauss_f(50000) - current) <= 5e-16 * abs(current)
+
+    def test_watson_table_regenerates_exactly(self):
+        # c_k (2k)! with cosh(v/2)^(-1/2) = sum c_k v^(2k), from the series
+        # of 1/cosh(v/2) and its square root, in w = v^2
+        count = len(specfun._WATSON)
+        cosh = [Fraction(1, 4 ** j * math.factorial(2 * j)) for j in range(count)]
+        inverse = [Fraction(1)]
+        for k in range(1, count):
+            inverse.append(-sum(cosh[j] * inverse[k - j] for j in range(1, k + 1)))
+        root = [Fraction(1)]
+        for k in range(1, count):
+            root.append((inverse[k] - sum(root[i] * root[k - i] for i in range(1, k))) / 2)
+        exact = [c * math.factorial(2 * k) for k, c in enumerate(root)]
+        assert specfun._WATSON == tuple(float(c) for c in exact)
+
+
+class TestOlverTable:
+    def test_regenerates_exactly(self):
+        # A_0 = 1, A_(s+1) = -(1 - t^2)^2 A_s'/2 + (1/2) int_0^t (1/2 - 5 v^2/4) A_s
+        # + c with A_(s+1)(0) = 0, in exact rationals; the float recurrence
+        # leaves each coefficient within 5 ulps (measured: 4.5, in A_16)
+        polys = [{0: Fraction(1)}]
+        for _ in range(len(specfun._OLVER)):
+            new = {}
+            for k, c in polys[-1].items():
+                for power, weight in ((k - 1, -1), (k + 1, 2), (k + 3, -1)):
+                    if k:
+                        new[power] = new.get(power, 0) + Fraction(weight, 2) * k * c
+                new[k + 1] = new.get(k + 1, 0) + c / (4 * (k + 1))
+                new[k + 3] = new.get(k + 3, 0) - 5 * c / (8 * (k + 3))
+            new[0] = Fraction(0)
+            polys.append(new)
+        for s, (table, exact) in enumerate(zip(specfun._OLVER, polys[1:]), 1):
+            powers = range(s % 2, 3 * s + 1, 2)
+            assert len(table) == len(powers), s
+            for c, k in zip(table, powers):
+                value = exact.get(k, Fraction(0))
+                assert abs(Fraction(c) - value) <= 5 * Fraction(math.ulp(float(value))), (s, k)
+            assert {k for k, c in exact.items() if c} <= set(powers), s
+
+    def test_normalisation_at_zero_argument(self):
+        # G_n(0) = sqrt(pi) R(n): the sum is exactly 1 at z -> 0
+        value = specfun._u_olver(20, 1e-300)
+        assert value == pytest.approx(SQRT_PI * gamma_half_ratio(20), rel=1e-15, abs=0.0)
 
 
 class TestThetaPsi:
