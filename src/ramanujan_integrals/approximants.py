@@ -81,13 +81,13 @@ def bound(n: int, a: float) -> float:
     reference values.  By formula symmetry B_n(1/a) = a^(3/2) * B_n(a).  Not
     sharp near a = 1 for odd n, where eps_n itself vanishes.  Outside about
     [1/237, 237] one term underflows to 0.0 and only the other is evaluated.
-    A term whose argument 2*pi*x is small, (n + 1)*2*pi*x <= 0.1, sums the
-    Kummer series of G_n instead of integrating (see ``u_scaled``).
+    Each term is one ``u_scaled`` call: G_n's Kummer series at small 2*pi*x,
+    from n = 11 its uniform expansion above that, and otherwise a quadrature.
     """
     _check_index("n", n, 1)
     _check_a("a", a)
-    # G_n(2*pi*x) = n! U(n+1, 1/2, 2*pi*x) is evaluated as one integral or
-    # series; the explicit factorial would overflow binary64 from n = 171 on.
+    # G_n(2*pi*x) = n! U(n+1, 1/2, 2*pi*x) never forms n!, which would
+    # overflow binary64 from n = 171 on.
     if a == 1.0:
         e = _majorant_energy(1.0, n)
         pair = e + e

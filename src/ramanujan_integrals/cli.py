@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Commands: ``eval`` (J_n(a) by quadrature), ``approx`` (closed-form
+Commands: ``eval`` (J_n(a) and its error estimate), ``approx`` (closed-form
 approximant), ``bound`` (remainder bound, optionally with the large-k
 estimate), ``table`` (reference-table reproduction) and ``verify`` (identity
 suite).  Output formats: text (15 significant digits), csv, json.
@@ -52,7 +52,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
-    p_eval = sub.add_parser("eval", help="J_n(a) by quadrature")
+    p_eval = sub.add_parser("eval", help="J_n(a) with its error estimate")
     add_index_args(p_eval)
     p_eval.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_approx = sub.add_parser("approx", help="closed-form approximant T_n(a)")

@@ -90,10 +90,10 @@ _SERIES_SEAM = 0.1
 # j_integral sums its Bernoulli series at and above a = _J_SEAM*(n + 2) and at
 # and below a = 1/(_J_SEAM*(n + 2)), and integrates between them.
 _J_SEAM = 50.0
-# Between those seams j_integral takes J = sigma*T + eps from this n up,
-# where the Laguerre recurrence's n steps per sample cost more than eps's two
-# theta sums.  A cost rule, not an accuracy rule: below it the direct
-# quadrature takes no more time.
+# Between those seams j_integral takes J = sigma*T + eps from this n up: a
+# time rule.  From n = 1 the route would cut quad_evals (scale-sweep 13 248
+# to 12 507) but slow scale-sweep from 16 358 to 14 722 calls/s, since eps's
+# integrand costs 1.4-3.3 us per sample and J's 0.6-1.2 us at n <= 10.
 _J_THEOREM_MIN_N = 11
 
 
@@ -457,10 +457,10 @@ def _j_series(n: int, a: float) -> QuadResult:
     Both series are asymptotic; their terms grow like (n/(pi a))^j j! and
     (n a/pi)^j j!.  Each stops at the first term that is larger than the one
     before it or below 1e-17 of the sum (``_sum_asymptotic``), and the
-    estimate is that omitted term plus ``_index_roundoff(n)`` ulps of the sum
-    of magnitudes, for the rounding of F_n (``gauss_f`` is within 5.9e-16
-    relative for n <= 5000) and of P_j.  ``evaluations`` is the number of
-    terms summed.
+    estimate is that omitted term plus ``_index_roundoff`` ulps of the sum of
+    magnitudes for the steps its factors take: n below n = 11 (F_n's
+    recurrence), and 10 from n = 11, where F_n's sums and P_j's at most
+    j - 1 positive terms round O(1) times.  ``evaluations`` counts the terms.
     """
     if a < 1.0:
         terms = _bernoulli_terms(n, a / math.pi, 0.5 * _SQRT_PI, 1.0)
@@ -474,7 +474,8 @@ def _j_series(n: int, a: float) -> QuadResult:
         terms = itertools.chain((-sign * math.pi * s * f,), _bernoulli_terms(n, s2, _SQRT_PI * (0.5 * s2), sign))
         first, scale = _SQRT_PI * f, s / (4.0 * math.pi)
     total, mass, omitted, count = _sum_asymptotic(first, terms)
-    return QuadResult(total * scale, (omitted + _index_roundoff(n) * _EPS * mass) * scale, count)
+    roundoff = _index_roundoff(min(n, _EXPANSION_MIN_N - 1))
+    return QuadResult(total * scale, (omitted + roundoff * _EPS * mass) * scale, count)
 
 
 def j_integral(p: IntegralParams) -> QuadResult:
@@ -485,17 +486,15 @@ def j_integral(p: IntegralParams) -> QuadResult:
     J_n(a) is the sum of its Bernoulli series (``_j_series``): at most a
     dozen terms, no quadrature, and full relative precision at both ends of
     the float range, where J_n(a) ~ (-1)^n F_n/(4 pi sqrt(a)) and -> 1/24.
-    Its estimate, the first omitted term plus 2(n + 8) ulps of the terms'
-    magnitudes, exceeds 1e-13 on the small-a side from n = 5351 on.
 
     Between the seams, from n = 11 on, J_n(a) is the paper's theorem
-    sigma*T_n(a) + eps_n(a): T in closed form (``specfun._approximant``) and
-    eps by ``epsilon_integral``, whose integrand costs O(1) per sample where
-    the defining one costs O(n).  The route is taken when T's rounding bound,
-    2(n + 8) ulps of (|ratio term| + |F_n|)/(4 pi a) plus 4 ulps of |T|, is at
-    most ``p.tol``/2; eps is then integrated to ``p.tol`` less that bound, and
-    the estimate is eps's plus T's bound plus 2 ulps of the sum.  Below n = 11
-    the direct quadrature takes no more time.
+    sigma*T_n(a) + eps_n(a): T in closed form with its rounding bound
+    (``specfun._approximant``) and eps by ``epsilon_integral``, whose
+    integrand costs O(1) per sample where the defining one costs O(n).  The
+    route is taken when T's bound is at most ``p.tol``/2; eps is then
+    integrated to ``p.tol`` less that bound, and the estimate is eps's plus
+    T's bound plus 2 ulps of the sum.  Below n = 11 the direct quadrature
+    takes less time (``_J_THEOREM_MIN_N``).
 
     Wherever neither route applies, or its estimate would exceed ``p.tol``,
     or eps raises ``AccuracyError``, the defining integral is summed by

@@ -281,22 +281,18 @@ def _u_olver(n: int, z: float) -> float | None:
     return _SQRT_PI * _stirling_ratio(n) * g / math.sqrt(r) * total
 
 
-def _index_roundoff(n: int) -> float:
-    """Relative rounding error, in ulps, of the O(n) recurrences at index n.
+def _index_roundoff(steps: int) -> float:
+    """Relative rounding error, in ulps, of a value built from ``steps``
+    steps of a recurrence or a power, each rounding about once, plus 8 for
+    the roundings that do not grow with ``steps``.
 
-    The J and eps integrands carry a factor whose rounding error grows
-    linearly in n: the Laguerre recurrence for 1F1(-n; 3/2; z) and the power
-    r**n.  Against 32-digit mpmath references at 0.1 <= a <= 10, the true
-    errors reached 245 ulps of h*sum|w*f| for J (n = 200) and 136 for eps
-    (n = 1736), and at most 1.2(n + 8) ulps at any n.  It also covers the
-    rounding of T_n's two terms, whose ulps no longer grow with n: below
-    n = 11 the 2n roundings of ``gamma_half_ratio`` (at most n ulps) plus the
-    error of ``gauss_f`` (the recurrence's), and from n = 11 up Stirling's
-    and Watson's sums, each within about 2 ulps.  So for T alone, and for
-    F_n in ``_j_series``, the charge is pessimistic from n = 11 on; it stays
-    because the J and eps integrands still carry n ulps.
+    Calibrated on the J and eps integrands, whose Laguerre recurrence for
+    1F1(-n; 3/2; z) and power r**n take n steps: against 32-digit mpmath
+    references at 0.1 <= a <= 10, their true errors reached 245 ulps of
+    h*sum|w*f| (J, n = 200) and 136 (eps, n = 1736), and at most
+    1.2(n + 8) ulps at any n.
     """
-    return 2.0 * (n + 8)
+    return 2.0 * (steps + 8)
 
 
 def gauss_f(n: int) -> float:
@@ -346,6 +342,8 @@ def _approximant(n: int, a: float) -> tuple[float, float]:
     ratio_term = 0.5 * (1.0 + s * math.sqrt(a)) * _SQRT_HALF_PI * gamma_half_ratio(n)
     f = gauss_f(n)
     numerator = ratio_term - s * f
+    # n steps although R and F_n round O(1) times from n = 11: this bound
+    # gates j_integral's sigma*T + eps route, which a smaller one would move
     magnitude = _index_roundoff(n) * _EPS * (abs(ratio_term) + abs(f))
     denominator = 4.0 * math.pi * a
     if math.isinf(denominator):  # a > 1.43e307: divide by a last
@@ -379,6 +377,8 @@ def theta_psi(tau: float) -> float:
     cancels: on 3 000 log-uniform tau in [1e-12, 0.01] the result is within
     1.7e-16 relative of 40-digit evaluations.  So no call takes more than 37
     exponentials, where the direct sum at tau = 1e-8 would take 34 000.
+    Psi(inf) is its limit 0.0, which ``epsilon_integral``'s integrand needs:
+    at n = 1 and a = 1e-300 or 1e300, 17 of its samples pass t/a or a*t = inf.
     """
     if not tau > 0.0:
         raise ValueError(f"tau must be positive, got {tau}")
@@ -403,9 +403,10 @@ def lambda_factor(a: float) -> float:
     """Elementary majorant factor with Psi(a) < lambda_factor(a) * exp(-pi*a).
 
     lambda(a) = 1 + exp(-3*pi*a) + exp(-2*pi*a) / (1 - exp(-pi*a)); it exceeds
-    1 for every a > 0 and tends to 1 as a grows.  The denominator is formed
-    by ``expm1``: the subtraction 1 - exp(-pi*a) loses digits at small a.
-    Since lambda(a) ~ 1/(pi a) there, it overflows to +inf below about
+    1 for every a > 0 and tends to 1 as a grows, with lambda(inf) = 1.0 for
+    ``bound_asymptotic``'s 1/a = inf below a = 5.6e-309.  The denominator is
+    formed by ``expm1``: the subtraction 1 - exp(-pi*a) loses digits at small
+    a.  Since lambda(a) ~ 1/(pi a) there, it overflows to +inf below about
     a = 1.8e-309 (``lambda_factor(5e-324)`` is inf) and does not raise.
     """
     if not a > 0.0:

@@ -54,6 +54,47 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _mp_gauss_f(mp, n):
+    """F_n = 2F1(-n, 1; 3/2; 2) by its recurrence at mpmath's precision."""
+    previous, f = mp.mpf(0), mp.mpf(1)
+    for m in range(n):
+        previous, f = f, (2 * m * previous - f) / (2 * m + 3)
+    return f
+
+
+def _mp_p(mp, n, j):
+    """P_j = 2F1(-n, 1 - j; 3/2; 2), a finite sum of positive terms (mpmath's
+    hyp2f1(-5000, 0.5, 1.5, 2) does not converge)."""
+    p = c = mp.mpf(1)
+    for k in range(min(n, j - 1)):
+        c *= mp.mpf(2 * (n - k) * (j - 1 - k)) / ((k + mp.mpf(1.5)) * (k + 1))
+        p += c
+    return p
+
+
+def _mp_j_series(mp, n, a):
+    """J_n(a) by its Bernoulli series (``quadrature._j_series``) at mpmath's
+    precision, summed to its least term or to 1e-70 of the sum: in powers of
+    a/pi below a = 1, and above it in powers of s^2 = 1/(pi a), with
+    H_n(1/2) = (-1)^n F_n, H_n(1) = F_n and H_n(j + 1/2) = (-1)^n P_j."""
+    a = mp.mpf(a)
+    if a < 1:
+        total, power, x, sign, scale = 0, mp.mpf(1), a / mp.pi, 1, 1 / (4 * mp.pi ** 2.5)
+    else:
+        s = 1 / mp.sqrt(mp.pi * a)
+        f, sign = _mp_gauss_f(mp, n), (-1) ** n
+        total, power, x, scale = mp.sqrt(mp.pi) * s * sign * f - mp.pi * s ** 2 * f, s ** 3, s ** 2, 1 / (4 * mp.pi)
+    previous = None
+    for j in range(1, 1000):
+        term = (-1) ** (j + 1) * sign * 2 * mp.zeta(2 * j) * mp.gamma(j + 0.5) * power * _mp_p(mp, n, j)
+        if previous is not None and not mp.mpf(10) ** -70 * abs(total) <= abs(term) <= abs(previous):
+            break
+        total += term
+        previous = term
+        power *= x
+    return total * scale
+
+
 class TestResultTypes:
     def test_quad_result_validation(self):
         with pytest.raises(ValueError):
@@ -367,9 +408,7 @@ class TestJSeries:
         # converge): the binary64 sum lies within its estimate
         mp = pytest.importorskip("mpmath")
         with mp.workdps(60):
-            previous, f = mp.mpf(0), mp.mpf(1)
-            for m in range(n):
-                previous, f = f, (2 * m * previous - f) / (2 * m + 3)
+            f = _mp_gauss_f(mp, n)
             h = {0.5: (-1) ** n * f, 1.0: f}
             for a in (50.0 * (n + 2), 500.0 * (n + 2), 1e100, self._TOP):
                 res = j_integral(IntegralParams(n, a))
@@ -377,11 +416,7 @@ class TestJSeries:
                 total = mp.sqrt(mp.pi) * s * h[0.5] - mp.pi * s ** 2 * h[1.0]
                 for j in range(1, res.evaluations - 1):
                     if j + 0.5 not in h:
-                        p = c = mp.mpf(1)
-                        for k in range(min(n, j - 1)):
-                            c *= mp.mpf(2 * (n - k) * (j - 1 - k)) / ((k + mp.mpf(1.5)) * (k + 1))
-                            p += c
-                        h[j + 0.5] = (-1) ** n * p
+                        h[j + 0.5] = (-1) ** n * _mp_p(mp, n, j)
                     total += (-1) ** (j + 1) * 2 * mp.zeta(2 * j) * mp.gamma(j + 0.5) * s ** (2 * j + 1) * h[j + 0.5]
                 assert abs(mp.mpf(res.value) - total / (4 * mp.pi)) <= res.abs_error_estimate, a
 
@@ -473,12 +508,10 @@ class TestJSmallSeries:
         assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
         assert calls == []
 
-    @pytest.mark.parametrize("n", [0, 1, 10, 200, 500, 1000, 2000, 2001, 3000, 5000])
+    @pytest.mark.parametrize("n", [0, 1, 10, 200, 500, 1000, 2000, 2001, 3000, 5000, 5351, 10000, 50000])
     def test_no_quadrature_at_or_below_the_seam(self, monkeypatch, n):
         # the direct quadrature took 107 evaluations at (0, 2.34e-8) and 377
-        # at (2000, 1e-8), and 11 193 evaluations and seconds at (5000, 1e-8);
-        # the series estimate exceeds the default tolerance from n = 5351 at
-        # the seam and from n = 5397 at a <= 1e-8
+        # at (2000, 1e-8), and 11 193 evaluations and seconds at (5000, 1e-8)
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         for a in self._points(n):
             assert j_integral(IntegralParams(n, a)).evaluations <= 12, a
@@ -496,6 +529,28 @@ class TestJSmallSeries:
         with pytest.raises(AccuracyError):
             j_integral(IntegralParams(0, 1e-4, tol=1e-300))
         assert len(calls) == 1
+
+
+class TestJSeriesRoundoff:
+    """From n = 11 the series charge the 10 steps their F_n and P_j take,
+    not 2(n + 8) ulps: the estimate still covers the true error on both
+    sides, against the series summed at 60 digits."""
+
+    _TOP = 1.7976931348623157e308
+
+    @pytest.mark.parametrize("n", [11, 200, 2000, 5351, 10000, 50000])
+    def test_estimate_covers_60_digit_series(self, monkeypatch, n):
+        mp = pytest.importorskip("mpmath")
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        small, large = 1.0 / (50.0 * (n + 2)), 50.0 * (n + 2)
+        points = [small, small / 10.0, 1e-8, 1e-100, 5e-324, large, 10.0 * large, 1e20, 1e300, self._TOP]
+        with mp.workdps(60):
+            for a in points:
+                res = j_integral(IntegralParams(n, a))
+                # about 36 ulps of J: the charge does not grow with n
+                assert res.abs_error_estimate <= 40 * 2.0 ** -52 * abs(res.value), a
+                assert abs(mp.mpf(res.value) - _mp_j_series(mp, n, a)) <= res.abs_error_estimate, a
+        assert calls == []
 
 
 class TestJTheorem:
@@ -581,6 +636,16 @@ class TestErrorEstimateHolds:
     integrals (cross-checked through J = sigma*T + eps) and compared
     exactly."""
 
+    # the series from n = 5351, where a charge of 2(n + 8) ulps for F_n's
+    # rounding sent the first two to the direct quadrature (11 134
+    # evaluations, and AccuracyError after 22 341); the references are the
+    # series at 60 digits (``_mp_j_series``)
+    _SERIES_REFERENCES = [
+        (5351, 1.0 / (50.0 * 5353), "4.1321806184299580759916977792924444e-2"),
+        (5400, 1e-8, "4.1665724088433102062385805331985625e-2"),
+        (50000, 1e7, "7.0627963856124991318093847937428861e-8"),
+    ]
+
     @pytest.mark.parametrize(
         "n,a,reference",
         [
@@ -618,11 +683,19 @@ class TestErrorEstimateHolds:
             (3000, 1.0 / (50.0 * 3002), "4.1321868520722073566909227642070e-2"),
             (3000, 1e-8, "4.1666142946395521189791257681686e-2"),
             (2001, 1e8, "1.1047616027630160430359790756591e-7"),
+            *_SERIES_REFERENCES,
         ],
     )
     def test_j_integral(self, n, a, reference):
         res = j_integral(IntegralParams(n, a))
         assert abs(Fraction(res.value) - Fraction(reference)) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("n,a,reference", _SERIES_REFERENCES)
+    def test_series_references(self, n, a, reference):
+        # the frozen series references above, rebuilt at 60 digits
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            assert abs(_mp_j_series(mp, n, a) / mp.mpf(reference) - 1) < 1e-33
 
     @pytest.mark.parametrize(
         "n,a,reference",

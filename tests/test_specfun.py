@@ -16,6 +16,10 @@ from hypothesis import strategies as st
 
 from ramanujan_integrals import specfun
 from ramanujan_integrals import (
+    IntegralParams,
+    bound,
+    bound_asymptotic,
+    epsilon_integral,
     gamma_half_ratio,
     gauss_f,
     lambda_factor,
@@ -380,6 +384,15 @@ class TestThetaPsi:
         assert theta_psi(240.0) == 0.0
         assert theta_psi(300.0) == 0.0
 
+    def test_limit_at_infinity(self):
+        # epsilon_integral's integrand passes t/a or a*t = inf at extreme a
+        # (17 samples per call at n = 1, a = 1e-300 or 1e300), so inf is not
+        # a domain error
+        assert theta_psi(math.inf) == 0.0
+        for a in (1e-300, 1e300):
+            res = epsilon_integral(IntegralParams(1, a, 1e-6 * bound(1, a)))
+            assert math.isfinite(res.value) and res.value != 0.0, a
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             theta_psi(0.0)
@@ -394,6 +407,12 @@ class TestThetaPsi:
 class TestLambdaFactor:
     def test_limit_at_large_argument(self):
         assert lambda_factor(50.0) == 1.0
+
+    def test_limit_at_infinity(self):
+        # bound_asymptotic passes 1/a = inf below a = 5.6e-309, so inf is not
+        # a domain error
+        assert lambda_factor(math.inf) == 1.0
+        assert bound_asymptotic(2, 1e-320) == math.inf
 
     def test_at_one(self):
         # frozen from a 40-digit mpmath evaluation of the closed form
