@@ -44,12 +44,17 @@ def approximant(n: int, a: float) -> float:
 
     O(1/a) as a -> 0 and O(a**-0.5) as a -> infinity, so it approximates
     J_n(a) well only for a = O(1).  For odd n at a = 1 the gamma-ratio term
-    vanishes exactly and T_n(1) = F_n/(4 pi).  Multiplying by sigma = +-1
-    is exact, so each parity evaluates the paper's own expression bit for bit.
+    vanishes exactly and T_n(1) = F_n/(4 pi).  Below n = 11, multiplying by
+    sigma = +-1 is exact, so each parity evaluates the paper's own
+    expression bit for bit.  From n = 11 up, 2 F_n = sigma sqrt(pi/2) R(n) + S_n
+    with S_n = integral_0^1 (1-t)^n (1+t)^(-n-3/2) dt turns it into
+    sigma (sqrt(a) sqrt(pi/2) R(n) - S_n)/(8 pi a), which is evaluated
+    instead: the two terms no longer cancel to a few ulps of F_n.
 
     Accepts every positive finite a.  The O(1/a) value overflows binary64 to
-    +-inf below about a = 6e-310 (without raising); above a = 1.43e307,
-    where 4*pi*a overflows, the numerator is divided by 4*pi and then by a.
+    +-inf below about a = 6e-310 (without raising); above a = 1.43e307
+    (7.15e306 from n = 11), where 4*pi*a (8*pi*a) overflows, the numerator
+    is divided by 4*pi (8*pi) and then by a.
 
     The arithmetic is ``specfun._approximant``, which also bounds T's rounding
     error for ``j_integral``: from n = 11 on, J_n(a) is sigma*T_n(a) + eps_n(a)
@@ -83,6 +88,9 @@ def bound(n: int, a: float) -> float:
     [1/237, 237] one term underflows to 0.0 and only the other is evaluated.
     Each term is one ``u_scaled`` call: G_n's Kummer series at small 2*pi*x,
     from n = 11 its uniform expansion above that, and otherwise a quadrature.
+    With Psi(x) summed term by term instead of majorised, the same G_n terms
+    give eps_n itself: from n = 11 ``epsilon_integral`` sums them, and the
+    identity suite's dominance checks compare B with a quadrature of eps.
     """
     _check_index("n", n, 1)
     _check_a("a", a)

@@ -17,17 +17,19 @@ Nodes are placed relative to the nearest endpoint (``exp(-u)`` and
 1e-300 without losing digits; a node nearer to a nonzero endpoint than half
 its float spacing is sampled at the endpoint itself.
 
-Two members of the family need no quadrature where a series converges
+Three members of the family need no quadrature where a series converges
 fast: ``u_scaled`` at small argument (its Kummer series) and, from n = 11
-up, above it (its uniform large-n expansion), and ``j_integral`` at large
-and at small scale (its two Bernoulli series, ``_j_series``, with the same
-terms in powers of 1/(pi a) and of a/pi).  ``u_scaled`` keeps the
-quadrature above its seam below n = 11 and where the expansion does not
-converge, ``j_integral`` between its two seams.  There, from n = 11 on,
-``j_integral`` integrates the paper's remainder eps_n instead of its own
-integrand, J = sigma*T + eps, and keeps its own quadrature
-(``_j_quadrature``) as the fallback where T's rounding or eps's quadrature
-would miss the tolerance.
+up, above it (its uniform large-n expansion); ``j_integral`` at large and at
+small scale (its two Bernoulli series, ``_j_series``, with the same terms
+in powers of 1/(pi a) and of a/pi); and, from n = 11 up, ``epsilon_integral``
+(the paper's own series of G_n terms, ``_eps_series``).  Between its two
+seams ``j_integral`` takes J = sigma*T + eps from n = 11 on, so it runs no
+quadrature there either, and keeps its own (``_j_quadrature``) as the
+fallback where T's rounding or eps would miss the tolerance.  Quadrature
+remains for u_scaled above its seam and eps and J between theirs below
+n = 11, for eps where its series would need more than 64 terms a side, and
+for the identity suite's independent eps and J (``_eps_quadrature`` and
+``_j_quadrature``).
 
 Determinism: node tables are fixed per level and summation order is fixed, so
 identical inputs give bitwise-identical results.
@@ -53,6 +55,7 @@ from .specfun import (
     _kummer_scaled,
     _kummer_series,
     _laguerre_steps,
+    _stirling_ratio,
     _sum_asymptotic,
     _u_olver,
     gamma_half_ratio,
@@ -95,6 +98,8 @@ _J_SEAM = 50.0
 # to 12 507) but slow scale-sweep from 16 358 to 14 722 calls/s, since eps's
 # integrand costs 1.4-3.3 us per sample and J's 0.6-1.2 us at n <= 10.
 _J_THEOREM_MIN_N = 11
+# epsilon_integral's G series gives up after this many terms on either side.
+_EPS_SERIES_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -348,11 +353,10 @@ def u_scaled(n: int, z: float) -> float:
       ulps, so G keeps 13 digits even near the bottom of the float range:
       against 40-digit mpmath on quarter-decade z from the seam to 1e12 it
       is within 8.6e-15 relative at n = 11 to 30 and 7.7e-14 at n = 1000
-      (the quadrature there: 1.5e-14).  Where 16 terms do not reach 1e-17 of
-      the sum, the quadrature runs instead: at 4 of 615 483 points (every n
+      (the quadrature there: 1.5e-14).  Where 16 terms would not reach 1e-17
+      of the sum the quadrature runs instead, but on 615 566 points (every n
       from 11 to 100 and nine more up to 50 000, 1/20-decade z from the seam
-      to 1e308), each where a pair of terms nearly cancels and the next
-      pair is larger.
+      to 1e308) 16 terms always do.
     * Otherwise the integral is summed by exp-sinh quadrature, as accurate as
       its integrand, whose power (t/(1+t))**n carries about n/2 ulps.  The
       nodes are placed at length max(t*, min(1, 16/z)), where t* is the
@@ -369,7 +373,7 @@ def u_scaled(n: int, z: float) -> float:
         first = gamma_half_ratio(n) * _kummer_series(n + 1, 0.5, z)
         return _SQRT_PI * (first - 2.0 * math.sqrt(z) * _kummer_series(n + 1.5, 1.5, z))
     if n >= _EXPANSION_MIN_N:
-        g = _u_olver(n, z)
+        g = _u_olver(n, z, _SQRT_PI * _stirling_ratio(n))
         if g is not None:
             return g
     b = z + 1.5
@@ -489,12 +493,16 @@ def j_integral(p: IntegralParams) -> QuadResult:
 
     Between the seams, from n = 11 on, J_n(a) is the paper's theorem
     sigma*T_n(a) + eps_n(a): T in closed form with its rounding bound
-    (``specfun._approximant``) and eps by ``epsilon_integral``, whose
-    integrand costs O(1) per sample where the defining one costs O(n).  The
-    route is taken when T's bound is at most ``p.tol``/2; eps is then
-    integrated to ``p.tol`` less that bound, and the estimate is eps's plus
-    T's bound plus 2 ulps of the sum.  Below n = 11 the direct quadrature
-    takes less time (``_J_THEOREM_MIN_N``).
+    (``specfun._approximant``, a few ulps from n = 11) and eps by
+    ``epsilon_integral``, the sum of its G series: 2 to 52 terms, each O(1)
+    in n, and no quadrature.  The route is taken when T's bound is at most
+    ``p.tol``/2, which holds at the default tolerance everywhere between
+    the seams; eps is then summed to ``p.tol`` less that bound, and the
+    estimate is eps's plus T's bound plus 2 ulps of the sum.  Against 60-digit
+    series and 30-digit sigma*T + eps references on eighth-decade a from the
+    small-a seam to 1 at n = 500, 1000 and 2000, the error is at most 0.063
+    of the estimate, in at most 0.24 ms a call.  Below n = 11 the direct
+    quadrature takes less time (``_J_THEOREM_MIN_N``).
 
     Wherever neither route applies, or its estimate would exceed ``p.tol``,
     or eps raises ``AccuracyError``, the defining integral is summed by
@@ -503,8 +511,7 @@ def j_integral(p: IntegralParams) -> QuadResult:
     recurrence with the Bose factor and the Gaussian e^(-z/2) folded into its
     start values, so no intermediate value overflows and the cost per sample
     is O(n) for every n.  Its estimate is never below the integrand's
-    roundoff floor, 2(n + 8) ulps of integral |f|; at large n just above the
-    small-a seam the true error exceeds it, by 3.9 times at (2000, 1e-5).
+    roundoff floor, 2(n + 8) ulps of integral |f|.
 
     Above a = 4 pi the Gaussian's length 1/sqrt(pi a) is shorter than the
     Bose factor's 1/(2 pi), so the quadrature samples at length
@@ -559,7 +566,8 @@ def _j_quadrature(p: IntegralParams) -> QuadResult:
 
 
 def epsilon_integral(p: IntegralParams) -> QuadResult:
-    """Remainder term of the closed-form approximation to J_n(a).
+    """Remainder term eps_n(a) = J_n(a) - sigma*T_n(a) of the closed-form
+    approximation to J_n(a), to the absolute ``p.tol``.
 
     Even n = 2k:
         eps = 1/(4 pi a) * integral_1^inf (psi(t) + sqrt(a) phi(t))
@@ -567,11 +575,102 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     Odd n uses the combination sqrt(a) phi(t) - psi(t) with the same kernel
     shape, where psi(t) = Psi(t/a) and phi(t) = Psi(a*t).
 
-    The integral is always evaluated in this form, never as a difference of
-    J and its approximant: the remainder reaches 1e-24 while J is O(1e-2),
-    so the subtraction would be pure roundoff.  The substitution t = 1 + u
-    moves the path to (0, inf) and concentrates nodes where (t-1)^n turns on.
-    Theta sums are truncated per point, scaled to their own leading term.
+    From n = 11 on, eps is the sum of the paper's own G series: expanding
+    Psi term by term and substituting t = 1 + 2v gives exactly
+
+        eps_n(a) = 1/(4 sqrt(2) pi a) sum_{m>=1} [sigma e^(-pi m^2/a) G_n(2 pi m^2/a)
+                                                  + sqrt(a) e^(-pi m^2 a) G_n(2 pi m^2 a)],
+
+    the terms of the bound B_n(a) with Psi(x) no longer majorised by
+    lambda(x) e^(-pi x) (``_eps_series``).  Each G is one uniform expansion
+    (``specfun._u_olver``), so a term costs O(1) in n.  Between J's seams
+    the two sides take 2 to 52 terms together (n from 11 to 5 000,
+    1/32-decade a, at 1e-13 and at 1e-6 of the bound).  Where either side
+    would need more than 64 (a far from 1: at n = 11 and 1e-6 of the bound,
+    from about a = 1e-5 down and 1e5 up), where a G's expansion does not
+    converge, or where the estimate would exceed ``p.tol``, the integral is
+    summed by exp-sinh quadrature instead (``_eps_quadrature``), as it is
+    below n = 11.  For odd n at a = 1 the two sides coincide and the result
+    is exactly zero.
+
+    The integral is never evaluated as a difference of J and its
+    approximant: the remainder reaches 1e-24 while J is O(1e-2), so the
+    subtraction would be pure roundoff.
+
+    Swapping Psi(t/a) and Psi(a*t) gives eps_n(1/a) = sigma(n) a^(3/2)
+    eps_n(a), as bound gives B_n(1/a) = a^(3/2) B_n(a).
+    """
+    n, a = p.n, p.a
+    if n >= _EXPANSION_MIN_N and not (n % 2 and a == 1.0):
+        series = _eps_series(n, a, p.tol)
+        if series is not None:
+            return series
+    return _eps_quadrature(p)
+
+
+def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
+    """eps_n(a) for n >= 11 by its G series (see ``epsilon_integral``), or
+    None where it does not reach ``tol``.
+
+    A side's terms t_m fall by at least r = e^(-pi x (2m + 1)) from t_m to
+    t_(m+1), since G_n decreases, so once t_m is summed the rest of the side
+    is below t_m r/(1 - r).  Each side stops where that tail is below a
+    quarter of ``tol`` or 1e-17 of the side's sum, and gives up after
+    _EPS_SERIES_TERMS terms.  The estimate is the two tails, plus each
+    term's rounding: 2(|E| + 8) ulps for G, whose exponent |E| <= sqrt(u z)
+    carries about |E| of them (``specfun._u_olver``), and 2 pi m^2 x ulps for
+    the exponential of the rounded pi m^2 x; plus 8 ulps of the sum of
+    magnitudes, which covers odd n near a = 1, where the two sides cancel;
+    plus 4 ulps of the value for the prefactor.  ``evaluations`` counts the
+    G terms.
+    """
+    g0 = _SQRT_PI * _stirling_ratio(n)  # G_n(0)
+    u = 4.0 * n + 3.0
+    coef = 4.0 * math.sqrt(2.0) * math.pi * a  # 1/prefactor
+    if not sys.float_info.min <= coef < math.inf:  # a < 2e-309 or a > 1.01e307
+        return None
+    share = 0.25 * tol * coef  # each side's tail, before the prefactor
+    total = mass = error = 0.0
+    count = 0
+    for x, weight in ((1.0 / a, -1.0 if n % 2 else 1.0), (a, math.sqrt(a))):
+        side = 0.0
+        for m in range(1, _EPS_SERIES_TERMS + 1):
+            y = math.pi * (m * m) * x
+            e = math.exp(-y)
+            if e == 0.0:  # this term and the rest are below the float range
+                break
+            z = 2.0 * y
+            g = _u_olver(n, z, g0)
+            if g is None:
+                return None
+            term = weight * e * g
+            size = abs(term)
+            side += term
+            mass += size
+            error += size * (2.0 * (math.sqrt(u * z) + 8.0) + 2.0 * y) * _EPS
+            count += 1
+            drop = -math.expm1(-math.pi * x * (2 * m + 1))  # 1 - r
+            tail = size * (1.0 - drop) / drop if drop > 0.0 else math.inf
+            if tail <= share or tail <= 1e-17 * abs(side):
+                error += tail
+                break
+        else:
+            return None
+        total += side
+    value = total / coef
+    estimate = (error + 8.0 * _EPS * mass) / coef + 4.0 * _EPS * abs(value)
+    if not estimate <= tol:
+        return None
+    return QuadResult(value, estimate, count)
+
+
+def _eps_quadrature(p: IntegralParams) -> QuadResult:
+    """eps_n(a) by exp-sinh quadrature of its integral (``epsilon_integral``),
+    to the absolute ``p.tol``; the identity suite's eps at every n.
+
+    The substitution t = 1 + u moves the path to (0, inf) and concentrates
+    nodes where (t-1)^n turns on.  Theta sums are truncated per point, scaled
+    to their own leading term.
 
     The nodes are placed at length max(1, min(n, sqrt(2n/(pi min(a, 1/a))))),
     near the peak u* of (u/(2+u))^n e^(-pi u min(a, 1/a)).  The cap at n
@@ -583,10 +682,8 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     Above a = 3.6e306, where 1/(4 pi a) would be subnormal, sqrt(a) moves
     from the prefactor into the integrand.
 
-    Swapping Psi(t/a) and Psi(a*t) gives eps_n(1/a) = sigma(n) a^(3/2)
-    eps_n(a), as bound gives B_n(1/a) = a^(3/2) B_n(a).  For odd n at a = 1
-    the two theta sums coincide and the integrand vanishes identically; the
-    result is exactly zero.
+    For odd n at a = 1 the two theta sums coincide and the integrand
+    vanishes identically; the result is exactly zero.
     """
     n, a = p.n, p.a
     odd = n % 2 == 1

@@ -19,10 +19,12 @@ Everything here is elementary but easy to get wrong in binary64:
   term of the series is positive; ``u_scaled`` uses it at small argument.
 * ``_u_olver`` sums the uniform large-n expansion of G_n(z) = n! U(n+1, 1/2, z)
   (Olver's expansion of the parabolic-cylinder function); ``u_scaled`` uses
-  it above its series seam from n = 11 up.
-* ``_approximant`` forms the closed form T_n(a) from ``gamma_half_ratio`` and
-  ``gauss_f`` with a bound on its rounding error, for ``approximant`` and for
-  ``j_integral``'s route J = sigma*T + eps alike.
+  it above its series seam from n = 11 up, and ``epsilon_integral``'s G
+  series at every term.
+* ``_approximant`` forms the closed form T_n(a) with a bound on its
+  rounding error, for ``approximant`` and for ``j_integral``'s route
+  J = sigma*T + eps alike: from ``gamma_half_ratio`` and ``gauss_f`` below
+  n = 11, and from R(n) and Watson's S_n (``_watson_s``) from n = 11 up.
 * ``theta_psi`` sums the theta series directly for tau >= 0.01, truncated
   against a rigorous geometric tail majorant scaled to its leading term, and
   below that through its Jacobi transform, whose direct sum there has a
@@ -233,9 +235,11 @@ def _sum_asymptotic(first: float, terms) -> tuple[float, float, float, int]:
     return total, mass, abs(term), count
 
 
-def _u_olver(n: int, z: float) -> float | None:
+def _u_olver(n: int, z: float, g0: float) -> float | None:
     """G_n(z) = n! U(n+1, 1/2, z) for n >= 11 by its uniform expansion in
     u = 4n + 3, or None where 16 terms do not reach 1e-17 of the sum.
+    ``g0`` is G_n(0) = sqrt(pi) R(n), which a caller summing G at many z
+    forms once.
 
     G_n(z) = n! 2^(n+1) e^(z/2) U(2n + 3/2, sqrt(2z)) is a parabolic-cylinder
     function (DLMF 12.7.14), and Olver's expansion of U(u/2, sqrt(2u) t)
@@ -246,12 +250,14 @@ def _u_olver(n: int, z: float) -> float | None:
 
     uniformly in z >= 0: the A_s (``_olver_table``) vanish at tau = 0, where
     G_n(0) = sqrt(pi) R(n).  E is formed without cancellation, but as one
-    float, so e^E carries about |E| ulps; above t = 1 its asinh part is
-    (t + sqrt(1 + t^2))^(-u/2), whose rounding is u/2 ulps where
+    float, so e^E carries about |E| <= sqrt(u z) ulps; above t = 1 its asinh
+    part is (t + sqrt(1 + t^2))^(-u/2), whose rounding is u/2 ulps where
     exp(-(u/2) asinh t) would carry (u/2) asinh t of them.  A_s(tau)
     has the parity of s, so an odd term can exceed the even one before it
     (near tau = 0, by up to 1.6 times above the series seam); the terms are
     therefore summed in pairs, up to the first pair below 1e-17 of the sum.
+    A pair can also exceed the one before it where that one nearly cancels,
+    so the sum gives up only at a pair larger than both pairs before it.
     """
     u = 4.0 * n + 3.0
     t = math.sqrt(z / u)
@@ -263,22 +269,23 @@ def _u_olver(n: int, z: float) -> float | None:
         g = math.exp(-0.5 * u * w) * (t + r) ** (-0.5 * u)
     else:
         g = math.exp(-0.5 * u * (w + math.asinh(t)))
-
-    def pairs():  # -A_(2j-1)/u^(2j-1) + A_(2j)/u^(2j)
-        scale = u
-        for odd, even in zip(_OLVER[::2], _OLVER[1::2]):
-            p = q = 0.0
-            for c in reversed(odd):
-                p = p * tau2 + c
-            for c in reversed(even):
-                q = q * tau2 + c
-            scale /= u * u
-            yield scale * (q / u - tau * p)
-
-    total, _, omitted, _ = _sum_asymptotic(1.0, pairs())
-    if not omitted < 1e-17 * total:
-        return None
-    return _SQRT_PI * _stirling_ratio(n) * g / math.sqrt(r) * total
+    total = last = before = 1.0
+    scale = u
+    for odd, even in zip(_OLVER[::2], _OLVER[1::2]):  # -A_(2j-1)/u^(2j-1) + A_(2j)/u^(2j)
+        p = q = 0.0
+        for c in reversed(odd):
+            p = p * tau2 + c
+        for c in reversed(even):
+            q = q * tau2 + c
+        scale /= u * u
+        pair = scale * (q / u - tau * p)
+        if abs(pair) < 1e-17 * abs(total):
+            return g0 * g / math.sqrt(r) * total
+        if abs(pair) > max(last, before):
+            return None
+        total += pair
+        before, last = last, abs(pair)
+    return None
 
 
 def _index_roundoff(steps: int) -> float:
@@ -318,38 +325,58 @@ def gauss_f(n: int) -> float:
     """
     _check_index("n", n, 0)
     if n >= _EXPANSION_MIN_N:
-        lam = n + 0.75
-        l2 = 1.0 / (lam * lam)
-        s, _, _, _ = _sum_asymptotic(1.0, (c * l2 ** k for k, c in enumerate(_WATSON[1:], 1)))
         r = _SQRT_HALF_PI * _stirling_ratio(n)
-        return 0.5 * ((r if n % 2 == 0 else -r) + 0.5 * s / lam)
+        return 0.5 * ((r if n % 2 == 0 else -r) + _watson_s(n))
     previous, current = 0.0, 1.0  # F_{-1} has weight 0 in the step m = 0
     for m in range(n):
         previous, current = current, (2 * m * previous - current) / (2 * m + 3)
     return current
 
 
+def _watson_s(n: int) -> float:
+    """S_n = integral_0^1 (1-t)^n (1+t)^(-n-3/2) dt for n >= 11 by Watson's
+    lemma; see ``gauss_f``."""
+    lam = n + 0.75
+    l2 = 1.0 / (lam * lam)
+    s, _, _, _ = _sum_asymptotic(1.0, (c * l2 ** k for k, c in enumerate(_WATSON[1:], 1)))
+    return 0.5 * s / lam
+
+
 def _approximant(n: int, a: float) -> tuple[float, float]:
     """T_n(a) for n >= 1 and a bound on its rounding error; see
     ``approximants.approximant`` for the formula.
 
-    The bound is ``_index_roundoff(n)`` ulps of (|ratio term| + |F_n|)/(4 pi a),
-    for the rounding of the gamma ratio, of F_n and of the difference taken
-    between them, plus 4 ulps of |T| for the division.  Below about
-    a = 6e-310, where T overflows, both are infinite.
+    Below n = 11 T is that formula, and the bound is ``_index_roundoff(n)``
+    ulps of (|ratio term| + |F_n|)/(4 pi a), for the n steps of the gamma
+    ratio's and F_n's recurrences and the difference taken between them.
+    From n = 11 up, 2F_n = sigma sqrt(pi/2) R(n) + S_n (``gauss_f``) turns the
+    formula into
+
+        T_n(a) = sigma (sqrt(a) sqrt(pi/2) R(n) - S_n)/(8 pi a),
+
+    with R and S_n each a few ulps off, so the bound is ``_index_roundoff(0)``
+    ulps of (sqrt(a) sqrt(pi/2) R(n) + S_n)/(8 pi a): no cancellation between
+    F_n and the ratio term is charged, since none is taken.  Either bound
+    adds 4 ulps of |T| for the division.  Below about a = 6e-310, where T
+    overflows, both are infinite.
     """
     s = -1.0 if n % 2 else 1.0
-    ratio_term = 0.5 * (1.0 + s * math.sqrt(a)) * _SQRT_HALF_PI * gamma_half_ratio(n)
-    f = gauss_f(n)
-    numerator = ratio_term - s * f
-    # n steps although R and F_n round O(1) times from n = 11: this bound
-    # gates j_integral's sigma*T + eps route, which a smaller one would move
-    magnitude = _index_roundoff(n) * _EPS * (abs(ratio_term) + abs(f))
-    denominator = 4.0 * math.pi * a
-    if math.isinf(denominator):  # a > 1.43e307: divide by a last
-        t, magnitude = numerator / (4.0 * math.pi) / a, magnitude / (4.0 * math.pi) / a
+    if n >= _EXPANSION_MIN_N:
+        ratio_term = math.sqrt(a) * (_SQRT_HALF_PI * _stirling_ratio(n))
+        watson = _watson_s(n)
+        numerator = s * (ratio_term - watson)
+        magnitude = _index_roundoff(0) * _EPS * (ratio_term + watson)
+        denominator = 8.0 * math.pi
     else:
-        t, magnitude = numerator / denominator, magnitude / denominator
+        ratio_term = 0.5 * (1.0 + s * math.sqrt(a)) * _SQRT_HALF_PI * gamma_half_ratio(n)
+        f = gauss_f(n)
+        numerator = ratio_term - s * f
+        magnitude = _index_roundoff(n) * _EPS * (abs(ratio_term) + abs(f))
+        denominator = 4.0 * math.pi
+    if math.isinf(denominator * a):  # a > 7.15e306 or 1.43e307: divide by a last
+        t, magnitude = numerator / denominator / a, magnitude / denominator / a
+    else:
+        t, magnitude = numerator / (denominator * a), magnitude / (denominator * a)
     return t, magnitude + 4.0 * _EPS * abs(t)
 
 

@@ -22,8 +22,8 @@ from .approximants import approximant, bound, drz_approx, sigma
 from .quadrature import (
     AccuracyError,
     IntegralParams,
+    _eps_quadrature,
     _j_quadrature,
-    epsilon_integral,
     finite_check_integrals,
 )
 from .specfun import gamma_half_ratio, gauss_f, theta_psi
@@ -138,7 +138,10 @@ class _Samples:
 
     J is always the direct quadrature of its defining integral, never
     ``j_integral``'s route sigma*T + eps, so the consistency, modular and drz
-    checks test an integral computed independently of T and eps.
+    checks test an integral computed independently of T and eps.  Likewise
+    eps is always the quadrature of its integral, never
+    ``epsilon_integral``'s G series from n = 11, whose terms are the bound's
+    own, so the dominance checks compare B with an independent eps.
 
     B and eps at a power of two a > 1 are read off the sample at 1/a, by
     B_n(a) = a^(-3/2) B_n(1/a) and eps_n(a) = sigma(n) a^(-3/2) eps_n(1/a);
@@ -150,7 +153,7 @@ class _Samples:
     def __init__(self):
         bound_at = functools.cache(bound)
         eps_at = functools.cache(
-            lambda n, a: epsilon_integral(IntegralParams(n, a, _EPS_REL_OF_BOUND * bound_at(n, a))).value
+            lambda n, a: _eps_quadrature(IntegralParams(n, a, _EPS_REL_OF_BOUND * bound_at(n, a))).value
         )
         self.bound = lambda n, a: a ** -1.5 * bound_at(n, 1.0 / a) if _folds(a) else bound_at(n, a)
         self.eps = lambda n, a: sigma(n) * a ** -1.5 * eps_at(n, 1.0 / a) if _folds(a) else eps_at(n, a)

@@ -53,9 +53,9 @@ _A_GRID = (1e-7, 0.1, 0.5, 1.0, 2.0, 10.0, 1e7)
 
 class TestNIndexedCore:
     def test_approximant_is_the_papers_formula_for_each_parity(self):
-        # the paper writes T_2k and T_2k+1 as two expressions; the signed
-        # single formula must reproduce each bit for bit
-        for n in _N_GRID:
+        # the paper writes T_2k and T_2k+1 as two expressions; below n = 11
+        # the signed single formula must reproduce each bit for bit
+        for n in range(1, 11):
             f, r, c = float(gauss_f(n)), gamma_half_ratio(n), math.sqrt(PI / 2.0)
             for a in _A_GRID:
                 if n % 2 == 0:
@@ -65,6 +65,25 @@ class TestNIndexedCore:
                     paper = (0.5 * (1.0 - math.sqrt(a)) * c * r + f) / (4.0 * PI * a)
                     alias = t_odd(n // 2, a)
                 assert approximant(n, a) == paper == alias, (n, a)
+
+    def test_approximant_is_the_papers_formula_within_its_bound(self):
+        # from n = 11 T is sigma (sqrt(a) sqrt(pi/2) R - S_n)/(8 pi a), which
+        # equals the paper's formula by 2 F_n = sigma sqrt(pi/2) R + S_n; the
+        # paper's formula at 40 digits lies within T's rounding bound
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            for n in (m for m in _N_GRID if m >= 11):
+                previous, f = mp.mpf(0), mp.mpf(1)
+                for m in range(n):
+                    previous, f = f, (2 * m * previous - f) / (2 * m + 3)
+                s, c = sigma(n), mp.sqrt(mp.pi / 2) * mp.gamma(n + 1) / mp.gamma(n + mp.mpf(1.5))
+                for a in _A_GRID:
+                    t, error = specfun._approximant(n, a)
+                    alias = t_even(n // 2, a) if n % 2 == 0 else t_odd(n // 2, a)
+                    assert approximant(n, a) == t == alias, (n, a)
+                    am = mp.mpf(a)
+                    paper = ((1 + s * mp.sqrt(am)) / 2 * c - s * f) / (4 * mp.pi * am)
+                    assert abs(t - paper) <= error, (n, a)
 
     def test_bound_aliases_agree(self):
         for n in _N_GRID:

@@ -6,6 +6,7 @@ Gauss-Kronrod quadrature from scipy (a different node family) and scipy's
 confluent hypergeometric U.
 """
 
+import itertools
 import json
 import math
 import os
@@ -70,6 +71,44 @@ def _mp_p(mp, n, j):
         c *= mp.mpf(2 * (n - k) * (j - 1 - k)) / ((k + mp.mpf(1.5)) * (k + 1))
         p += c
     return p
+
+
+def _mp_g(mp, n, z):
+    """G_n(z) = n! U(n+1, 1/2, z); mpmath's hyperu needs a higher precision
+    ceiling than its default at large n."""
+    return mp.factorial(n) * mp.hyperu(n + 1, mp.mpf(1) / 2, z, maxprec=100000, maxterms=10 ** 6)
+
+
+def _mp_eps(mp, n, a):
+    """eps_n(a) by its G series (``quadrature.epsilon_integral``) at mpmath's
+    precision, the side with the smaller x first.  A side stops where
+    e^(-pi m^2 x) G_n(0), which bounds its term, or the bound t_m r/(1 - r),
+    r = e^(-pi x (2m + 1)), on the rest of it is below 10^-(dps + 3) of the
+    sum."""
+    a, sign = mp.mpf(a), (-1) ** n
+    g0 = mp.sqrt(mp.pi) * mp.gamma(n + 1) / mp.gamma(n + mp.mpf(1.5))
+    least = mp.mpf(10) ** -(mp.mp.dps + 3)
+    total = 0
+    for x, weight in sorted(((1 / a, sign), (a, mp.sqrt(a)))):
+        for m in itertools.count(1):
+            e = abs(weight) * mp.exp(-mp.pi * m * m * x)
+            if e * g0 < least * abs(total):
+                break
+            term = e * _mp_g(mp, n, 2 * mp.pi * m * m * x)
+            total += term if weight > 0 else -term
+            r = mp.exp(-mp.pi * x * (2 * m + 1))
+            if term * r / (1 - r) < least * abs(total):
+                break
+    return total / (4 * mp.sqrt(2) * mp.pi * a)
+
+
+def _mp_theorem_j(mp, n, a):
+    """J_n(a) = sigma*T_n(a) + eps_n(a) at mpmath's precision, T by the
+    paper's formula."""
+    am, sign = mp.mpf(a), (-1) ** n
+    r = mp.gamma(n + 1) / mp.gamma(n + mp.mpf(1.5))
+    t = ((1 + sign * mp.sqrt(am)) / 2 * mp.sqrt(mp.pi / 2) * r - sign * _mp_gauss_f(mp, n)) / (4 * mp.pi * am)
+    return sign * t + _mp_eps(mp, n, a)
 
 
 def _mp_j_series(mp, n, a):
@@ -561,18 +600,19 @@ class TestJTheorem:
     @pytest.mark.parametrize(
         "n,a,value,estimate,evaluations",
         [
-            (30, 1.0, 0.008345819063448027, 5.002162802794572e-16, 35),
-            (200, 1.0, 0.0034204905668463407, 9.890305052364862e-16, 29),
-            (184, 2.788, 0.0021586356255933856, 4.1792580530386536e-16, 31),
+            (30, 1.0, 0.008345819063448027, 4.727948443508356e-17, 2),
+            (200, 1.0, 0.0034204905668463407, 1.7413179669506064e-17, 2),
+            (184, 2.788, 0.002158635625593385, 1.081950249228732e-17, 2),
         ],
         ids=["30-1", "200-1", "184-2.788"],
     )
     def test_bitwise_snapshot(self, n, a, value, estimate, evaluations):
-        # re-frozen when R(n) and F_n moved to Stirling's series and Watson's
-        # lemma: against 40-digit mpmath quadrature of the defining integral
-        # the values were 1.2e-15, 5.0e-16 and 9.5e-16 relative off
-        # (0.008345819063448038, 0.0034204905668463394, 0.002158635625593383)
-        # and are 8.9e-17, 1.2e-16 and 2.6e-16 off now
+        # re-frozen when eps moved to its G series: evaluations count G terms,
+        # and the estimates (5.0e-16, 9.9e-16 and 4.2e-16 with 35, 29 and 31
+        # quadrature evaluations before) are the series' and T's bounds.
+        # Against 30-digit sigma*T + eps (mpmath hyperu) the values are
+        # 8.9e-17, 1.2e-16 and 5.9e-17 relative off; the third was
+        # 0.0021586356255933856, 2.6e-16 off
         res = j_integral(IntegralParams(n, a))
         assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
 
@@ -591,7 +631,14 @@ class TestJTheorem:
     @pytest.mark.parametrize("n", [11, 12, 15, 20, 30, 50, 100, 200])
     def test_within_estimate_of_the_direct_quadrature(self, n):
         # quarter-decade a below the seam; the direct quadrature's own error
-        # is charged to the route, so this is stricter than the estimate needs
+        # is charged to the route, so this is stricter than the estimate needs.
+        # At n = 100 and 200 the route's estimate (T's few ulps and the G
+        # series' bound) is tighter than the direct quadrature's error at 16
+        # points, e.g. 5.9e-16 apart at (200, 0.316) with a route estimate of
+        # 3.1e-17.  There both are compared with 30-digit sigma*T + eps
+        # (mpmath hyperu; ``_mp_j_series`` does not converge at these a): the
+        # route lies within its estimate, and the direct quadrature is
+        # farther off, within its own
         routed = 0
         for e in range(-12, 16):
             a = 10.0 ** (e / 4)
@@ -601,17 +648,27 @@ class TestJTheorem:
             direct = quadrature._j_quadrature(IntegralParams(n, a))
             if res != direct:
                 routed += 1
-                assert abs(res.value - direct.value) <= res.abs_error_estimate, a
+                if abs(res.value - direct.value) > res.abs_error_estimate:
+                    mp = pytest.importorskip("mpmath")
+                    with mp.workdps(30):
+                        exact = _mp_theorem_j(mp, n, a)
+                        route_error, direct_error = abs(res.value - exact), abs(direct.value - exact)
+                    assert route_error <= res.abs_error_estimate, a
+                    assert route_error < direct_error <= direct.abs_error_estimate, a
         assert routed >= 15
 
-    @pytest.mark.parametrize("n,a", [(10, 1.0), (30, 1e-3), (200, 1e-2)])
-    def test_direct_quadrature_below_the_cost_seam_or_the_budget(self, monkeypatch, n, a):
+    @pytest.mark.parametrize(
+        "n,a,tol", [(10, 1.0, 1e-13), (30, 1e-3, 1e-15), (100, 1e-3, 2e-15)], ids=["10-1.0", "30-0.001", "100-0.001"]
+    )
+    def test_direct_quadrature_below_the_cost_seam_or_the_budget(self, monkeypatch, n, a, tol):
         # n = 10 is below the cost seam; at small a T ~ 1/a rounds by more
-        # than half the tolerance, so no eps quadrature runs
+        # than half of a tight tolerance (3.6e-15 at (30, 1e-3)), so no eps
+        # series or quadrature runs.  At the default tolerance every a
+        # between the seams takes the route from n = 11 up.
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
-        res = j_integral(IntegralParams(n, a))
+        res = j_integral(IntegralParams(n, a, tol))
         assert len(calls) == 1
-        assert res == quadrature._j_quadrature(IntegralParams(n, a))
+        assert res == quadrature._j_quadrature(IntegralParams(n, a, tol))
 
     def test_failed_remainder_falls_back(self, monkeypatch):
         def fail(p):
@@ -626,6 +683,124 @@ class TestJTheorem:
         # at (2000, 1)
         for a in (0.1, 0.3, 1.0, 3.0, 10.0):
             assert j_integral(IntegralParams(n, a)).evaluations <= 100, a
+
+
+class TestJTheoremDownToTheSeam:
+    """From n = 11 the route sigma*T + eps holds from the small-a seam
+    a = 1/(50(n + 2)) up: T, formed from R(n) and S_n, rounds by a few ulps,
+    and eps is its G series, so no quadrature runs.  The direct quadrature
+    missed its estimate here, by up to 9.60 times at (2000, 5.62e-3)."""
+
+    # 30-digit sigma*T + eps (``_mp_theorem_j``, mpmath hyperu) where the
+    # small-a series does not converge (n a > 0.5).  Where both converge they
+    # agree within 1e-30 relative.
+    _FROZEN = {
+        (500, 0.001333521432163324): "3.32963803648456121701335958035e-2",
+        (500, 0.0017782794100389228): "3.1444829848046969544483932953e-2",
+        (500, 0.0023713737056616554): "2.93986439633432486220179731269e-2",
+        (500, 0.0031622776601683794): "2.72097863828273833528248842568e-2",
+        (500, 0.004216965034285823): "2.49428571639023746220375421415e-2",
+        (500, 0.005623413251903491): "2.26655673959927210611478282389e-2",
+        (500, 0.007498942093324558): "2.04392793799042198066600087533e-2",
+        (500, 0.01): "1.83125287865800453559783113796e-2",
+        (500, 0.01333521432163324): "1.63187061164463970675908180424e-2",
+        (500, 0.01778279410038923): "1.44771524058058040433566976916e-2",
+        (500, 0.023713737056616554): "1.2796005223037703716249862485e-2",
+        (500, 0.03162277660168379): "1.12753428683881748760150185524e-2",
+        (500, 0.042169650342858224): "9.90986873848802170583719461495e-3",
+        (500, 0.05623413251903491): "8.69094544235503196075836904709e-3",
+        (500, 0.07498942093324558): "7.60805162139772727115590025503e-3",
+        (500, 0.1): "6.64979479833724108962610755799e-3",
+        (500, 0.1333521432163324): "5.80459869052875008752222432928e-3",
+        (500, 0.1778279410038923): "5.06115572715547851240389297554e-3",
+        (500, 0.23713737056616552): "4.40871189870910251160996513534e-3",
+        (500, 0.31622776601683794): "3.83723317595063833597786759431e-3",
+        (500, 0.4216965034285822): "3.33748944335748816218136949914e-3",
+        (500, 0.5623413251903491): "2.90108205428321727228091905184e-3",
+        (500, 0.7498942093324559): "2.52043385135881752924600196861e-3",
+        (500, 1.0): "2.18875514705831658567517488379e-3",
+        (1000, 0.0005623413251903491): "3.4290301172336996873497014056e-2",
+        (1000, 0.0007498942093324559): "3.25713636057457534430497038413e-2",
+        (1000, 0.001): "3.06357277680014780691222794575e-2",
+        (1000, 0.001333521432163324): "2.8524500022247114433813424364e-2",
+        (1000, 0.0017782794100389228): "2.62957807056367268103669117469e-2",
+        (1000, 0.001996): "2.53834198476762018572361910347e-2",
+        (1000, 0.0023713737056616554): "2.40166538473913504014351273381e-2",
+        (1000, 0.0031622776601683794): "2.17532786286905394392327600173e-2",
+        (1000, 0.004216965034285823): "1.95623632600141051748894102278e-2",
+        (1000, 0.005623413251903491): "1.74863536525892494744052995521e-2",
+        (1000, 0.007498942093324558): "1.55526710067160973092152710074e-2",
+        (1000, 0.01): "1.37757262519602831675856085545e-2",
+        (1000, 0.01333521432163324): "1.21600253000310906623476543099e-2",
+        (1000, 0.01778279410038923): "1.07031792258689912045013610005e-2",
+        (1000, 0.023713737056616554): "9.39832658249980447908433600445e-3",
+        (1000, 0.03162277660168379): "8.23591822183934642542570349225e-3",
+        (1000, 0.042169650342858224): "7.20497808340008873214807975136e-3",
+        (1000, 0.05623413251903491): "6.29397130150468111274803074396e-3",
+        (1000, 0.07498942093324558): "5.49138680878906933317254532559e-3",
+        (1000, 0.1): "4.78611487843201183544955021168e-3",
+        (1000, 0.1333521432163324): "4.16767883925346512007220508339e-3",
+        (1000, 0.1778279410038923): "3.62636432526241367350929285293e-3",
+        (1000, 0.23713737056616552): "3.15327765310696291987433510212e-3",
+        (1000, 0.31622776601683794): "2.74035621949286084594529546288e-3",
+        (1000, 0.4216965034285822): "2.38034739269715272619448506118e-3",
+        (1000, 0.5623413251903491): "2.0667676523477973679397444533e-3",
+        (1000, 0.7498942093324559): "1.7938502725512209167590945784e-3",
+        (1000, 1.0): "1.5564873191041465897500514314e-3",
+        (2000, 0.00031622776601683794): "3.36187319152610933468885431161e-2",
+        (2000, 0.00042169650342858224): "3.18079521758259190716180083318e-2",
+        (2000, 0.0005623413251903491): "2.9794802270055886421810411422e-2",
+        (2000, 0.0007498942093324559): "2.76280271417939796253205490316e-2",
+        (2000, 0.001): "2.53705291168552328163582159267e-2",
+        (2000, 0.001333521432163324): "2.30902051110618966454969777982e-2",
+        (2000, 0.0017782794100389228): "2.08502194426299393573752939843e-2",
+        (2000, 0.0023713737056616554): "1.87018131261434996476561219815e-2",
+        (2000, 0.0031622776601683794): "1.66812137318303275973202047853e-2",
+        (2000, 0.004216965034285823): "1.4810208076269666707893130498e-2",
+        (2000, 0.0056178): "1.31044472879976741189640620408e-2",
+        (2000, 0.005623413251903491): "1.30987884343276753561734010104e-2",
+        (2000, 0.007498942093324558): "1.15483202496064591457553081835e-2",
+        (2000, 0.01): "1.015434002019803229975399673e-2",
+        (2000, 0.01333521432163324): "8.9087099750209210830270281701e-3",
+        (2000, 0.01778279410038923): "7.80117314099209796851646785562e-3",
+        (2000, 0.023713737056616554): "6.82043956613382163030289157096e-3",
+        (2000, 0.03162277660168379): "5.95492692714614314018179585793e-3",
+        (2000, 0.042169650342858224): "5.19325131326663195332188143775e-3",
+        (2000, 0.05623413251903491): "4.52453928309125160976906976882e-3",
+        (2000, 0.07498942093324558): "3.93861339609111430456858306436e-3",
+        (2000, 0.1): "3.42608936126643694475951138745e-3",
+        (2000, 0.1333521432163324): "2.97841253486787167880113013004e-3",
+        (2000, 0.1778279410038923): "2.58785380899951305667174817573e-3",
+        (2000, 0.23713737056616552): "2.24747926723316742743486891593e-3",
+        (2000, 0.31622776601683794): "1.95110382223943155301171580734e-3",
+        (2000, 0.4216965034285822): "1.69323600584499554800519096111e-3",
+        (2000, 0.5623413251903491): "1.4690188644464154086854782479e-3",
+        (2000, 0.7498942093324559): "1.27417030668280795814257117273e-3",
+        (2000, 1.0): "1.1049250951464154090692065511e-3",
+    }
+    # off the grid: points where the direct quadrature missed by 2.99 and
+    # 3.63 times, and two beside points where it missed by 4.84 and 9.60
+    _EXTRA = {1000: (2e-5, 5e-5, 0.001996), 2000: (0.0056178,)}
+
+    @pytest.mark.parametrize("n", [500, 1000, 2000])
+    def test_true_error_within_estimate(self, monkeypatch, n):
+        # eighth-decade a from the seam to 1; the reference is the small-a
+        # series at 60 digits (``_mp_j_series``) up to n a = 0.5, where its
+        # least term is below 1e-55 of J, and the frozen one above
+        mp = pytest.importorskip("mpmath")
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        grid = [10.0 ** (k / 8) for k in range(-40, 1)]
+        points = [a for a in grid if a >= 1.0 / (50.0 * (n + 2))] + list(self._EXTRA.get(n, ()))
+        for a in points:
+            res = j_integral(IntegralParams(n, a))
+            if n * a <= 0.5:
+                with mp.workdps(60):
+                    reference = mp.nstr(_mp_j_series(mp, n, a), 40)
+            else:
+                reference = self._FROZEN[n, a]
+            assert abs(Fraction(res.value) - Fraction(reference)) <= res.abs_error_estimate, a
+        assert calls == []
+        assert len(points) >= 36
 
 
 class TestErrorEstimateHolds:
@@ -798,20 +973,24 @@ class TestEpsilonIntegral:
             # tol None: 1e-6 of the bound, as a caller sizing it from B asks
             (2, 1.0, 1e-10, 1.2503290434096424e-05, 6.503430489650914e-12, 52),
             (7, 2.0, None, -7.6631294112747e-07, 1.1867990382216816e-18, 78),
-            (41, 0.5, None, 2.281603572796117e-12, 6.439730315696032e-24, 57),
+            # the G series from n = 11: 3 terms; the quadrature gave
+            # 2.281603572796117e-12 +- 6.4e-24 in 57 evaluations
+            (41, 0.5, None, 2.2816035727961242e-12, 9.900613613705526e-26, 3),
         ],
         ids=["2-1.0-1e-10", "7-2.0-None", "41-0.5-None"],
     )
     def test_bitwise_snapshot(self, monkeypatch, n, a, tol, value, estimate, evaluations):
-        # one positional driver call at length max(1, min(n, sqrt(2n/(pi
-        # min(a, 1/a))))) and prefactor 1/(4 pi a); the counting wrapper, like
-        # the benchmark's, rejects keywords.  Each value lies within its
-        # estimate of a 32-digit mpmath quadrature of the remainder integral.
+        # below n = 11 one positional driver call at length max(1, min(n,
+        # sqrt(2n/(pi min(a, 1/a))))) and prefactor 1/(4 pi a); the counting
+        # wrapper, like the benchmark's, rejects keywords.  Each value lies
+        # within its estimate of a 32-digit mpmath quadrature of the remainder
+        # integral (41-0.5: 6.5e-27 off, 2.8e-15 relative, against 8.0e-28
+        # for the quadrature; the series stops at a quarter of the tolerance)
         p = IntegralParams(n, a, tol=1e-6 * bound(n, a) if tol is None else tol)
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = epsilon_integral(p)
         assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
-        assert calls == [evaluations]
+        assert calls == ([evaluations] if n < 11 else [])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 41, 200, 1000])
     @pytest.mark.parametrize("a", [2.0, 4.0, 8.0, 1 / 0.3, 10.0, 1e3, 1e8])
@@ -882,6 +1061,74 @@ class TestEpsilonIntegral:
         limit = math.sqrt(1e300) * refs[n, 1e300]
         for a in (1e30, 1e100):
             assert math.sqrt(a) * refs[n, a] == pytest.approx(limit, rel=1e-13, abs=0.0)
+
+
+class TestEpsilonSeries:
+    """From n = 11 eps_n(a) is the sum of its G series, the bound's terms
+    made exact, with the quadrature as fallback past 64 terms a side."""
+
+    def test_benchmark_pool_without_quadrature(self, monkeypatch):
+        # every index-sweep point from n = 11, called as the benchmark calls it
+        with open(_POOL) as fh:
+            points = [p for p in json.load(fh)["index-sweep"] if p["n"] >= 11]
+        assert len(points) == 44
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        for point in points:
+            n, a, ref = point["n"], point["a"], point["ref"]
+            res = epsilon_integral(IntegralParams(n, a, tol=1e-6 * bound(n, a)))
+            assert abs(Fraction(res.value) - Fraction(ref["eps"])) <= res.abs_error_estimate, (n, a)
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [11, 13, 41])
+    @pytest.mark.parametrize("offset", [-1e-3, 1e-3, -1e-8, 1e-8])
+    def test_odd_index_near_one(self, n, offset):
+        # the two sides cancel to |a - 1| of their size; the estimate's ulps
+        # of the sum of magnitudes must cover that, against 30 digits
+        mp = pytest.importorskip("mpmath")
+        a = 1.0 + offset
+        res = epsilon_integral(IntegralParams(n, a, tol=1e-6 * bound(n, a)))
+        with mp.workdps(30):
+            reference = mp.nstr(_mp_eps(mp, n, a), 32)
+        assert res.evaluations <= 20
+        assert math.copysign(1.0, res.value) == -math.copysign(1.0, offset)
+        assert abs(Fraction(res.value) - Fraction(reference)) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("n", [11, 12, 13, 30, 200, 2000])
+    def test_against_the_quadrature_between_the_seams(self, monkeypatch, n):
+        # quarter-decade a between J's seams, at 1e-6 of the bound: the two
+        # agree within their two estimates, and only the series runs
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        checked = 0
+        for e in range(-24, 24):
+            a = 10.0 ** (e / 4)
+            if not 1.0 / (50.0 * (n + 2)) < a < 50.0 * (n + 2):
+                continue
+            p = IntegralParams(n, a, tol=1e-6 * bound(n, a))
+            res = epsilon_integral(p)
+            assert calls == [], a
+            direct = quadrature._eps_quadrature(p)
+            calls.clear()
+            assert abs(res.value - direct.value) <= res.abs_error_estimate + direct.abs_error_estimate, a
+            checked += 1
+        assert checked >= 16
+
+    @pytest.mark.parametrize("n,a", [(11, 1e-6), (11, 1e6), (30, 1e-6), (11, 1e-100), (11, 1e100)])
+    def test_past_the_term_budget_falls_back(self, monkeypatch, n, a):
+        # at (11, 1e-6) a side needs 483 terms to reach its share of the
+        # tolerance; a far from 1 never gets there, and the quadrature runs
+        p = IntegralParams(n, a, tol=1e-6 * bound(n, a))
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = epsilon_integral(p)
+        assert len(calls) == 1
+        assert res == quadrature._eps_quadrature(p)
+        calls.clear()
+        if 1e-8 < a < 1e8:
+            # the budget is what sent it there: with room for 500 terms the
+            # series lands within the two estimates of the quadrature
+            monkeypatch.setattr(quadrature, "_EPS_SERIES_TERMS", 500)
+            series = epsilon_integral(p)
+            assert calls == [] and series.evaluations > 64
+            assert abs(series.value - res.value) <= series.abs_error_estimate + res.abs_error_estimate
 
 
 class TestTheoremConsistency:
@@ -1039,6 +1286,19 @@ class TestUScaled:
                     continue
                 assert abs(value - reference) <= 1e-13 * reference, z
         assert calls == []
+
+    @pytest.mark.parametrize("n,z", [(27, 29.17), (11, 10 ** 1.05), (13, 10 ** 0.8), (17, 10 ** 3.9), (18, 10 ** 3.6)])
+    def test_expansion_past_a_cancelled_pair(self, monkeypatch, n, z):
+        # a pair of terms nearly cancels and the next one is larger (-9.0e-15,
+        # then -1.33e-14 at (27, 29.17), a term of eps_27(0.5159)); a sum
+        # that gave up at the first larger pair ran the quadrature here
+        mp = pytest.importorskip("mpmath")
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        value = u_scaled(n, z)
+        assert calls == []
+        with mp.workdps(40):
+            reference = mp.factorial(n) * mp.hyperu(n + 1, 0.5, z)
+            assert abs(value - reference) <= 1e-13 * reference
 
     @pytest.mark.parametrize("z", [0.01, 1.0, 100.0, 1e4])
     def test_index_seam(self, monkeypatch, z):

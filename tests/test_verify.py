@@ -70,11 +70,11 @@ class TestReproduceTable:
     @pytest.mark.parametrize("table_id", [2, 3])
     def test_reciprocal_columns_share_one_quadrature(self, monkeypatch, table_id):
         calls = collections.Counter()
-        for name in ("epsilon_integral", "bound"):
+        for name in ("_eps_quadrature", "bound"):
             monkeypatch.setattr(verify, name, _counting(calls, name, getattr(verify, name)))
         reproduce_table(table_id)
         # 8 rows at a = 0.5 are computed; the 8 at a = 2 are read off them
-        assert calls == {"epsilon_integral": 8, "bound": 8}
+        assert calls == {"_eps_quadrature": 8, "bound": 8}
 
     @pytest.mark.parametrize("table_id", [2, 3])
     def test_reciprocal_columns_are_scaled_bit_for_bit(self, tables, table_id):
@@ -149,7 +149,7 @@ class TestRunSuite:
         def fail(p):
             raise AccuracyError("forced failure", QuadResult(0.0, 1.0, 1))
 
-        monkeypatch.setattr(verify, "epsilon_integral", fail)
+        monkeypatch.setattr(verify, "_eps_quadrature", fail)
         monkeypatch.setattr(verify, "_j_quadrature", fail)
         report = run_suite()
         groups = {g: [c for c in report.checks if c.name.split("/")[0] == g] for g in ALL_CHECK_GROUPS}
@@ -181,13 +181,13 @@ class TestRunSuite:
 
             return wrapper
 
-        for name in ("_j_quadrature", "epsilon_integral", "bound"):
+        for name in ("_j_quadrature", "_eps_quadrature", "bound"):
             monkeypatch.setattr(verify, name, counting(name))
         # the groups share their J, eps and B samples: no key is computed twice
         run_suite()
         assert len(calls) > 50
         assert max(calls.values()) == 1
-        assert {key[0] for key in calls} == {"_j_quadrature", "epsilon_integral", "bound"}
+        assert {key[0] for key in calls} == {"_j_quadrature", "_eps_quadrature", "bound"}
         # modular reads J at a and 1/a from one sample per (n, a) point, and
         # nothing is kept from one run to the next
         for _ in range(2):
