@@ -86,8 +86,8 @@ def bound(n: int, a: float) -> float:
     reference values.  By formula symmetry B_n(1/a) = a^(3/2) * B_n(a).  Not
     sharp near a = 1 for odd n, where eps_n itself vanishes.  Outside about
     [1/237, 237] one term underflows to 0.0 and only the other is evaluated.
-    Each term is one ``u_scaled`` call: G_n's Kummer series at small 2*pi*x,
-    from n = 11 its uniform expansion above that, and otherwise a quadrature.
+    Each term is one ``u_scaled`` call: from n = 11 G_n's uniform expansion,
+    below it the Kummer series at small 2*pi*x and a quadrature above.
     With Psi(x) summed term by term instead of majorised, the same G_n terms
     give eps_n itself: from n = 11 ``epsilon_integral`` sums them, and the
     identity suite's dominance checks compare B with a quadrature of eps.

@@ -18,18 +18,18 @@ Nodes are placed relative to the nearest endpoint (``exp(-u)`` and
 its float spacing is sampled at the endpoint itself.
 
 Three members of the family need no quadrature where a series converges
-fast: ``u_scaled`` at small argument (its Kummer series) and, from n = 11
-up, above it (its uniform large-n expansion); ``j_integral`` at large and at
-small scale (its two Bernoulli series, ``_j_series``, with the same terms
-in powers of 1/(pi a) and of a/pi); and, from n = 11 up, ``epsilon_integral``
-(the paper's own series of G_n terms, ``_eps_series``).  Between its two
-seams ``j_integral`` takes J = sigma*T + eps from n = 11 on, so it runs no
-quadrature there either, and keeps its own (``_j_quadrature``) as the
-fallback where T's rounding or eps would miss the tolerance.  Quadrature
-remains for u_scaled above its seam and eps and J between theirs below
-n = 11, for eps where its series would need more than 64 terms a side, and
-for the identity suite's independent eps and J (``_eps_quadrature`` and
-``_j_quadrature``).
+fast: ``u_scaled`` from n = 11 up at every argument (its uniform large-n
+expansion), and below it at small argument (its Kummer series);
+``j_integral`` at large and at small scale (its two Bernoulli series,
+``_j_series``, with the same terms in powers of 1/(pi a) and of a/pi); and,
+from n = 11 up, ``epsilon_integral`` (the paper's own series of G_n terms,
+``_eps_series``).  Between its two seams ``j_integral`` takes
+J = sigma*T + eps from n = 11 on, eps by that same series, so it runs no
+quadrature there either; where T's rounding or the series would miss the
+tolerance it runs its own (``_j_quadrature``), once.  Quadrature remains for
+u_scaled above its seam and eps and J between theirs below n = 11, for eps
+where its series would need more than 64 terms a side, and for the identity
+suite's independent eps and J (``_eps_quadrature`` and ``_j_quadrature``).
 
 Determinism: node tables are fixed per level and summation order is fixed, so
 identical inputs give bitwise-identical results.
@@ -93,11 +93,6 @@ _SERIES_SEAM = 0.1
 # j_integral sums its Bernoulli series at and above a = _J_SEAM*(n + 2) and at
 # and below a = 1/(_J_SEAM*(n + 2)), and integrates between them.
 _J_SEAM = 50.0
-# Between those seams j_integral takes J = sigma*T + eps from this n up: a
-# time rule.  From n = 1 the route would cut quad_evals (scale-sweep 13 248
-# to 12 507) but slow scale-sweep from 16 358 to 14 722 calls/s, since eps's
-# integrand costs 1.4-3.3 us per sample and J's 0.6-1.2 us at n <= 10.
-_J_THEOREM_MIN_N = 11
 # epsilon_integral's G series gives up after this many terms on either side.
 _EPS_SERIES_TERMS = 64
 
@@ -337,26 +332,26 @@ def u_scaled(n: int, z: float) -> float:
 
     Three routes, none of which costs more as n grows:
 
-    * At and below (n + 1) z = 0.1 the mass spreads over [1, 1/z] and no
-      quadrature runs: the connection formula (DLMF 13.2.42 at b = 1/2)
+    * From n = 11 up, at every z, G is the sum of its uniform large-n
+      expansion (``specfun._u_olver``, Olver's expansion of the
+      parabolic-cylinder function): up to 16 terms, no quadrature.  Its
+      exponent E (about -sqrt((4n + 3) z) for z < 4n + 3) carries about |E|
+      ulps: against 40-digit mpmath G is within 6.3e-16 relative from
+      (n + 1) z = 0.1 down to 1e-313, and on quarter-decade z up to 1e12
+      within 8.6e-15 at n = 11 to 30 and 7.7e-14 at n = 1000.  Where 16
+      terms would not reach 1e-17 of the sum the quadrature runs instead,
+      but on 615 566 points (every n from 11 to 100 and nine more up to
+      50 000, 1/20-decade z from (n + 1) z = 0.1 to 1e308) they always do.
+    * Below n = 11, at and below (n + 1) z = 0.1, the mass spreads over
+      [1, 1/z] and no quadrature runs: the connection formula (DLMF 13.2.42
+      at b = 1/2)
 
           G_n(z) = sqrt(pi) (R(n) M(n+1, 1/2, z) - 2 sqrt(z) M(n+3/2, 3/2, z)),
 
       with R = gamma_half_ratio and M = 1F1, sums two positive series of at
       most a dozen terms each.  The subtracted term is at most 0.56 of the
-      first, so about one bit cancels: against 40-digit mpmath for n <= 2000
-      and (n + 1) z down to 5e-324 the error stays below 1e-15 relative.
-    * Above that seam, from n = 11 up, G is the sum of its uniform large-n
-      expansion (``specfun._u_olver``, Olver's expansion of the
-      parabolic-cylinder function): 2 to 16 terms, no quadrature.  Its
-      exponent E (about -sqrt((4n + 3) z) for z < 4n + 3) carries about |E|
-      ulps, so G keeps 13 digits even near the bottom of the float range:
-      against 40-digit mpmath on quarter-decade z from the seam to 1e12 it
-      is within 8.6e-15 relative at n = 11 to 30 and 7.7e-14 at n = 1000
-      (the quadrature there: 1.5e-14).  Where 16 terms would not reach 1e-17
-      of the sum the quadrature runs instead, but on 615 566 points (every n
-      from 11 to 100 and nine more up to 50 000, 1/20-decade z from the seam
-      to 1e308) 16 terms always do.
+      first, so about one bit cancels: below 1e-15 relative of 40-digit
+      mpmath for (n + 1) z down to 5e-324.
     * Otherwise the integral is summed by exp-sinh quadrature, as accurate as
       its integrand, whose power (t/(1+t))**n carries about n/2 ulps.  The
       nodes are placed at length max(t*, min(1, 16/z)), where t* is the
@@ -369,13 +364,13 @@ def u_scaled(n: int, z: float) -> float:
     """
     _check_index("n", n, 0)
     _check_a("z", z)
-    if (n + 1) * z <= _SERIES_SEAM:
-        first = gamma_half_ratio(n) * _kummer_series(n + 1, 0.5, z)
-        return _SQRT_PI * (first - 2.0 * math.sqrt(z) * _kummer_series(n + 1.5, 1.5, z))
     if n >= _EXPANSION_MIN_N:
         g = _u_olver(n, z, _SQRT_PI * _stirling_ratio(n))
         if g is not None:
             return g
+    elif (n + 1) * z <= _SERIES_SEAM:
+        first = gamma_half_ratio(n) * _kummer_series(n + 1, 0.5, z)
+        return _SQRT_PI * (first - 2.0 * math.sqrt(z) * _kummer_series(n + 1.5, 1.5, z))
     b = z + 1.5
     peak = 2.0 * n / (b + math.hypot(b, 2.0 * math.sqrt(n) * math.sqrt(z)))
     length = max(peak, min(1.0, 16.0 / z))
@@ -493,20 +488,19 @@ def j_integral(p: IntegralParams) -> QuadResult:
 
     Between the seams, from n = 11 on, J_n(a) is the paper's theorem
     sigma*T_n(a) + eps_n(a): T in closed form with its rounding bound
-    (``specfun._approximant``, a few ulps from n = 11) and eps by
-    ``epsilon_integral``, the sum of its G series: 2 to 52 terms, each O(1)
-    in n, and no quadrature.  The route is taken when T's bound is at most
-    ``p.tol``/2, which holds at the default tolerance everywhere between
-    the seams; eps is then summed to ``p.tol`` less that bound, and the
-    estimate is eps's plus T's bound plus 2 ulps of the sum.  Against 60-digit
-    series and 30-digit sigma*T + eps references on eighth-decade a from the
-    small-a seam to 1 at n = 500, 1000 and 2000, the error is at most 0.063
-    of the estimate, in at most 0.24 ms a call.  Below n = 11 the direct
-    quadrature takes less time (``_J_THEOREM_MIN_N``).
+    (``specfun._approximant``, a few ulps from n = 11) and eps the sum of
+    its G series (``_eps_series``, as in ``epsilon_integral``): 2 to 52
+    terms, each O(1) in n, and no quadrature.  The route is taken when T's
+    bound is at most ``p.tol``/2, which holds at the default tolerance
+    everywhere between the seams; eps is then summed to ``p.tol`` less that
+    bound, and the estimate is eps's plus T's bound plus 2 ulps of the sum.
+    Against 60-digit series and 30-digit sigma*T + eps references on
+    eighth-decade a from the small-a seam to 1 at n = 500, 1000 and 2000,
+    the error is at most 0.063 of the estimate, in at most 0.24 ms a call.
 
-    Wherever neither route applies, or its estimate would exceed ``p.tol``,
-    or eps raises ``AccuracyError``, the defining integral is summed by
-    exp-sinh quadrature (``_j_quadrature``), so an unattainable tolerance
+    Wherever neither route applies, the series gives up or the estimate
+    would exceed ``p.tol``, the defining integral is summed by exp-sinh
+    quadrature (``_j_quadrature``), once, so an unattainable tolerance
     still raises.  Its Kummer factor is evaluated by the stable Laguerre
     recurrence with the Bose factor and the Gaussian e^(-z/2) folded into its
     start values, so no intermediate value overflows and the cost per sample
@@ -524,18 +518,14 @@ def j_integral(p: IntegralParams) -> QuadResult:
         series = _j_series(n, a)
         if series.abs_error_estimate <= p.tol:
             return series
-    elif n >= _J_THEOREM_MIN_N:
+    elif n >= _EXPANSION_MIN_N:
         t, t_error = _approximant(n, a)
-        if t_error <= 0.5 * p.tol:
-            try:
-                eps = epsilon_integral(IntegralParams(n, a, p.tol - t_error))
-            except AccuracyError:
-                pass
-            else:
-                value = (-t if n % 2 else t) + eps.value
-                estimate = eps.abs_error_estimate + t_error + 2.0 * _EPS * abs(value)
-                if estimate <= p.tol:
-                    return QuadResult(value, estimate, eps.evaluations)
+        eps = _eps_series(n, a, p.tol - t_error) if t_error <= 0.5 * p.tol else None
+        if eps is not None:
+            value = (-t if n % 2 else t) + eps.value
+            estimate = eps.abs_error_estimate + t_error + 2.0 * _EPS * abs(value)
+            if estimate <= p.tol:
+                return QuadResult(value, estimate, eps.evaluations)
     return _j_quadrature(p)
 
 
@@ -587,11 +577,11 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     the two sides take 2 to 52 terms together (n from 11 to 5 000,
     1/32-decade a, at 1e-13 and at 1e-6 of the bound).  Where either side
     would need more than 64 (a far from 1: at n = 11 and 1e-6 of the bound,
-    from about a = 1e-5 down and 1e5 up), where a G's expansion does not
-    converge, or where the estimate would exceed ``p.tol``, the integral is
-    summed by exp-sinh quadrature instead (``_eps_quadrature``), as it is
-    below n = 11.  For odd n at a = 1 the two sides coincide and the result
-    is exactly zero.
+    from about a = 1e-5 down and 1e5 up, mostly told before any G), where a
+    G's expansion does not converge, or where the estimate would exceed
+    ``p.tol``, the integral is summed by exp-sinh quadrature instead
+    (``_eps_quadrature``), as it is below n = 11.  For odd n at a = 1 the
+    two sides coincide and the result is exactly zero.
 
     The integral is never evaluated as a difference of J and its
     approximant: the remainder reaches 1e-24 while J is O(1e-2), so the
@@ -600,9 +590,8 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     Swapping Psi(t/a) and Psi(a*t) gives eps_n(1/a) = sigma(n) a^(3/2)
     eps_n(a), as bound gives B_n(1/a) = a^(3/2) B_n(a).
     """
-    n, a = p.n, p.a
-    if n >= _EXPANSION_MIN_N and not (n % 2 and a == 1.0):
-        series = _eps_series(n, a, p.tol)
+    if p.n >= _EXPANSION_MIN_N:
+        series = _eps_series(p.n, p.a, p.tol)
         if series is not None:
             return series
     return _eps_quadrature(p)
@@ -616,14 +605,19 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
     t_(m+1), since G_n decreases, so once t_m is summed the rest of the side
     is below t_m r/(1 - r).  Each side stops where that tail is below a
     quarter of ``tol`` or 1e-17 of the side's sum, and gives up after
-    _EPS_SERIES_TERMS terms.  The estimate is the two tails, plus each
-    term's rounding: 2(|E| + 8) ulps for G, whose exponent |E| <= sqrt(u z)
-    carries about |E| of them (``specfun._u_olver``), and 2 pi m^2 x ulps for
-    the exponential of the rounded pi m^2 x; plus 8 ulps of the sum of
-    magnitudes, which covers odd n near a = 1, where the two sides cancel;
-    plus 4 ulps of the value for the prefactor.  ``evaluations`` counts the
-    G terms.
+    _EPS_SERIES_TERMS terms m, or before its first where e^(-pi m^2 x) is
+    not 0.0 and the m-th term's tail, with G_n(z) as G_n(0) e^(-sqrt(u z))
+    (below G_n), exceeds tol/4: a result within ``tol`` charges 8 ulps of
+    the mass, above 1e-17 of a side, so its sides end by the tol/4 stop.
+    The estimate is the two tails, plus each term's rounding: 2(|E| + 8)
+    ulps for G, whose exponent |E| <= sqrt(u z) carries about |E| of them
+    (``specfun._u_olver``), and 2 pi m^2 x ulps for the exponential of the
+    rounded pi m^2 x; plus 8 ulps of the sum of magnitudes, which covers odd
+    n near a = 1, where the two sides cancel; plus 4 ulps of the value for
+    the prefactor.  ``evaluations`` counts the G terms.
     """
+    if n % 2 and a == 1.0:  # the sides cancel exactly
+        return QuadResult(0.0, 0.0, 1)
     g0 = _SQRT_PI * _stirling_ratio(n)  # G_n(0)
     u = 4.0 * n + 3.0
     coef = 4.0 * math.sqrt(2.0) * math.pi * a  # 1/prefactor
@@ -633,6 +627,13 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
     total = mass = error = 0.0
     count = 0
     for x, weight in ((1.0 / a, -1.0 if n % 2 else 1.0), (a, math.sqrt(a))):
+        m = _EPS_SERIES_TERMS  # predict the tail after the last term
+        e = math.exp(-math.pi * (m * m) * x)
+        if e > 0.0:  # the Gaussian cannot end the side first
+            drop = -math.expm1(-math.pi * x * (2 * m + 1))
+            tail = abs(weight) * g0 * e * math.exp(-m * math.sqrt(2.0 * math.pi * u * x)) * (1.0 - drop) / drop
+            if tail > share:
+                return None
         side = 0.0
         for m in range(1, _EPS_SERIES_TERMS + 1):
             y = math.pi * (m * m) * x
@@ -650,7 +651,7 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
             error += size * (2.0 * (math.sqrt(u * z) + 8.0) + 2.0 * y) * _EPS
             count += 1
             drop = -math.expm1(-math.pi * x * (2 * m + 1))  # 1 - r
-            tail = size * (1.0 - drop) / drop if drop > 0.0 else math.inf
+            tail = size * (1.0 - drop) / drop
             if tail <= share or tail <= 1e-17 * abs(side):
                 error += tail
                 break

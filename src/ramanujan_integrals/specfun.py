@@ -16,11 +16,10 @@ Everything here is elementary but easy to get wrong in binary64:
   by the stable forward Laguerre recurrence instead of its alternating
   power series, which cancels catastrophically as n and z grow.
 * ``_kummer_series`` sums 1F1(a; b; z) for positive a, b and z, where every
-  term of the series is positive; ``u_scaled`` uses it at small argument.
+  term is positive; ``u_scaled`` uses it at small argument below n = 11.
 * ``_u_olver`` sums the uniform large-n expansion of G_n(z) = n! U(n+1, 1/2, z)
-  (Olver's expansion of the parabolic-cylinder function); ``u_scaled`` uses
-  it above its series seam from n = 11 up, and ``epsilon_integral``'s G
-  series at every term.
+  (Olver's expansion of the parabolic-cylinder function): ``u_scaled`` from
+  n = 11 up at every argument, and eps's G series at every term.
 * ``_approximant`` forms the closed form T_n(a) with a bound on its
   rounding error, for ``approximant`` and for ``j_integral``'s route
   J = sigma*T + eps alike: from ``gamma_half_ratio`` and ``gauss_f`` below
@@ -56,7 +55,7 @@ _SQRT_HALF_PI = math.sqrt(math.pi / 2.0)
 # the direct sum with itself rather than the transform with its definition.
 _JACOBI_SEAM = 0.01
 # From this index up, R(n), F_n and G_n(z) come from their asymptotic
-# expansions in n; below it from the loops (and G from its quadrature).  At
+# expansions in n; below it from the loops (G from Kummer or quadrature).  At
 # n = 11 Watson's series for F still reaches its least term, about 1e-16 of
 # F, and G's expansion needs at most 16 terms at all but a few z.
 _EXPANSION_MIN_N = 11

@@ -6,6 +6,7 @@ Gauss-Kronrod quadrature from scipy (a different node family) and scipy's
 confluent hypergeometric U.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -35,10 +36,18 @@ from ramanujan_integrals import (
     t_odd,
     u_scaled,
 )
-from ramanujan_integrals import quadrature, run_suite
+from ramanujan_integrals import quadrature, run_suite, specfun
 from ramanujan_integrals.quadrature import _bose_factor
 
 _POOL = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "pool.json")
+
+
+def _count_terms(monkeypatch):
+    """Count the G expansions (``specfun._u_olver``) that quadrature sums."""
+    olver = quadrature._u_olver
+    calls = []
+    monkeypatch.setattr(quadrature, "_u_olver", lambda *args: calls.append(args) or olver(*args))
+    return calls
 
 
 def _count_calls(monkeypatch, name):
@@ -594,7 +603,7 @@ class TestJSeriesRoundoff:
 
 class TestJTheorem:
     """Between the series seams, from n = 11 on, j_integral returns sigma*T + eps
-    where T's rounding and eps's quadrature fit the tolerance, and the direct
+    where T's rounding and eps's G series fit the tolerance, and the direct
     quadrature of the defining integral otherwise."""
 
     @pytest.mark.parametrize(
@@ -671,11 +680,64 @@ class TestJTheorem:
         assert res == quadrature._j_quadrature(IntegralParams(n, a, tol))
 
     def test_failed_remainder_falls_back(self, monkeypatch):
-        def fail(p):
-            raise AccuracyError("forced failure", QuadResult(0.0, 1.0, 1))
+        # eps's series gives up: the direct quadrature runs, once, and eps's
+        # own quadrature never
+        monkeypatch.setattr(quadrature, "_eps_series", lambda n, a, tol: None)
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = j_integral(IntegralParams(30, 1.0))
+        assert len(calls) == 1
+        assert res == quadrature._j_quadrature(IntegralParams(30, 1.0))
 
-        monkeypatch.setattr(quadrature, "epsilon_integral", fail)
-        assert j_integral(IntegralParams(30, 1.0)) == quadrature._j_quadrature(IntegralParams(30, 1.0))
+    def test_remainder_over_its_share_falls_back(self, monkeypatch):
+        # at twice T's bound eps's series has T's bound left, which its
+        # estimate exceeds after 43 terms (its rounding alone is 0.73 of it);
+        # the direct quadrature runs once
+        n, a = 12, 10.0 ** -2.75
+        tol = 2.0 * specfun._approximant(n, a)[1]
+        assert quadrature._eps_series(n, a, 0.5 * tol) is None
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = j_integral(IntegralParams(n, a, tol))
+        assert len(calls) == 1
+        assert res == quadrature._j_quadrature(IntegralParams(n, a, tol))
+
+    @pytest.mark.parametrize(
+        "ns,step,tols,digest,raised,evaluations",
+        [
+            (
+                (11, 12, 13, 20, 30, 50, 100, 200, 500, 1000, 2000), 1, (1e-13,),
+                "8c8ff06cf5fdd6986ff209428153ca63ab92e0f6111e7a58f9fd8edfcc683b95", 0, 8319,
+            ),
+            (
+                (11, 12, 13, 30), 4, (1e-15, 1e-16),
+                "3f8ca2fd309f0be09d05506a64398e3f72dc29faaf90094d63a10e68f6c97b82", 43, 956849,
+            ),
+        ],
+        ids=["default-tol", "tight-tol"],
+    )
+    def test_frozen_grid(self, ns, step, tols, digest, raised, evaluations):
+        # value, estimate and evaluations (or the raise) on a from 1e-5 to
+        # 1e5 in steps of step/8 decades, both seams and odd n at a = 1
+        # included, hashed.  Frozen from the route that reached eps through
+        # epsilon_integral (and its quadrature when the series gave up);
+        # every eighth decade at all eleven indices and all three
+        # tolerances, 2 673 points, matched it too, but takes minutes
+        lines = []
+        count = total = 0
+        for n in ns:
+            for k in range(-40, 41, step):
+                a = 10.0 ** (k / 8)
+                for tol in tols:
+                    try:
+                        res, tag = j_integral(IntegralParams(n, a, tol)), "ok"
+                    except AccuracyError as exc:
+                        res, tag = exc.result, "raise"
+                        count += 1
+                    total += res.evaluations
+                    lines.append(
+                        f"{n} {a.hex()} {tol.hex()} {tag} {res.value.hex()} {res.abs_error_estimate.hex()} {res.evaluations}"
+                    )
+        assert (count, total) == (raised, evaluations)
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("n", [11, 30, 100, 1000, 2000])
     def test_no_cost_cliff_in_index(self, n):
@@ -1130,6 +1192,100 @@ class TestEpsilonSeries:
             assert calls == [] and series.evaluations > 64
             assert abs(series.value - res.value) <= series.abs_error_estimate + res.abs_error_estimate
 
+    @pytest.mark.parametrize("a", [1e-6, 1e-8])
+    def test_gate_sums_no_term_past_the_budget(self, monkeypatch, a):
+        # the side at x = a would need hundreds of terms; the predicted 64th
+        # term tells so before any G is summed (64 were, at 0.6 ms)
+        p = IntegralParams(11, a, tol=1e-6 * bound(11, a))
+        terms = _count_terms(monkeypatch)
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        assert epsilon_integral(p) == quadrature._eps_quadrature(p)
+        assert terms == [] and len(calls) == 2
+
+    @pytest.mark.parametrize("n", [11, 12, 13, 30, 200, 2000, 5000])
+    def test_gate_predicts_below_the_true_term(self, n):
+        # the gate's G_n(0) e^(-sqrt(u z)) lies below G_n(z) wherever it
+        # applies (pi x 64^2 < 745, so z = 2 pi 64^2 x < 1 490), or both
+        # underflow; were it above, the gate could give up on a series that
+        # meets its stops
+        g0 = math.sqrt(math.pi) * gamma_half_ratio(n)
+        for e in range(-80, -9):
+            z = 2.0 * math.pi * 64 ** 2 * 10.0 ** (e / 8)
+            assert g0 * math.exp(-math.sqrt((4 * n + 3) * z)) <= u_scaled(n, z), e
+
+    def test_gate_keeps_every_success(self, monkeypatch):
+        # n in {11, 12, 13, 15, 20, 30, 50, 100, 200, 500, 1000, 2000, 5000}
+        # by eighth-decade a from 1e-10 to 1e10, at 1e-13 and 1e-6 of the
+        # bound: before the gate the series met its tolerance at 1 903 of
+        # these 4 186 requests and gave up at the other 2 283, each after
+        # summing terms.  The gate keeps all 1 903 and gives up on 2 265 of
+        # the 2 283 before any G is summed
+        terms = _count_terms(monkeypatch)
+        kept = early = late = 0
+        for n in (11, 12, 13, 15, 20, 30, 50, 100, 200, 500, 1000, 2000, 5000):
+            for k in range(-80, 81):
+                a = 10.0 ** (k / 8)
+                for tol in (1e-13, 1e-6 * bound(n, a)):
+                    terms.clear()
+                    if quadrature._eps_series(n, a, tol) is not None:
+                        kept += 1
+                    elif terms:
+                        late += 1
+                    else:
+                        early += 1
+        assert (kept, early, late) == (1903, 2265, 18)
+
+
+class TestGiveUpBranches:
+    """Where G's expansion or eps's series gives up, u_scaled, epsilon_integral
+    and j_integral each run their quadrature, once."""
+
+    @pytest.fixture(params=["growing-pair", "short-table"])
+    def failing_expansion(self, request, monkeypatch):
+        # a first pair above 1 is larger than both pairs before it (taken as
+        # 1); one pair alone cannot reach 1e-17 of the sum at z = 2 pi
+        olver = specfun._OLVER
+        if request.param == "growing-pair":
+            table = tuple(tuple(1e20 * c for c in poly) for poly in olver[:2]) + olver[2:]
+        else:
+            table = olver[:2]
+        monkeypatch.setattr(specfun, "_OLVER", table)
+        return olver
+
+    def test_u_scaled(self, monkeypatch, failing_expansion):
+        g0 = math.sqrt(math.pi) * gamma_half_ratio(30)
+        assert specfun._u_olver(30, 2.0 * math.pi, g0) is None
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        value = u_scaled(30, 2.0 * math.pi)
+        assert len(calls) == 1
+        monkeypatch.setattr(specfun, "_OLVER", failing_expansion)
+        assert value == pytest.approx(u_scaled(30, 2.0 * math.pi), rel=1e-13, abs=0.0)
+
+    def test_epsilon_integral(self, monkeypatch, failing_expansion):
+        p = IntegralParams(30, 1.0, 1e-15)
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = epsilon_integral(p)
+        assert len(calls) == 1
+        assert res == quadrature._eps_quadrature(p)
+
+    def test_j_integral(self, monkeypatch, failing_expansion):
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = j_integral(IntegralParams(30, 1.0))
+        assert len(calls) == 1
+        assert res == quadrature._j_quadrature(IntegralParams(30, 1.0))
+
+    def test_epsilon_integral_over_tolerance(self, monkeypatch):
+        # at 1e-30 the series stops at 1e-17 of each side, and its rounding
+        # charge is far above the tolerance; the quadrature's floor is too
+        p = IntegralParams(30, 1.0, 1e-30)
+        assert quadrature._eps_series(30, 1.0, 1e-30) is None
+        driver = quadrature._integrate_expsinh
+        calls = []
+        monkeypatch.setattr(quadrature, "_integrate_expsinh", lambda *args: calls.append(args) or driver(*args))
+        with pytest.raises(AccuracyError, match="roundoff floor"):
+            epsilon_integral(p)
+        assert len(calls) == 1
+
 
 class TestTheoremConsistency:
     """Closure J_n(a) = sigma*T_n(a) + eps_n(a), in the window where the
@@ -1285,6 +1441,25 @@ class TestUScaled:
                 if reference < sys.float_info.min:
                     continue
                 assert abs(value - reference) <= 1e-13 * reference, z
+        assert calls == []
+
+    @pytest.mark.parametrize("n", [11, 12, 20, 50, 100, 500, 2000])
+    def test_expansion_below_the_kummer_seam(self, monkeypatch, n):
+        # from n = 11 the expansion serves every z, and the Kummer series only
+        # n <= 10.  Below (n + 1) z = 0.1 E is tiny, and G is within 6.3e-16
+        # of 40-digit n! hyperu on half-decade z down to 1e-313 (worst at
+        # (11, 2.6e-10); the Kummer series was within 9.0e-16 there, worst at
+        # n = 2000).  Here: half decades over the first twenty decades below
+        # the seam, then every thirtieth decade, where hyperu is slower
+        mp = pytest.importorskip("mpmath")
+        monkeypatch.setattr(quadrature, "_kummer_series", None)
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        seam = 0.1 / (n + 1)
+        points = [seam * 10.0 ** (-k / 2) for k in range(41)] + [10.0 ** -k for k in range(30, 301, 30)] + [1e-313]
+        with mp.workdps(40):
+            for z in points:
+                reference = _mp_g(mp, n, z)
+                assert abs(u_scaled(n, z) - reference) <= 7e-16 * reference, z
         assert calls == []
 
     @pytest.mark.parametrize("n,z", [(27, 29.17), (11, 10 ** 1.05), (13, 10 ** 0.8), (17, 10 ** 3.9), (18, 10 ** 3.6)])
