@@ -186,10 +186,11 @@ def drz_approx(n: int, a: float) -> float:
 
 def ramanujan_i(alpha: float) -> float:
     """I(alpha) = alpha^(-1/4) * (1 + 4*alpha*J_0(alpha/pi)), with J_0 from
-    ``j_integral``: its large-a series from alpha = 100 pi up, its small-a
-    series from alpha = pi/100 down, and quadrature between.  Outside that
-    range both sides of I(alpha) = I(pi^2/alpha) are series sums and agree to
-    a few ulps.
+    ``j_integral``: its large-a series from alpha = 8.7 pi up, its small-a
+    series from alpha = 0.102 pi down, and quadrature between.  From
+    alpha = 10 pi up and pi/10 down both sides of I(alpha) = I(pi^2/alpha)
+    are series sums and agree to a few ulps (2.5 at most on 1/64-decade
+    alpha from 10 pi to 100 pi).
 
     Satisfies the functional equation I(alpha) = I(beta) with alpha*beta = pi^2.
     Finite over the whole float range: alpha*J_0 is formed before the factor

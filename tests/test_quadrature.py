@@ -64,6 +64,13 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _series_reach(n, ratio):
+    """The first a = ratio**(k/8), k = 0, 1, 2, ..., where J_n's Bernoulli
+    series has an estimate within 1e-13."""
+    steps = (ratio ** (k / 8) for k in itertools.count())
+    return next(a for a in steps if quadrature._j_series(n, a).abs_error_estimate <= 1e-13)
+
+
 def _mp_gauss_f(mp, n):
     """F_n = 2F1(-n, 1; 3/2; 2) by its recurrence at mpmath's precision."""
     previous, f = mp.mpf(0), mp.mpf(1)
@@ -109,6 +116,19 @@ def _mp_eps(mp, n, a):
             if term * r / (1 - r) < least * abs(total):
                 break
     return total / (4 * mp.sqrt(2) * mp.pi * a)
+
+
+def _mp_j_integral(mp, n, a):
+    """J_n(a) by mpmath quadrature of its defining integral, the path split
+    around the integrand's length min(1, sqrt(4 pi/a))."""
+    a = mp.mpf(a)
+    length = min(1, mp.sqrt(4 * mp.pi / a))
+
+    def f(x):
+        z = 2 * mp.pi * a * x * x
+        return x * mp.exp(-z / 2) / mp.expm1(2 * mp.pi * x) * mp.hyp1f1(-n, 1.5, z)
+
+    return mp.quad(f, [0, length / 4, length, 4 * length, mp.inf])
 
 
 def _mp_theorem_j(mp, n, a):
@@ -497,8 +517,12 @@ class TestJSeries:
         for a in (seam, 10.0 * seam, 1e20, 1e300, self._TOP):
             assert j_integral(IntegralParams(n, a)).evaluations <= 12, a
         assert calls == []
-        if n <= 10:  # below the seam the quadrature runs, as it always did
-            j_integral(IntegralParams(n, math.nextafter(seam, 0.0)))
+        if n <= 10:  # below n = 11 the series is tried first at every a
+            j_integral(IntegralParams(n, 1.0))
+            assert len(calls) == 1
+            reach = _series_reach(n, 10.0)
+            assert reach < seam / 4.0
+            j_integral(IntegralParams(n, reach))
             assert len(calls) == 1
 
     def test_unattainable_tolerance_reaches_the_quadrature(self, monkeypatch):
@@ -564,8 +588,12 @@ class TestJSmallSeries:
         for a in self._points(n):
             assert j_integral(IntegralParams(n, a)).evaluations <= 12, a
         assert calls == []
-        if n <= 10:  # above the seam the quadrature runs, as it always did
-            j_integral(IntegralParams(n, math.nextafter(self._seam(n), math.inf)))
+        if n <= 10:  # below n = 11 the series is tried first at every a
+            j_integral(IntegralParams(n, 1.0))
+            assert len(calls) == 1
+            reach = _series_reach(n, 0.1)
+            assert reach > 4.0 * self._seam(n)
+            j_integral(IntegralParams(n, reach))
             assert len(calls) == 1
 
     def test_unattainable_tolerance_reaches_the_quadrature(self, monkeypatch):
@@ -577,6 +605,65 @@ class TestJSmallSeries:
         with pytest.raises(AccuracyError):
             j_integral(IntegralParams(0, 1e-4, tol=1e-300))
         assert len(calls) == 1
+
+
+class TestJSeriesReach:
+    """Below n = 11 j_integral returns the Bernoulli series wherever its
+    estimate meets the tolerance, between the seams a = 1/(50(n + 2)) and
+    50(n + 2) too, where only the quadrature ran before."""
+
+    def test_zeta_table_against_mpmath(self):
+        # the recurrence rounds low, by up to 10.5 ulps at j = 67, 68 and 113
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            for j, zeta in enumerate(quadrature._zeta_table(), 1):
+                exact = mp.zeta(2 * j)
+                assert abs(mp.mpf(zeta) - exact) <= 11 * math.ulp(float(exact)), j
+
+    def test_gate_skips_only_series_that_cannot_meet_tol(self, monkeypatch):
+        # the series is not summed where n = 0's least term, bounded below by
+        # 0.96 e^(-y)/sqrt(2 pi y), y = pi max(a, 1/a), exceeds tol: at 1e-13
+        # from a = 1/8 to 8 it is skipped, and it is summed wherever it meets tol
+        series = quadrature._j_series
+        summed = []
+        monkeypatch.setattr(quadrature, "_j_series", lambda n, a: summed.append(a) or series(n, a))
+        for n in range(11):
+            for k in range(-48, 49):
+                a = 10.0 ** (k / 16)
+                for tol in (1e-13, 1e-6):
+                    summed.clear()
+                    res = j_integral(IntegralParams(n, a, tol))
+                    if series(n, a).abs_error_estimate <= tol:
+                        assert summed and res == series(n, a), (n, a, tol)
+                    elif tol == 1e-13 and 0.125 <= a <= 8.0:
+                        assert not summed, (n, a)
+
+    @pytest.mark.parametrize("n", [0, 4, 10])
+    def test_reach_against_mpmath_quadrature(self, monkeypatch, n):
+        # eighth-decade a between the seams, at the default and a loose
+        # tolerance; every series returned lies within its estimate of a
+        # 30-digit mpmath quadrature of the defining integral (at 1/16-decade
+        # a for every n from 0 to 10 the error was at most 0.496 of it)
+        mp = pytest.importorskip("mpmath")
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        seam = 50.0 * (n + 2)
+        checked = 0
+        with mp.workdps(30):
+            for k in range(-24, 25):
+                a = 10.0 ** (k / 8)
+                if not 1.0 / seam < a < seam:
+                    continue
+                exact = None
+                for tol in (1e-13, 1e-6):
+                    res = j_integral(IntegralParams(n, a, tol))
+                    if calls:  # the series missed tol and the quadrature ran
+                        calls.clear()
+                        continue
+                    if exact is None:
+                        exact = _mp_j_integral(mp, n, a)
+                    assert abs(mp.mpf(res.value) - exact) <= res.abs_error_estimate, (a, tol)
+                    checked += 1
+        assert checked >= 20
 
 
 class TestJSeriesRoundoff:
@@ -1212,6 +1299,15 @@ class TestEpsilonSeries:
         for e in range(-80, -9):
             z = 2.0 * math.pi * 64 ** 2 * 10.0 ** (e / 8)
             assert g0 * math.exp(-math.sqrt((4 * n + 3) * z)) <= u_scaled(n, z), e
+
+    def test_rounding_charge_over_tol_stops_the_series(self, monkeypatch):
+        # at (12, 10^-2.75) the charge for the terms' rounding, which never
+        # shrinks, ends at 0.73 of T's rounding bound; asked for half of that
+        # bound, the series gives up at the second G term, not after all 43
+        n, a = 12, 10.0 ** -2.75
+        terms = _count_terms(monkeypatch)
+        assert quadrature._eps_series(n, a, 0.5 * specfun._approximant(n, a)[1]) is None
+        assert len(terms) == 2
 
     def test_gate_keeps_every_success(self, monkeypatch):
         # n in {11, 12, 13, 15, 20, 30, 50, 100, 200, 500, 1000, 2000, 5000}
