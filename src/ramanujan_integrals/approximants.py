@@ -44,21 +44,15 @@ def approximant(n: int, a: float) -> float:
 
     O(1/a) as a -> 0 and O(a**-0.5) as a -> infinity, so it approximates
     J_n(a) well only for a = O(1).  For odd n at a = 1 the gamma-ratio term
-    vanishes exactly and T_n(1) = F_n/(4 pi).  Below n = 11, multiplying by
-    sigma = +-1 is exact, so each parity evaluates the paper's own
-    expression bit for bit.  From n = 11 up, 2 F_n = sigma sqrt(pi/2) R(n) + S_n
-    with S_n = integral_0^1 (1-t)^n (1+t)^(-n-3/2) dt turns it into
-    sigma (sqrt(a) sqrt(pi/2) R(n) - S_n)/(8 pi a), which is evaluated
-    instead: the two terms no longer cancel to a few ulps of F_n.
+    vanishes exactly and T_n(1) = F_n/(4 pi).  Below n = 11 each parity
+    evaluates the paper's own expression bit for bit; from n = 11 up an
+    equal form without its cancellation (``specfun._approximant``, whose
+    rounding bound ``j_integral`` uses).
 
     Accepts every positive finite a.  The O(1/a) value overflows binary64 to
     +-inf below about a = 6e-310 (without raising); above a = 1.43e307
     (7.15e306 from n = 11), where 4*pi*a (8*pi*a) overflows, the numerator
     is divided by 4*pi (8*pi) and then by a.
-
-    The arithmetic is ``specfun._approximant``, which also bounds T's rounding
-    error for ``j_integral``: from n = 11 on, J_n(a) is sigma*T_n(a) + eps_n(a)
-    computed from this same T.
     """
     _check_index("n", n, 1)
     _check_a("a", a)
@@ -86,16 +80,10 @@ def bound(n: int, a: float) -> float:
     reference values.  By formula symmetry B_n(1/a) = a^(3/2) * B_n(a).  Not
     sharp near a = 1 for odd n, where eps_n itself vanishes.  Outside about
     [1/237, 237] one term underflows to 0.0 and only the other is evaluated.
-    Each term is one ``u_scaled`` call: from n = 11 G_n's uniform expansion,
-    below it the Kummer series at small 2*pi*x and a quadrature above.
-    With Psi(x) summed term by term instead of majorised, the same G_n terms
-    give eps_n itself: from n = 11 ``epsilon_integral`` sums them, and the
-    identity suite's dominance checks compare B with a quadrature of eps.
+    Each term is one ``u_scaled`` call.
     """
     _check_index("n", n, 1)
     _check_a("a", a)
-    # G_n(2*pi*x) = n! U(n+1, 1/2, 2*pi*x) never forms n!, which would
-    # overflow binary64 from n = 171 on.
     if a == 1.0:
         e = _majorant_energy(1.0, n)
         pair = e + e
@@ -186,11 +174,7 @@ def drz_approx(n: int, a: float) -> float:
 
 def ramanujan_i(alpha: float) -> float:
     """I(alpha) = alpha^(-1/4) * (1 + 4*alpha*J_0(alpha/pi)), with J_0 from
-    ``j_integral``: its large-a series from alpha = 8.7 pi up, its small-a
-    series from alpha = 0.102 pi down, and quadrature between.  From
-    alpha = 10 pi up and pi/10 down both sides of I(alpha) = I(pi^2/alpha)
-    are series sums and agree to a few ulps (2.5 at most on 1/64-decade
-    alpha from 10 pi to 100 pi).
+    ``j_integral``.
 
     Satisfies the functional equation I(alpha) = I(beta) with alpha*beta = pi^2.
     Finite over the whole float range: alpha*J_0 is formed before the factor

@@ -17,21 +17,8 @@ Nodes are placed relative to the nearest endpoint (``exp(-u)`` and
 1e-300 without losing digits; a node nearer to a nonzero endpoint than half
 its float spacing is sampled at the endpoint itself.
 
-Three members of the family need no quadrature where a series converges
-fast: ``u_scaled`` from n = 11 up at every argument (its uniform large-n
-expansion), and below it at small argument (its Kummer series);
-``j_integral`` by its two Bernoulli series (``_j_series``, with the same
-terms in powers of 1/(pi a) and of a/pi), below n = 11 wherever they meet
-the tolerance and from n = 11 at large and at small scale; and, from n = 11
-up, ``epsilon_integral`` (the paper's own series of G_n terms,
-``_eps_series``).  Between its two seams ``j_integral`` takes
-J = sigma*T + eps from n = 11 on, eps by that same series, so it runs no
-quadrature there either; where T's rounding or the series would miss the
-tolerance it runs its own (``_j_quadrature``), once.  Quadrature remains
-below n = 11 for u_scaled above its seam, for eps, and for J where its
-series misses the tolerance (near a = 1); for eps where its series would
-need more than 64 terms a side; and for the identity suite's independent
-eps and J (``_eps_quadrature`` and ``_j_quadrature``).
+``u_scaled``, ``j_integral`` and ``epsilon_integral`` sum series instead
+where they can; each docstring states its routes.
 
 Determinism: node tables are fixed per level and summation order is fixed, so
 identical inputs give bitwise-identical results.
@@ -105,12 +92,8 @@ def _zeta_table() -> tuple[float, ...]:
     """zeta(2), zeta(4), ..., zeta(256) for ``_bernoulli_terms``, built on
     first use from zeta(2) = pi^2/6 by
     (j + 1/2) zeta(2j) = sum_{k=1}^{j-1} zeta(2k) zeta(2j - 2k), whose terms
-    are positive; within 11 ulps, low by up to 10.5 of them.
-
-    j_integral's sums take up to 67 terms below n = 11 (at n = 10 near
-    a = 0.041) and 10 from n = 11.  Between the seams from about n = 200,
-    where j_integral does not sum the series, a sum can run to the end of
-    the table; it then charges its last term as the omitted one.
+    are positive.  A sum that runs to the end of the table charges its last
+    term as the omitted one.
     """
     zetas = [math.pi ** 2 / 6.0]
     for j in range(2, 129):
@@ -216,7 +199,7 @@ def _sweep(f, length, nodes) -> tuple[float, float, float, int]:
         if av > peak:
             peak = av
             small = 0
-        elif peak > 0.0 and av < _TRUNC * peak:
+        elif av < _TRUNC * peak:
             small += 1
             if small >= 2:
                 break
@@ -228,11 +211,6 @@ def _sweep(f, length, nodes) -> tuple[float, float, float, int]:
 def _refine(f, tol, rel_tol, roundoff=0.0, length=1.0, prefactor=1.0) -> QuadResult:
     """Integrate ``prefactor * f`` over (0, inf) at the exp-sinh nodes times
     ``length``, adding levels until the estimate meets ``max(tol, rel_tol*|value|)``.
-
-    The estimate at level L >= _MIN_LEVEL is d = |v_L - v_(L-1)|, and the
-    first level whose estimate meets the target is returned.  Halving h
-    roughly squares the error of a double-exponential rule, so d is about the
-    error of the coarser v_(L-1) and over-states that of v_L.
 
     The estimate never drops below the roundoff floor: 4 ulps of the value,
     and ulps of h*sum|w*f| for two kinds of rounding.  ``roundoff`` ulps are
@@ -316,10 +294,8 @@ def integrate(
     accuracy.  ``f`` must be continuous on the open interval.  An endpoint
     at 0 is never sampled exactly; a nonzero endpoint is, by any node nearer
     to it than half its float spacing, so ``f`` singular there may raise.
-    On (lower, inf) ``f`` should decay on a length near 1: at the default
-    tolerances exp(-c t) lies within its estimate for 1e-98 <= c <= 1.8e13,
-    costs 2 027 evaluations at c = 1e-10 and ~20 000 below 1e-75, raises
-    below about 1e-98, and from c = 3e13 up may miss by more than the estimate.
+    On (lower, inf) ``f`` should decay on a length near 1: exp(-c t) lies
+    within its estimate for 1e-98 <= c <= 1.8e13 at the default tolerances.
 
     Raises:
         AccuracyError: target not reached within the level budget or below
@@ -354,34 +330,22 @@ def u_scaled(n: int, z: float) -> float:
     Three routes, none of which costs more as n grows:
 
     * From n = 11 up, at every z, G is the sum of its uniform large-n
-      expansion (``specfun._u_olver``, Olver's expansion of the
-      parabolic-cylinder function): up to 16 terms, no quadrature.  Its
-      exponent E (about -sqrt((4n + 3) z) for z < 4n + 3) carries about |E|
-      ulps: against 40-digit mpmath G is within 6.3e-16 relative from
-      (n + 1) z = 0.1 down to 1e-313, and on quarter-decade z up to 1e12
-      within 8.6e-15 at n = 11 to 30 and 7.7e-14 at n = 1000.  Where 16
-      terms would not reach 1e-17 of the sum the quadrature runs instead,
-      but on 615 566 points (every n from 11 to 100 and nine more up to
-      50 000, 1/20-decade z from (n + 1) z = 0.1 to 1e308) they always do.
-    * Below n = 11, at and below (n + 1) z = 0.1, the mass spreads over
-      [1, 1/z] and no quadrature runs: the connection formula (DLMF 13.2.42
-      at b = 1/2)
+      expansion (``specfun._u_olver``), with no quadrature.  Its exponent E
+      (about -sqrt((4n + 3) z) for z < 4n + 3) carries about |E| ulps.
+      Where 16 terms would not reach 1e-17 of the sum the quadrature runs
+      instead.
+    * Below n = 11, at and below (n + 1) z = 0.1, it is the connection
+      formula (DLMF 13.2.42 at b = 1/2)
 
           G_n(z) = sqrt(pi) (R(n) M(n+1, 1/2, z) - 2 sqrt(z) M(n+3/2, 3/2, z)),
 
-      with R = gamma_half_ratio and M = 1F1, sums two positive series of at
-      most a dozen terms each.  The subtracted term is at most 0.56 of the
-      first, so about one bit cancels: below 1e-15 relative of 40-digit
-      mpmath for (n + 1) z down to 5e-324.
+      with R = gamma_half_ratio and M = 1F1 summed by its positive series,
+      with no quadrature.
     * Otherwise the integral is summed by exp-sinh quadrature, as accurate as
       its integrand, whose power (t/(1+t))**n carries about n/2 ulps.  The
       nodes are placed at length max(t*, min(1, 16/z)), where t* is the
-      integrand's peak, the root of n/t - (n + 3/2)/(1 + t) = z: about 2n/3
-      for small z and sqrt(n/z) for large nz.  t* is formed with hypot and
-      sqrt(n)*sqrt(z), so nothing overflows up to z = 1.8e308.  Where t* is
-      shorter (small n at large z, or n = 0), 16/z follows the exponential.
-      At n in {0, 1, 2, 3, 5, 10} no point costs more than 395 evaluations
-      on quarter-decade z from 1e-12 to 1e12.
+      integrand's peak, the root of n/t - (n + 3/2)/(1 + t) = z, formed so
+      that nothing overflows up to z = 1.8e308.
     """
     _check_index("n", n, 0)
     _check_a("z", z)
@@ -453,9 +417,8 @@ def _j_series(n: int, a: float) -> QuadResult:
     since B_2j (2 pi)^(2j)/(2j)! = (-1)^(j+1) 2 zeta(2j) (DLMF 25.6.2).  By
     Pfaff's transformation (DLMF 15.8.1) H_n(b) = (-1)^n H_n(3/2 - b), so
     H_n(1/2) = (-1)^n F_n with F_n = H_n(1) = gauss_f(n), and H_n(j + 1/2) =
-    (-1)^n P_j, where P_j = 2F1(-n, 1 - j; 3/2; 2) is a sum of min(n, j - 1)
-    + 1 positive terms (``_bernoulli_terms``).  s is formed as
-    1/(sqrt(pi) sqrt(a)), so nothing overflows up to the largest float.
+    (-1)^n P_j (``_bernoulli_terms``).  s is formed as 1/(sqrt(pi) sqrt(a)),
+    so nothing overflows up to the largest float.
 
     Small a.  Expanding e^(-pi a x^2) 1F1(-n; 3/2; 2 pi a x^2) in powers of a
     (its x^(2k) coefficient is (-pi a)^k P_(k+1)/k!) and integrating term by
@@ -501,44 +464,22 @@ def j_integral(p: IntegralParams) -> QuadResult:
     at and below its mirror a = 1/(50(n + 2)), J_n(a) is the sum of its
     Bernoulli series (``_j_series``) wherever the series' estimate meets
     ``p.tol``: no quadrature, and full relative precision at both ends of the
-    float range, where J_n(a) ~ (-1)^n F_n/(4 pi sqrt(a)) and -> 1/24.  Past
-    the seams it takes at most a dozen terms.  Below n = 11 at the default
-    tolerance it serves from a = 8.7 (n = 0) to 18.2 (n = 10) up and from
-    a = 0.102 to 0.050 down, in up to 67 terms; against 30-digit mpmath
-    quadrature of the defining integral on 1/16-decade a between the seams,
-    for every n from 0 to 10, the error is at most 0.50 of the estimate
-    wherever the estimate is at most 1e-6.  The series is not summed where
-    a lower bound on every term, n = 0's least one, exceeds ``p.tol`` (at
-    the default tolerance for 0.115 < a < 8.70), so near a = 1 a failed
-    attempt sums no term.
+    float range, where J_n(a) ~ (-1)^n F_n/(4 pi sqrt(a)) and -> 1/24.  The
+    series is not summed where a lower bound on every term, n = 0's least
+    one, exceeds ``p.tol``, so near a = 1 a failed attempt sums no term.
 
     Between the seams, from n = 11 on, J_n(a) is the paper's theorem
     sigma*T_n(a) + eps_n(a): T in closed form with its rounding bound
-    (``specfun._approximant``, a few ulps from n = 11) and eps the sum of
-    its G series (``_eps_series``, as in ``epsilon_integral``): 2 to 52
-    terms, each O(1) in n, and no quadrature.  The route is taken when T's
-    bound is at most ``p.tol``/2, which holds at the default tolerance
-    everywhere between the seams; eps is then summed to ``p.tol`` less that
+    (``specfun._approximant``) and eps the sum of its G series
+    (``_eps_series``), with no quadrature.  The route is taken when T's
+    bound is at most ``p.tol``/2; eps is then summed to ``p.tol`` less that
     bound, and the estimate is eps's plus T's bound plus 2 ulps of the sum.
-    Against 60-digit series and 30-digit sigma*T + eps references on
-    eighth-decade a from the small-a seam to 1 at n = 500, 1000 and 2000,
-    the error is at most 0.063 of the estimate, in at most 0.24 ms a call.
 
-    Wherever neither route applies (below n = 11 near a = 1), the series
-    gives up or the estimate would exceed ``p.tol``, the defining integral
-    is summed by exp-sinh quadrature (``_j_quadrature``), once, so an
-    unattainable tolerance still raises.  Its Kummer factor is evaluated by
-    the stable Laguerre recurrence with the Bose factor and the Gaussian
-    e^(-z/2) folded into its start values, so no intermediate value
-    overflows and the cost per sample is O(n) for every n.  Its estimate is
-    never below the integrand's roundoff floor, 2(n + 8) ulps of
-    integral |f|.
-
-    Above a = 4 pi the Gaussian's length 1/sqrt(pi a) is shorter than the
-    Bose factor's 1/(2 pi), so the quadrature samples at length
-    L = sqrt(4 pi/a), which keeps the nodes on the integrand and the cost flat
-    in a; for a <= 4 pi, L is 1.  Every positive finite a is accepted and no
-    factor overflows, from J_n(5e-324) ~ 1/24 to J_n(1.8e308) ~ 1e-156.
+    Where neither route applies, or the one that does gives up or would
+    exceed ``p.tol``, the defining integral is summed by exp-sinh
+    quadrature (``_j_quadrature``), once, so an unattainable tolerance still
+    raises.  Every positive finite a is accepted and no factor overflows,
+    from J_n(5e-324) ~ 1/24 to J_n(1.8e308) ~ 1e-156.
     """
     n, a = p.n, p.a
     if n < _EXPANSION_MIN_N or not 1.0 / (_J_SEAM * (n + 2)) < a < _J_SEAM * (n + 2):
@@ -564,7 +505,15 @@ def j_integral(p: IntegralParams) -> QuadResult:
 
 
 def _j_quadrature(p: IntegralParams) -> QuadResult:
-    """J_n(a) by exp-sinh quadrature of its defining integral, to the absolute ``p.tol``."""
+    """J_n(a) by exp-sinh quadrature of its defining integral, to the absolute ``p.tol``.
+
+    The Kummer factor is the stable Laguerre recurrence
+    (``specfun._kummer_scaled``) with the Bose factor and e^(-z/2) folded
+    into its start values, O(n) per sample, and the estimate is never below
+    2(n + 8) ulps of integral |f|.  The nodes are placed at length
+    min(1, sqrt(4 pi/a)): above a = 4 pi the Gaussian is shorter than the
+    Bose factor, and following it keeps the cost flat in a.
+    """
     n, a = p.n, p.a
     # z = c * (ax * x) * x: 2*pi*a itself overflows above a = 2.86e307, so
     # there a multiplies the small x first; elsewhere ax = 1.0 changes no bit
@@ -599,23 +548,10 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     Odd n uses the combination sqrt(a) phi(t) - psi(t) with the same kernel
     shape, where psi(t) = Psi(t/a) and phi(t) = Psi(a*t).
 
-    From n = 11 on, eps is the sum of the paper's own G series: expanding
-    Psi term by term and substituting t = 1 + 2v gives exactly
-
-        eps_n(a) = 1/(4 sqrt(2) pi a) sum_{m>=1} [sigma e^(-pi m^2/a) G_n(2 pi m^2/a)
-                                                  + sqrt(a) e^(-pi m^2 a) G_n(2 pi m^2 a)],
-
-    the terms of the bound B_n(a) with Psi(x) no longer majorised by
-    lambda(x) e^(-pi x) (``_eps_series``).  Each G is one uniform expansion
-    (``specfun._u_olver``), so a term costs O(1) in n.  Between J's seams
-    the two sides take 2 to 52 terms together (n from 11 to 5 000,
-    1/32-decade a, at 1e-13 and at 1e-6 of the bound).  Where either side
-    would need more than 64 (a far from 1: at n = 11 and 1e-6 of the bound,
-    from about a = 1e-5 down and 1e5 up, mostly told before any G), where a
-    G's expansion does not converge, or where the estimate would exceed
-    ``p.tol``, the integral is summed by exp-sinh quadrature instead
-    (``_eps_quadrature``), as it is below n = 11.  For odd n at a = 1 the
-    two sides coincide and the result is exactly zero.
+    From n = 11 on, eps is the sum of the paper's own G series
+    (``_eps_series``).  Where that gives up, and below n = 11, the integral
+    is summed by exp-sinh quadrature (``_eps_quadrature``).  For odd n at
+    a = 1 the two sides coincide and the result is exactly zero.
 
     The integral is never evaluated as a difference of J and its
     approximant: the remainder reaches 1e-24 while J is O(1e-2), so the
@@ -632,8 +568,17 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
 
 
 def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
-    """eps_n(a) for n >= 11 by its G series (see ``epsilon_integral``), or
-    None where it does not reach ``tol``.
+    """eps_n(a) for n >= 11 by its G series, or None where it does not
+    reach ``tol``.  Expanding Psi term by term in ``epsilon_integral``'s
+    integrand and substituting t = 1 + 2v gives exactly
+
+        eps_n(a) = 1/(4 sqrt(2) pi a) sum_{m>=1} [sigma e^(-pi m^2/a) G_n(2 pi m^2/a)
+                                                  + sqrt(a) e^(-pi m^2 a) G_n(2 pi m^2 a)],
+
+    the terms of the bound B_n(a) with Psi(x) no longer majorised by
+    lambda(x) e^(-pi x).  Each G is one uniform expansion
+    (``specfun._u_olver``), so a term costs O(1) in n; where one does not
+    converge the series gives up.
 
     A side's terms t_m fall by at least r = e^(-pi x (2m + 1)) from t_m to
     t_(m+1), since G_n decreases, so once t_m is summed the rest of the side
@@ -722,10 +667,12 @@ def _eps_quadrature(p: IntegralParams) -> QuadResult:
     from the prefactor into the integrand.
 
     For odd n at a = 1 the two theta sums coincide and the integrand
-    vanishes identically; the result is exactly zero.
+    vanishes identically; the result is exactly zero, with nothing summed.
     """
     n, a = p.n, p.a
     odd = n % 2 == 1
+    if odd and a == 1.0:
+        return QuadResult(0.0, 0.0, 1)
     sq = math.sqrt(a)
     length = max(1.0, min(n, math.sqrt(2.0 * n / (math.pi * min(a, 1.0 / a)))))
 
@@ -738,9 +685,6 @@ def _eps_quadrature(p: IntegralParams) -> QuadResult:
             return 0.0
         r = u / (2.0 + u)
         return s * r ** n / ((2.0 + u) * math.sqrt(2.0 + u))
-
-    if odd and a == 1.0:
-        return QuadResult(0.0 * f(1.0), 0.0, 1)
 
     integrand, prefactor = f, 1.0 / (4.0 * math.pi * a)
     if prefactor < sys.float_info.min:  # subnormal above a = 3.6e306, 0.0 above 1.4e307

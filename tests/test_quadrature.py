@@ -687,6 +687,18 @@ class TestJSeriesRoundoff:
                 assert abs(mp.mpf(res.value) - _mp_j_series(mp, n, a)) <= res.abs_error_estimate, a
         assert calls == []
 
+    @pytest.mark.parametrize("n", [11, 50, 200, 2000])
+    def test_meets_the_default_tolerance_inside_the_seams(self, n):
+        # a tenth of the way from either seam toward a = 1, where j_integral
+        # takes sigma*T + eps, the series alone already meets 1e-13 and lies
+        # within its estimate of the series summed at 60 digits
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(60):
+            for a in (5.0 * (n + 2), 1.0 / (5.0 * (n + 2))):
+                res = quadrature._j_series(n, a)
+                assert res.abs_error_estimate <= 1e-13, a
+                assert abs(mp.mpf(res.value) - _mp_j_series(mp, n, a)) <= res.abs_error_estimate, a
+
 
 class TestJTheorem:
     """Between the series seams, from n = 11 on, j_integral returns sigma*T + eps
@@ -1079,6 +1091,15 @@ class TestEpsilonIntegral:
         assert res.abs_error_estimate == 0.0
         assert res.evaluations == 1
         assert epsilon_integral(IntegralParams(41, 1.0)).value == 0.0
+
+    @pytest.mark.parametrize("n", [1, 3, 9])
+    def test_odd_index_at_one_samples_no_theta_sum(self, monkeypatch, n):
+        # the quadrature returns its exact zero before building an integrand
+        calls = []
+        theta = quadrature.theta_psi
+        monkeypatch.setattr(quadrature, "theta_psi", lambda tau: calls.append(tau) or theta(tau))
+        assert quadrature._eps_quadrature(IntegralParams(n, 1.0, 1e-10)) == QuadResult(0.0, 0.0, 1)
+        assert calls == []
 
     def test_even_reference_value(self):
         res = epsilon_integral(IntegralParams(2, 1.0, tol=1e-11))
