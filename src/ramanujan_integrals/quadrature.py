@@ -387,26 +387,31 @@ def _bose_factor(x: float) -> float:
     return x * em / -math.expm1(-2.0 * math.pi * x)
 
 
-def _bernoulli_terms(n: int, x: float, power: float, sign: float):
+def _bernoulli_terms(n: int, x: float, power: float, sign: float, least: float, tol: float):
     """Yield (-1)^(j+1) sign 2 zeta(2j) g_j P_j for j = 1, 2, ..., where
     g_1 = ``power`` and g_(j+1) = (j + 1/2) x g_j: Gamma(j + 1/2) x^j up to
     a constant factor, built multiplicatively.
 
     P_j = 2F1(-n, 1 - j; 3/2; 2) is a sum of min(n, j - 1) + 1 positive
     terms, so a term costs O(n), and zeta(2j) is read from ``_zeta_table``;
-    the terms end with that table.
+    the terms end with that table, or with one infinite term at the first j
+    where P_j times ``least`` exceeds ``tol``.
     """
     for j, zeta in enumerate(_zeta_table(), 1):
         p = c = 1.0
         for k in range(min(n, j - 1)):
             c *= 2.0 * (n - k) * (j - 1 - k) / ((k + 1.5) * (k + 1))
             p += c
+        if p * least > tol:
+            yield math.inf
+            return
         yield (sign if j % 2 else -sign) * 2.0 * zeta * power * p
         power *= (j + 0.5) * x
 
 
-def _j_series(n: int, a: float) -> QuadResult:
-    """J_n(a) by its Bernoulli series: in s^2 = 1/(pi a) for a >= 1, in a/pi below.
+def _j_series(n: int, a: float, tol: float) -> QuadResult | None:
+    """J_n(a) by its Bernoulli series, in s^2 = 1/(pi a) for a >= 1 and in
+    a/pi below, or None where its estimate would exceed ``tol``.
 
     Large a.  Expanding x/(e^(2 pi x) - 1) by DLMF 24.2.1 and integrating term
     by term with DLMF 13.10.3 gives, with H_n(b) = 2F1(-n, b; 3/2; 2),
@@ -439,9 +444,22 @@ def _j_series(n: int, a: float) -> QuadResult:
     magnitudes for the steps its factors take: n below n = 11 (F_n's
     recurrence), and 10 from n = 11, where F_n's sums and P_j's at most
     j - 1 positive terms round O(1) times.  ``evaluations`` counts the terms.
+
+    No scaled term is below P_j times n = 0's least one, which is above
+    least = 0.96 e^(-y)/sqrt(2 pi y), y = pi max(a, 1/a) (zeta(2j) >= 1 and
+    Gamma(j + 1/2) x^j >= 0.96 sqrt(2 pi) e^(-1/x)).  P_j only grows with
+    j, so from the first j where P_j least exceeds ``tol`` so does every
+    later term, and with it the estimate: by its omitted term or, where the
+    sum stops at 1e-17 of itself, by its rounding charge.  The series gives
+    up there, and before its first term where least alone exceeds ``tol``
+    (P_1 = 1), so near a = 1 a failed attempt sums no term.
     """
+    y = math.pi * max(a, 1.0 / a)
+    least = 0.96 * math.exp(-y) / math.sqrt(2.0 * math.pi * y)
+    if least > tol:
+        return None
     if a < 1.0:
-        terms = _bernoulli_terms(n, a / math.pi, 0.5 * _SQRT_PI, 1.0)
+        terms = _bernoulli_terms(n, a / math.pi, 0.5 * _SQRT_PI, 1.0, least, tol)
         first, scale = next(terms), 0.25 / math.pi ** 2.5
     else:
         s = 1.0 / (_SQRT_PI * math.sqrt(a))
@@ -449,11 +467,33 @@ def _j_series(n: int, a: float) -> QuadResult:
         sign = -1.0 if n % 2 else 1.0
         f = sign * gauss_f(n)  # H_n(1/2) = (-1)^n F_n
         # Gamma(j + 1/2) s^(2j) from j = 1
-        terms = itertools.chain((-sign * math.pi * s * f,), _bernoulli_terms(n, s2, _SQRT_PI * (0.5 * s2), sign))
+        later = _bernoulli_terms(n, s2, _SQRT_PI * (0.5 * s2), sign, least, tol)
+        terms = itertools.chain((-sign * math.pi * s * f,), later)
         first, scale = _SQRT_PI * f, s / (4.0 * math.pi)
     total, mass, omitted, count = _sum_asymptotic(first, terms)
     roundoff = _index_roundoff(min(n, _EXPANSION_MIN_N - 1))
-    return QuadResult(total * scale, (omitted + roundoff * _EPS * mass) * scale, count)
+    estimate = (omitted + roundoff * _EPS * mass) * scale
+    return QuadResult(total * scale, estimate, count) if estimate <= tol else None
+
+
+def _theorem(n: int, a: float, tol: float, part, sign: float) -> QuadResult | None:
+    """``part`` + ``sign`` sigma T_n(a) to ``tol``, or None: the theorem
+    J = sigma T + eps read as J (``part`` is ``_eps_series``, ``sign`` 1) or
+    as eps (``part`` is ``_j_series``, ``sign`` -1), with T and its rounding
+    bound from ``specfun._approximant``.  Refused where that bound exceeds
+    ``tol``/2, before ``part`` runs; else ``part`` is asked for ``tol`` less
+    the bound, and the estimate, part's plus the bound plus 2 ulps of the
+    sum, must meet ``tol``.
+    """
+    t, t_error = _approximant(n, a)
+    if not t_error <= 0.5 * tol:
+        return None
+    other = part(n, a, tol - t_error)
+    if other is None:
+        return None
+    value = other.value + sign * (-t if n % 2 else t)
+    estimate = other.abs_error_estimate + t_error + 2.0 * _EPS * abs(value)
+    return QuadResult(value, estimate, other.evaluations) if estimate <= tol else None
 
 
 def j_integral(p: IntegralParams) -> QuadResult:
@@ -464,16 +504,11 @@ def j_integral(p: IntegralParams) -> QuadResult:
     at and below its mirror a = 1/(50(n + 2)), J_n(a) is the sum of its
     Bernoulli series (``_j_series``) wherever the series' estimate meets
     ``p.tol``: no quadrature, and full relative precision at both ends of the
-    float range, where J_n(a) ~ (-1)^n F_n/(4 pi sqrt(a)) and -> 1/24.  The
-    series is not summed where a lower bound on every term, n = 0's least
-    one, exceeds ``p.tol``, so near a = 1 a failed attempt sums no term.
+    float range, where J_n(a) ~ (-1)^n F_n/(4 pi sqrt(a)) and -> 1/24.
 
     Between the seams, from n = 11 on, J_n(a) is the paper's theorem
-    sigma*T_n(a) + eps_n(a): T in closed form with its rounding bound
-    (``specfun._approximant``) and eps the sum of its G series
-    (``_eps_series``), with no quadrature.  The route is taken when T's
-    bound is at most ``p.tol``/2; eps is then summed to ``p.tol`` less that
-    bound, and the estimate is eps's plus T's bound plus 2 ulps of the sum.
+    sigma*T_n(a) + eps_n(a) (``_theorem``), with eps the sum of its G series
+    (``_eps_series``) and no quadrature.
 
     Where neither route applies, or the one that does gives up or would
     exceed ``p.tol``, the defining integral is summed by exp-sinh
@@ -483,25 +518,10 @@ def j_integral(p: IntegralParams) -> QuadResult:
     """
     n, a = p.n, p.a
     if n < _EXPANSION_MIN_N or not 1.0 / (_J_SEAM * (n + 2)) < a < _J_SEAM * (n + 2):
-        # no scaled term is below n = 0's least one, which is above
-        # 0.96 e^(-y)/sqrt(2 pi y), y = pi max(a, 1/a) (P_j, zeta(2j) >= 1 and
-        # Gamma(j + 1/2) x^j >= 0.96 sqrt(2 pi) e^(-1/x)); where that exceeds
-        # p.tol so does the series' estimate, by its omitted term or, where
-        # the sum stops at 1e-17 of itself, by its rounding charge
-        y = math.pi * max(a, 1.0 / a)
-        if 0.96 * math.exp(-y) / math.sqrt(2.0 * math.pi * y) <= p.tol:
-            series = _j_series(n, a)
-            if series.abs_error_estimate <= p.tol:
-                return series
+        result = _j_series(n, a, p.tol)
     else:
-        t, t_error = _approximant(n, a)
-        eps = _eps_series(n, a, p.tol - t_error) if t_error <= 0.5 * p.tol else None
-        if eps is not None:
-            value = (-t if n % 2 else t) + eps.value
-            estimate = eps.abs_error_estimate + t_error + 2.0 * _EPS * abs(value)
-            if estimate <= p.tol:
-                return QuadResult(value, estimate, eps.evaluations)
-    return _j_quadrature(p)
+        result = _theorem(n, a, p.tol, _eps_series, 1.0)
+    return result if result is not None else _j_quadrature(p)
 
 
 def _j_quadrature(p: IntegralParams) -> QuadResult:
@@ -548,23 +568,26 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     Odd n uses the combination sqrt(a) phi(t) - psi(t) with the same kernel
     shape, where psi(t) = Psi(t/a) and phi(t) = Psi(a*t).
 
-    From n = 11 on, eps is the sum of the paper's own G series
-    (``_eps_series``).  Where that gives up, and below n = 11, the integral
-    is summed by exp-sinh quadrature (``_eps_quadrature``).  For odd n at
-    a = 1 the two sides coincide and the result is exactly zero.
-
-    The integral is never evaluated as a difference of J and its
-    approximant: the remainder reaches 1e-24 while J is O(1e-2), so the
-    subtraction would be pure roundoff.
+    From n = 11 on, eps is first the sum of the paper's own G series
+    (``_eps_series``).  Where that gives up, and from n = 1 below n = 11,
+    it is J - sigma*T (``_theorem``) with J by its Bernoulli series
+    (``_j_series``).  Outside the window pi/(2k) << a << 2k/pi eps is not
+    small next to T, so the difference cancels nothing; inside it eps
+    reaches 1e-24 while J is O(1e-2), so the difference would be pure
+    roundoff, and T's rounding bound, above half of any tolerance that asks
+    eps for a digit there, refuses the route.  Where neither meets
+    ``p.tol``, and at n = 0, the integral is summed by exp-sinh quadrature
+    (``_eps_quadrature``), once.  For odd n at a = 1 the two sides coincide
+    and the result is exactly zero.
 
     Swapping Psi(t/a) and Psi(a*t) gives eps_n(1/a) = sigma(n) a^(3/2)
     eps_n(a), as bound gives B_n(1/a) = a^(3/2) B_n(a).
     """
-    if p.n >= _EXPANSION_MIN_N:
-        series = _eps_series(p.n, p.a, p.tol)
-        if series is not None:
-            return series
-    return _eps_quadrature(p)
+    n, a = p.n, p.a
+    result = _eps_series(n, a, p.tol) if n >= _EXPANSION_MIN_N else None
+    if result is None and n >= 1:
+        result = _theorem(n, a, p.tol, _j_series, -1.0)
+    return result if result is not None else _eps_quadrature(p)
 
 
 def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:

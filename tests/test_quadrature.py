@@ -68,7 +68,7 @@ def _series_reach(n, ratio):
     """The first a = ratio**(k/8), k = 0, 1, 2, ..., where J_n's Bernoulli
     series has an estimate within 1e-13."""
     steps = (ratio ** (k / 8) for k in itertools.count())
-    return next(a for a in steps if quadrature._j_series(n, a).abs_error_estimate <= 1e-13)
+    return next(a for a in steps if quadrature._j_series(n, a, 1e-13) is not None)
 
 
 def _mp_gauss_f(mp, n):
@@ -624,17 +624,18 @@ class TestJSeriesReach:
         # the series is not summed where n = 0's least term, bounded below by
         # 0.96 e^(-y)/sqrt(2 pi y), y = pi max(a, 1/a), exceeds tol: at 1e-13
         # from a = 1/8 to 8 it is skipped, and it is summed wherever it meets tol
-        series = quadrature._j_series
+        terms = quadrature._bernoulli_terms
         summed = []
-        monkeypatch.setattr(quadrature, "_j_series", lambda n, a: summed.append(a) or series(n, a))
+        monkeypatch.setattr(quadrature, "_bernoulli_terms", lambda *args: summed.append(args) or terms(*args))
         for n in range(11):
             for k in range(-48, 49):
                 a = 10.0 ** (k / 16)
                 for tol in (1e-13, 1e-6):
                     summed.clear()
                     res = j_integral(IntegralParams(n, a, tol))
-                    if series(n, a).abs_error_estimate <= tol:
-                        assert summed and res == series(n, a), (n, a, tol)
+                    series = quadrature._j_series(n, a, tol)
+                    if series is not None:
+                        assert summed and res == series, (n, a, tol)
                     elif tol == 1e-13 and 0.125 <= a <= 8.0:
                         assert not summed, (n, a)
 
@@ -695,8 +696,8 @@ class TestJSeriesRoundoff:
         mp = pytest.importorskip("mpmath")
         with mp.workdps(60):
             for a in (5.0 * (n + 2), 1.0 / (5.0 * (n + 2))):
-                res = quadrature._j_series(n, a)
-                assert res.abs_error_estimate <= 1e-13, a
+                res = quadrature._j_series(n, a, 1e-13)
+                assert res is not None and res.abs_error_estimate <= 1e-13, a
                 assert abs(mp.mpf(res.value) - _mp_j_series(mp, n, a)) <= res.abs_error_estimate, a
 
 
@@ -1285,12 +1286,17 @@ class TestEpsilonSeries:
     @pytest.mark.parametrize("n,a", [(11, 1e-6), (11, 1e6), (30, 1e-6), (11, 1e-100), (11, 1e100)])
     def test_past_the_term_budget_falls_back(self, monkeypatch, n, a):
         # at (11, 1e-6) a side needs 483 terms to reach its share of the
-        # tolerance; a far from 1 never gets there, and the quadrature runs
+        # tolerance; a far from 1 never gets there, and the series gives up.
+        # J - sigma*T answers there with no quadrature, within the two
+        # estimates of the quadrature, which ran there before
         p = IntegralParams(n, a, tol=1e-6 * bound(n, a))
+        assert quadrature._eps_series(n, a, p.tol) is None
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = epsilon_integral(p)
+        assert calls == []
+        direct = quadrature._eps_quadrature(p)
         assert len(calls) == 1
-        assert res == quadrature._eps_quadrature(p)
+        assert abs(res.value - direct.value) <= res.abs_error_estimate + direct.abs_error_estimate
         calls.clear()
         if 1e-8 < a < 1e8:
             # the budget is what sent it there: with room for 500 terms the
@@ -1298,17 +1304,23 @@ class TestEpsilonSeries:
             monkeypatch.setattr(quadrature, "_EPS_SERIES_TERMS", 500)
             series = epsilon_integral(p)
             assert calls == [] and series.evaluations > 64
-            assert abs(series.value - res.value) <= series.abs_error_estimate + res.abs_error_estimate
+            assert abs(series.value - direct.value) <= series.abs_error_estimate + direct.abs_error_estimate
 
     @pytest.mark.parametrize("a", [1e-6, 1e-8])
     def test_gate_sums_no_term_past_the_budget(self, monkeypatch, a):
         # the side at x = a would need hundreds of terms; the predicted 64th
-        # term tells so before any G is summed (64 were, at 0.6 ms)
+        # term tells so before any G is summed (64 were, at 0.6 ms).  J - sigma*T
+        # then answers with no G and no quadrature, within the two estimates
+        # of the quadrature
         p = IntegralParams(11, a, tol=1e-6 * bound(11, a))
         terms = _count_terms(monkeypatch)
+        assert quadrature._eps_series(11, a, p.tol) is None
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
-        assert epsilon_integral(p) == quadrature._eps_quadrature(p)
-        assert terms == [] and len(calls) == 2
+        res = epsilon_integral(p)
+        assert terms == [] and calls == []
+        direct = quadrature._eps_quadrature(p)
+        assert terms == [] and len(calls) == 1
+        assert abs(res.value - direct.value) <= res.abs_error_estimate + direct.abs_error_estimate
 
     @pytest.mark.parametrize("n", [11, 12, 13, 30, 200, 2000, 5000])
     def test_gate_predicts_below_the_true_term(self, n):
@@ -1351,6 +1363,127 @@ class TestEpsilonSeries:
                     else:
                         early += 1
         assert (kept, early, late) == (1903, 2265, 18)
+
+
+class TestEpsilonDifference:
+    """From n = 1, where eps's G series is not summed or gives up, eps_n(a)
+    is J - sigma*T with J by its Bernoulli series, wherever T's rounding
+    bound is at most half the tolerance and the combined estimate meets it;
+    inside the window T's bound refuses the route and the quadrature runs."""
+
+    @pytest.mark.parametrize(
+        "n,a",
+        [(n, 10.0 ** e) for n in (1, 2, 5, 10) for e in (-3, -2, 2, 3)] + [(11, 10.0 ** -4.5), (11, 10.0 ** 4.5)],
+    )
+    def test_within_estimate_of_30_digits(self, monkeypatch, n, a):
+        # outside the window at 1e-6 of the bound, against the G series
+        # summed at 30 digits: at most 0.034 of the estimate, 3.3e-15
+        # relative, with no quadrature
+        mp = pytest.importorskip("mpmath")
+        p = IntegralParams(n, a, tol=1e-6 * bound(n, a))
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = epsilon_integral(p)
+        assert calls == []
+        with mp.workdps(30):
+            reference = mp.nstr(_mp_eps(mp, n, a), 32)
+        assert abs(Fraction(res.value) - Fraction(reference)) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("n", [11, 30, 200])
+    def test_where_the_g_series_gives_up(self, monkeypatch, n):
+        # quarter-decade a over [1e-8, 1e8] at 1e-6 of the bound: wherever
+        # the G series gives up, the difference answers, with no quadrature
+        # and within the two estimates of the quadrature
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        checked = 0
+        for e in range(-32, 33):
+            a = 10.0 ** (e / 4)
+            p = IntegralParams(n, a, tol=1e-6 * bound(n, a))
+            if quadrature._eps_series(n, a, p.tol) is not None:
+                continue
+            res = epsilon_integral(p)
+            assert calls == [], a
+            direct = quadrature._eps_quadrature(p)
+            calls.clear()
+            assert abs(res.value - direct.value) <= res.abs_error_estimate + direct.abs_error_estimate, a
+            checked += 1
+        assert checked >= 16
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    @pytest.mark.parametrize("a", [1e2, 1e3, 1e5, 1e8])
+    def test_reflection(self, monkeypatch, n, a):
+        # eps_n(1/a) = sigma(n) a^(3/2) eps_n(a), both sides by the difference
+        # (one by the large-a series, the other by the small-a one), within
+        # the sum of the two scaled estimates
+        p, q = IntegralParams(n, a, 1e-6 * bound(n, a)), IntegralParams(n, 1.0 / a, 1e-6 * bound(n, 1.0 / a))
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        direct, inverse = epsilon_integral(p), epsilon_integral(q)
+        assert calls == []
+        scale = a ** 1.5
+        budget = inverse.abs_error_estimate + scale * direct.abs_error_estimate
+        assert abs(inverse.value - sigma(n) * scale * direct.value) <= budget
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    @pytest.mark.parametrize("a", [0.25, 1.001, 3.0])
+    def test_refused_below_twice_the_rounding_of_t(self, monkeypatch, n, a):
+        # asked for eps to T's own rounding bound, J - sigma*T would be
+        # roundoff: J's series is not even tried, and one quadrature runs
+        p = IntegralParams(n, a, tol=specfun._approximant(n, a)[1])
+        series = quadrature._j_series
+        tried = []
+        monkeypatch.setattr(quadrature, "_j_series", lambda *args: tried.append(args) or series(*args))
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = epsilon_integral(p)
+        assert tried == [] and len(calls) == 1
+        assert res == quadrature._eps_quadrature(p)
+
+    def test_running_give_up(self, monkeypatch):
+        # at (8, 9.21) the series cannot meet 1e-6 of the bound: from j = 6
+        # P_j times n = 0's least term exceeds it, and the sum stops there
+        # (21 terms were summed before the quadrature ran)
+        n, a = 8, 9.21
+        p = IntegralParams(n, a, tol=1e-6 * bound(n, a))
+        generator = quadrature._bernoulli_terms
+        terms = []
+
+        def counted(*args):
+            for term in generator(*args):
+                terms.append(term)
+                yield term
+
+        monkeypatch.setattr(quadrature, "_bernoulli_terms", counted)
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = epsilon_integral(p)
+        assert len(terms) <= 6 and terms[-1] == math.inf
+        assert len(calls) == 1 and res == quadrature._eps_quadrature(p)
+
+    def test_running_give_up_keeps_every_success(self):
+        # n <= 10, 1/16-decade a in [1e-4, 1e4], four tolerances: every sum
+        # whose estimate meets tol without the give-up (4 166 of them) is
+        # returned bit for bit with it
+        kept = 0
+        for n in range(11):
+            for k in range(-64, 65):
+                a = 10.0 ** (k / 16)
+                whole = quadrature._j_series(n, a, math.inf)
+                for tol in (1e-15, 1e-13, 1e-10, 1e-6):
+                    if whole.abs_error_estimate <= tol:
+                        assert quadrature._j_series(n, a, tol) == whole, (n, a, tol)
+                        kept += 1
+        assert kept == 4166
+
+    @pytest.mark.parametrize(
+        "n,a,value,estimate,evaluations",
+        [
+            (10, 17.8, "0x1.cf71b8423a6cdp-9", "0x1.f813f65adff30p-43", 47),
+            (1, 9.61, "0x1.4820c7f2d9fd7p-7", "0x1.f5392baa0af51p-43", 31),
+            (10, 0.0487, "0x1.1c296934993b3p-5", "0x1.459342ce499e9p-46", 54),
+        ],
+    )
+    def test_series_bits_at_the_reach(self, n, a, value, estimate, evaluations):
+        # sums just inside the reach, frozen from the series before it took a
+        # tolerance: the give-up changes none of their bits
+        res = quadrature._j_series(n, a, 1e-6 * bound(n, a))
+        assert (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations) == (value, estimate, evaluations)
 
 
 class TestGiveUpBranches:
