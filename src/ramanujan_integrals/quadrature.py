@@ -85,6 +85,9 @@ _SERIES_SEAM = 0.1
 _J_SEAM = 50.0
 # epsilon_integral's G series gives up after this many terms on either side.
 _EPS_SERIES_TERMS = 64
+# From this n to 10, where J's series misses, j_integral tries sigma*T + eps by eps's quadrature
+# first: J's samples take n Laguerre steps, eps's two theta sums do not grow with n.
+_J_THEOREM_MIN_N = 6
 
 
 @functools.cache
@@ -224,6 +227,7 @@ def _refine(f, tol, rel_tol, roundoff=0.0, length=1.0, prefactor=1.0) -> QuadRes
     umass = 0.0
     evaluations = 0
     previous = None
+    settled = 0
     for level in range(_MAX_LEVEL + 1):
         pos, neg = _expsinh_nodes(level)
         s1, m1, u1, n1 = _sweep(f, length, pos)
@@ -242,8 +246,15 @@ def _refine(f, tol, rel_tol, roundoff=0.0, length=1.0, prefactor=1.0) -> QuadRes
         if previous is not None:
             # successive differences cannot certify below the roundoff floor
             err = max(abs(value - previous), floor)
-            if level >= _MIN_LEVEL and err <= target:
-                return QuadResult(value, err, evaluations)
+            if level >= _MIN_LEVEL:
+                if err <= target:
+                    return QuadResult(value, err, evaluations)
+                # give up once the sum settles within a floor above twice the
+                # target, two levels in a row: where f changes sign the floor
+                # still moves by up to 1e-3 of itself per level, never by 2x
+                settled = settled + 1 if abs(value - previous) <= floor and floor > 2.0 * target else 0
+                if settled == 2:
+                    break
         previous = value
     if floor > target:
         why = f"the roundoff floor {floor:g} exceeds it"
@@ -454,8 +465,7 @@ def _j_series(n: int, a: float, tol: float) -> QuadResult | None:
     up there, and before its first term where least alone exceeds ``tol``
     (P_1 = 1), so near a = 1 a failed attempt sums no term.
     """
-    y = math.pi * max(a, 1.0 / a)
-    least = 0.96 * math.exp(-y) / math.sqrt(2.0 * math.pi * y)
+    least = _j_least(a)
     if least > tol:
         return None
     if a < 1.0:
@@ -476,10 +486,17 @@ def _j_series(n: int, a: float, tol: float) -> QuadResult | None:
     return QuadResult(total * scale, estimate, count) if estimate <= tol else None
 
 
+def _j_least(a: float) -> float:
+    """``_j_series``'s lower bound on every scaled term: n = 0's least one."""
+    y = math.pi * max(a, 1.0 / a)
+    return 0.96 * math.exp(-y) / math.sqrt(2.0 * math.pi * y)
+
+
 def _theorem(n: int, a: float, tol: float, part, sign: float) -> QuadResult | None:
     """``part`` + ``sign`` sigma T_n(a) to ``tol``, or None: the theorem
-    J = sigma T + eps read as J (``part`` is ``_eps_series``, ``sign`` 1) or
-    as eps (``part`` is ``_j_series``, ``sign`` -1), with T and its rounding
+    J = sigma T + eps read as J (``part`` is ``_eps_series`` or
+    ``_eps_by_quadrature``, ``sign`` 1) or as eps (``part`` is
+    ``_j_series``, ``sign`` -1), with T and its rounding
     bound from ``specfun._approximant``.  Refused where that bound exceeds
     ``tol``/2, before ``part`` runs; else ``part`` is asked for ``tol`` less
     the bound, and the estimate, part's plus the bound plus 2 ulps of the
@@ -508,17 +525,22 @@ def j_integral(p: IntegralParams) -> QuadResult:
 
     Between the seams, from n = 11 on, J_n(a) is the paper's theorem
     sigma*T_n(a) + eps_n(a) (``_theorem``), with eps the sum of its G series
-    (``_eps_series``) and no quadrature.
+    (``_eps_series``) and no quadrature.  From n = 6 to 10, where the series
+    misses ``p.tol``, it is the theorem with eps by its quadrature
+    (``_eps_quadrature``): inside the window eps is far smaller than J, so
+    its quadrature meets the same absolute tolerance in fewer levels.
 
-    Where neither route applies, or the one that does gives up or would
-    exceed ``p.tol``, the defining integral is summed by exp-sinh
-    quadrature (``_j_quadrature``), once, so an unattainable tolerance still
-    raises.  Every positive finite a is accepted and no factor overflows,
-    from J_n(5e-324) ~ 1/24 to J_n(1.8e308) ~ 1e-156.
+    Where no route applies, or the one that does gives up or would exceed
+    ``p.tol``, the defining integral is summed by exp-sinh quadrature
+    (``_j_quadrature``), so an unattainable tolerance still raises.  Every
+    positive finite a is accepted and no factor overflows, from
+    J_n(5e-324) ~ 1/24 to J_n(1.8e308) ~ 1e-156.
     """
     n, a = p.n, p.a
     if n < _EXPANSION_MIN_N or not 1.0 / (_J_SEAM * (n + 2)) < a < _J_SEAM * (n + 2):
         result = _j_series(n, a, p.tol)
+        if result is None and _J_THEOREM_MIN_N <= n < _EXPANSION_MIN_N:
+            result = _theorem(n, a, p.tol, _eps_by_quadrature, 1.0)
     else:
         result = _theorem(n, a, p.tol, _eps_series, 1.0)
     return result if result is not None else _j_quadrature(p)
@@ -585,9 +607,18 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     """
     n, a = p.n, p.a
     result = _eps_series(n, a, p.tol) if n >= _EXPANSION_MIN_N else None
-    if result is None and n >= 1:
+    # where J's series refuses p.tol it refuses the less that _theorem asks
+    if result is None and n >= 1 and _j_least(a) <= p.tol:
         result = _theorem(n, a, p.tol, _j_series, -1.0)
     return result if result is not None else _eps_quadrature(p)
+
+
+def _eps_by_quadrature(n: int, a: float, tol: float) -> QuadResult | None:
+    """``_eps_quadrature`` to ``tol``, or None where it raises."""
+    try:
+        return _eps_quadrature(IntegralParams(n, a, tol))
+    except AccuracyError:
+        return None
 
 
 def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:

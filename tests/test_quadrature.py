@@ -64,6 +64,22 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _count_quadratures(monkeypatch):
+    """Count the calls of J's and eps's quadratures (``_j_quadrature`` and
+    ``_eps_quadrature``), by name."""
+    counts = {}
+    for name in ("_j_quadrature", "_eps_quadrature"):
+        driver = getattr(quadrature, name)
+        counts[name] = 0
+
+        def counted(p, name=name, driver=driver):
+            counts[name] += 1
+            return driver(p)
+
+        monkeypatch.setattr(quadrature, name, counted)
+    return counts
+
+
 def _series_reach(n, ratio):
     """The first a = ratio**(k/8), k = 0, 1, 2, ..., where J_n's Bernoulli
     series has an estimate within 1e-13."""
@@ -298,7 +314,9 @@ class TestIntegrate:
 
     def test_failure_names_the_roundoff_floor(self, monkeypatch):
         # 2(n + 8) ulps of J_30(1) ~ 2e-16 alone exceed the 1e-20 request; so
-        # does T's rounding bound, so no eps quadrature runs before the direct one
+        # does T's rounding bound, so no eps quadrature runs before the direct
+        # one.  Its sum settles within the floor at levels 6 and 7, where it
+        # raises (after all 12 levels, 21 560 evaluations, until it did)
         expsinh = quadrature._integrate_expsinh
         calls = []
         monkeypatch.setattr(quadrature, "_integrate_expsinh", lambda *args: calls.append(args) or expsinh(*args))
@@ -309,7 +327,33 @@ class TestIntegrate:
         assert "level budget" not in message
         assert excinfo.value.result.value == pytest.approx(0.0083458190634480, abs=1e-15)
         assert len(calls) == 1
-        assert excinfo.value.result.evaluations == 21560
+        assert excinfo.value.result.evaluations == 704
+
+    @pytest.mark.parametrize(
+        "call,evaluations",
+        [
+            (lambda: j_integral(IntegralParams(1, 1.0, tol=1e-300)), 350),
+            (lambda: quadrature._eps_quadrature(IntegralParams(2, 1e-8, tol=1e-30)), 854),
+            (lambda: integrate(lambda t: math.exp(-t), 0.0, math.inf, tol=1e-300, rel_tol=0.0), 408),
+        ],
+        ids=["j-1-1", "eps-2-1e-08", "exp"],
+    )
+    def test_unattainable_tolerance_stops_where_the_sum_settles(self, call, evaluations):
+        # each ran all 12 levels (20 653, 26 349 and 24 326 evaluations)
+        # before raising what two settled levels had already decided
+        with pytest.raises(AccuracyError) as excinfo:
+            call()
+        assert "roundoff floor" in str(excinfo.value)
+        assert excinfo.value.result.evaluations == evaluations
+
+    def test_floor_that_still_moves_is_not_final(self):
+        # J_1(10^1.5)'s floor moves by up to 1e-3 of itself per level, since
+        # its integrand changes sign: 4.98610e-17 and 4.98619e-17 at levels 5
+        # and 6, where its sum has settled, and 4.98529e-17 at level 7.  A
+        # request between them is met at level 7; the quadrature gives up
+        # only on a floor above twice the target
+        res = quadrature._j_quadrature(IntegralParams(1, 10.0 ** 1.5, tol=4.98607e-17))
+        assert (res.abs_error_estimate, res.evaluations) == (pytest.approx(4.98529e-17, rel=1e-5), 615)
 
     def test_determinism(self):
         a = integrate(lambda t: math.exp(-t) / (1.0 + t), 0.0, math.inf)
@@ -417,6 +461,26 @@ class TestJIntegral:
         at_one = quadrature._j_quadrature(IntegralParams(n, 1.0)).evaluations
         for e in range(-8, 9):
             assert quadrature._j_quadrature(IntegralParams(n, 10.0 ** e)).evaluations <= 2 * at_one, e
+
+    def test_cost_map(self, monkeypatch):
+        # driver evaluations of every quarter decade of a from 1e-4 to 1e4 at
+        # n = 0 to 10, the default tolerance: the series costs none, and
+        # where it cannot reach no point costs over 200 or twice a
+        # neighbour's.  From n = 6 eps's quadrature replaces J's there, at
+        # 41 to 84 evaluations against 172 to 198; the total was 17 401
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        cost = {}
+        for n in range(11):
+            for e in range(-16, 17):
+                before = len(calls)
+                j_integral(IntegralParams(n, 10.0 ** (e / 4)))
+                cost[n, e] = sum(calls[before:])
+        for (n, e), c in cost.items():
+            assert c <= (100 if n >= 6 else 200), (n, e, c)
+            neighbour = cost.get((n, e + 1), 0)
+            if c and neighbour:
+                assert max(c, neighbour) <= 2 * min(c, neighbour), (n, e)
+        assert sum(cost.values()) == 11749
 
     @pytest.mark.parametrize(
         "n,a,value,estimate,evaluations",
@@ -767,17 +831,50 @@ class TestJTheorem:
         assert routed >= 15
 
     @pytest.mark.parametrize(
-        "n,a,tol", [(10, 1.0, 1e-13), (30, 1e-3, 1e-15), (100, 1e-3, 2e-15)], ids=["10-1.0", "30-0.001", "100-0.001"]
+        "n,a,tol", [(5, 1.0, 1e-13), (30, 1e-3, 1e-15), (100, 1e-3, 2e-15)], ids=["5-1.0", "30-0.001", "100-0.001"]
     )
     def test_direct_quadrature_below_the_cost_seam_or_the_budget(self, monkeypatch, n, a, tol):
-        # n = 10 is below the cost seam; at small a T ~ 1/a rounds by more
-        # than half of a tight tolerance (3.6e-15 at (30, 1e-3)), so no eps
-        # series or quadrature runs.  At the default tolerance every a
+        # n = 5 is below both routes' index cuts; at small a T ~ 1/a rounds
+        # by more than half of a tight tolerance (3.6e-15 at (30, 1e-3)), so
+        # no eps series or quadrature runs.  At the default tolerance every a
         # between the seams takes the route from n = 11 up.
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = j_integral(IntegralParams(n, a, tol))
         assert len(calls) == 1
         assert res == quadrature._j_quadrature(IntegralParams(n, a, tol))
+
+    def test_remainder_quadrature_from_index_6(self, monkeypatch):
+        # at (10, 1) J's series cannot reach 1e-13: sigma*T + eps with eps by
+        # its quadrature, 41 evaluations, in place of J's own, 188
+        counts = _count_quadratures(monkeypatch)
+        res = j_integral(IntegralParams(10, 1.0))
+        assert counts == {"_j_quadrature": 0, "_eps_quadrature": 1}
+        assert res == quadrature._theorem(10, 1.0, 1e-13, quadrature._eps_by_quadrature, 1.0)
+        assert res.evaluations == 41
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+    def test_remainder_quadrature_within_estimate_of_30_digits(self, monkeypatch, n):
+        # twelfth-decade a from 1e-2 to 1e2 at three tolerances: wherever J's
+        # series cannot reach, sigma*T + eps with eps by its quadrature, and
+        # never both quadratures (379 requests).  The worst error is 0.032
+        # of the estimate, against 30-digit sigma*T + eps (mpmath hyperu)
+        mp = pytest.importorskip("mpmath")
+        counts = _count_quadratures(monkeypatch)
+        routed = 0
+        for k in range(-24, 25):
+            a = 10.0 ** (k / 12)
+            exact = None
+            for tol in (1e-15, 1e-13, 1e-10):
+                counts.update({"_j_quadrature": 0, "_eps_quadrature": 0})
+                res = j_integral(IntegralParams(n, a, tol))
+                assert counts["_j_quadrature"] + counts["_eps_quadrature"] <= 1, (a, tol)
+                if counts["_eps_quadrature"]:
+                    routed += 1
+                    with mp.workdps(30):
+                        if exact is None:
+                            exact = _mp_theorem_j(mp, n, a)
+                        assert abs(mp.mpf(res.value) - exact) <= res.abs_error_estimate, (a, tol)
+        assert routed >= 60
 
     def test_failed_remainder_falls_back(self, monkeypatch):
         # eps's series gives up: the direct quadrature runs, once, and eps's
@@ -809,7 +906,7 @@ class TestJTheorem:
             ),
             (
                 (11, 12, 13, 30), 4, (1e-15, 1e-16),
-                "3f8ca2fd309f0be09d05506a64398e3f72dc29faaf90094d63a10e68f6c97b82", 43, 956849,
+                "3a699dbdf7bd4923c2bb4cb27b1648afa68bf0fe0f3f534ff083da435572d170", 43, 81266,
             ),
         ],
         ids=["default-tol", "tight-tol"],
@@ -820,7 +917,10 @@ class TestJTheorem:
         # included, hashed.  Frozen from the route that reached eps through
         # epsilon_integral (and its quadrature when the series gave up);
         # every eighth decade at all eleven indices and all three
-        # tolerances, 2 673 points, matched it too, but takes minutes
+        # tolerances, 2 673 points, matched it too, but takes minutes.  The
+        # tight grid's 43 raises were re-frozen when the quadrature began to
+        # stop where its sum settles above the roundoff floor (956 849
+        # evaluations before, digest 3f8ca2fd...); every other line is as it was
         lines = []
         count = total = 0
         for n in ns:
