@@ -71,8 +71,9 @@ _MAX_LEVEL = 12
 _MIN_LEVEL = 3
 _DEFAULT_REL = 1e-13
 # A node's |w*f| below _TRUNC times the sweep maximum is tail noise; two in a
-# row end the sweep.  Far coarser than any genuine structure: an isolated
-# integrand zero dips a single node, never two adjacent ones by 22 orders.
+# row end the sweep, as does one just before where a coarser level's run began.
+# Far coarser than any genuine structure: an isolated integrand zero dips a
+# single node, never two adjacent ones by 22 orders.
 _TRUNC = 1e-22
 # exp(u) must stay finite (u < 709.78) on the exp-sinh rays.
 _U_MAX = 690.0
@@ -180,19 +181,24 @@ def _expsinh_nodes(level: int) -> tuple[tuple[tuple[float, float, float], ...], 
 # --------------------------------------------------------------------------
 
 
-def _sweep(f, length, nodes) -> tuple[float, float, float, int]:
+def _sweep(f, length, nodes, cap) -> tuple[float, float, float, int, float]:
     """Sum w*f(length*x) over the nodes until the tail is negligible.
 
-    Returns the sum, the sum of magnitudes, the sum of magnitudes times |u|
-    and the sample count.
+    Returns the sum, the sum of magnitudes, the sum of magnitudes times |u|,
+    the sample count, and the |u| where the run of negligible samples that
+    ended the sweep began (inf if none did): a run of two, or the last sample
+    below |u| = ``cap``, where a coarser level's run began.  A sweep whose last
+    sample below ``cap`` is not negligible goes on past it.
     """
     total = 0.0
     mass = 0.0
     umass = 0.0
     count = 0
     peak = 0.0
-    small = 0
+    first = 0.0  # |u| where the current run of negligible samples began; 0.0: none (u > 0 after the first sample)
     for e, w, u in nodes:
+        if first and u >= cap > first:
+            return total, mass, umass, count, first
         v = w * f(length * e)
         total += v
         count += 1
@@ -201,14 +207,14 @@ def _sweep(f, length, nodes) -> tuple[float, float, float, int]:
         umass += u * av
         if av > peak:
             peak = av
-            small = 0
+            first = 0.0
         elif av < _TRUNC * peak:
-            small += 1
-            if small >= 2:
-                break
+            if first:
+                return total, mass, umass, count, first
+            first = u
         else:
-            small = 0
-    return total, mass, umass, count
+            first = 0.0
+    return total, mass, umass, count, math.inf
 
 
 def _refine(f, tol, rel_tol, roundoff=0.0, length=1.0, prefactor=1.0) -> QuadResult:
@@ -228,10 +234,11 @@ def _refine(f, tol, rel_tol, roundoff=0.0, length=1.0, prefactor=1.0) -> QuadRes
     evaluations = 0
     previous = None
     settled = 0
+    cap_pos = cap_neg = math.inf
     for level in range(_MAX_LEVEL + 1):
         pos, neg = _expsinh_nodes(level)
-        s1, m1, u1, n1 = _sweep(f, length, pos)
-        s2, m2, u2, n2 = _sweep(f, length, neg)
+        s1, m1, u1, n1, cap_pos = _sweep(f, length, pos, cap_pos)
+        s2, m2, u2, n2, cap_neg = _sweep(f, length, neg, cap_neg)
         total += s1 + s2
         mass += m1 + m2
         umass += u1 + u2
@@ -307,6 +314,8 @@ def integrate(
     to it than half its float spacing, so ``f`` singular there may raise.
     On (lower, inf) ``f`` should decay on a length near 1: exp(-c t) lies
     within its estimate for 1e-98 <= c <= 1.8e13 at the default tolerances.
+    A tail beyond two adjacent samples below 1e-22 of the largest is taken
+    as negligible: finer levels may stop short of it.
 
     Raises:
         AccuracyError: target not reached within the level budget or below
