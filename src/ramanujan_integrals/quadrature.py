@@ -80,9 +80,7 @@ _U_MAX = 690.0
 # u_scaled sums its Kummer series at and below this (n + 1)*z, and integrates
 # above it.
 _SERIES_SEAM = 0.1
-# From n = 11 j_integral sums its Bernoulli series at and above
-# a = _J_SEAM*(n + 2) and at and below a = 1/(_J_SEAM*(n + 2)), and takes
-# sigma*T + eps between them.
+# J's seams, a = _J_SEAM*(n + 2) and its mirror, decide ``_j_side``.
 _J_SEAM = 50.0
 # epsilon_integral's G series gives up after this many terms on either side.
 _EPS_SERIES_TERMS = 64
@@ -495,6 +493,13 @@ def _j_series(n: int, a: float, tol: float) -> QuadResult | None:
     return QuadResult(total * scale, estimate, count) if estimate <= tol else None
 
 
+def _j_side(n: int, a: float) -> bool:
+    """J's series side: n < 11, or a at or beyond J's seams 50(n + 2) and
+    1/(50(n + 2)).  There J is ``_j_series`` and eps is J - sigma*T; between
+    the seams eps is ``_eps_series`` and J is sigma*T + eps."""
+    return n < _EXPANSION_MIN_N or not 1.0 / (_J_SEAM * (n + 2)) < a < _J_SEAM * (n + 2)
+
+
 def _j_least(a: float) -> float:
     """``_j_series``'s lower bound on every scaled term: n = 0's least one."""
     y = math.pi * max(a, 1.0 / a)
@@ -526,18 +531,18 @@ def j_integral(p: IntegralParams) -> QuadResult:
     """J_n(a) = integral_0^inf x e^(-pi a x^2)/(e^(2 pi x)-1) 1F1(-n;3/2;2 pi a x^2) dx,
     to the absolute ``p.tol``: the estimate returned never exceeds it.
 
-    Below n = 11 at every a, and from n = 11 at and above a = 50(n + 2) and
-    at and below its mirror a = 1/(50(n + 2)), J_n(a) is the sum of its
-    Bernoulli series (``_j_series``) wherever the series' estimate meets
-    ``p.tol``: no quadrature, and full relative precision at both ends of the
-    float range, where J_n(a) ~ (-1)^n F_n/(4 pi sqrt(a)) and -> 1/24.
-
-    Between the seams, from n = 11 on, J_n(a) is the paper's theorem
-    sigma*T_n(a) + eps_n(a) (``_theorem``), with eps the sum of its G series
-    (``_eps_series``) and no quadrature.  From n = 6 to 10, where the series
-    misses ``p.tol``, it is the theorem with eps by its quadrature
+    ``_j_side`` picks the series, as for ``epsilon_integral``.  On J's
+    side J_n(a) is the sum of its Bernoulli series (``_j_series``) wherever
+    the series' estimate meets ``p.tol``: no quadrature, and full relative
+    precision at both ends of the float range, where
+    J_n(a) ~ (-1)^n F_n/(4 pi sqrt(a)) and -> 1/24.  From n = 6 to 10, where
+    the series misses ``p.tol``, it is the paper's theorem
+    sigma*T_n(a) + eps_n(a) (``_theorem``) with eps by its quadrature
     (``_eps_quadrature``): inside the window eps is far smaller than J, so
     its quadrature meets the same absolute tolerance in fewer levels.
+
+    Between J's seams J_n(a) is the theorem with eps the sum of its G series
+    (``_eps_series``) and no quadrature.
 
     Where no route applies, or the one that does gives up or would exceed
     ``p.tol``, the defining integral is summed by exp-sinh quadrature
@@ -546,7 +551,7 @@ def j_integral(p: IntegralParams) -> QuadResult:
     J_n(5e-324) ~ 1/24 to J_n(1.8e308) ~ 1e-156.
     """
     n, a = p.n, p.a
-    if n < _EXPANSION_MIN_N or not 1.0 / (_J_SEAM * (n + 2)) < a < _J_SEAM * (n + 2):
+    if _j_side(n, a):
         result = _j_series(n, a, p.tol)
         if result is None and _J_THEOREM_MIN_N <= n < _EXPANSION_MIN_N:
             result = _theorem(n, a, p.tol, _eps_by_quadrature, 1.0)
@@ -599,25 +604,27 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     Odd n uses the combination sqrt(a) phi(t) - psi(t) with the same kernel
     shape, where psi(t) = Psi(t/a) and phi(t) = Psi(a*t).
 
-    From n = 11 on, eps is first the sum of the paper's own G series
-    (``_eps_series``).  Where that gives up, and from n = 1 below n = 11,
-    it is J - sigma*T (``_theorem``) with J by its Bernoulli series
-    (``_j_series``).  Outside the window pi/(2k) << a << 2k/pi eps is not
-    small next to T, so the difference cancels nothing; inside it eps
-    reaches 1e-24 while J is O(1e-2), so the difference would be pure
-    roundoff, and T's rounding bound, above half of any tolerance that asks
-    eps for a digit there, refuses the route.  Where neither meets
-    ``p.tol``, and at n = 0, the integral is summed by exp-sinh quadrature
-    (``_eps_quadrature``), once.  For odd n at a = 1 the two sides coincide
+    ``_j_side`` picks the series, as for ``j_integral``.  Between J's seams
+    eps is the sum of the paper's own G series (``_eps_series``).  On J's
+    side, from n = 1, it is J - sigma*T (``_theorem``) with J by its
+    Bernoulli series (``_j_series``).  Outside the window
+    pi/(2k) << a << 2k/pi eps is not small next to T, so the difference
+    cancels nothing; inside it eps reaches 1e-24 while J is O(1e-2), so the
+    difference would be pure roundoff, and T's rounding bound, above half of
+    any tolerance that asks eps for a digit there, refuses the route.  Where
+    the series picked does not meet ``p.tol``, and at n = 0, the integral is
+    summed by exp-sinh quadrature (``_eps_quadrature``), once.  For odd n at a = 1 the two sides coincide
     and the result is exactly zero.
 
     Swapping Psi(t/a) and Psi(a*t) gives eps_n(1/a) = sigma(n) a^(3/2)
     eps_n(a), as bound gives B_n(1/a) = a^(3/2) B_n(a).
     """
     n, a = p.n, p.a
-    result = _eps_series(n, a, p.tol) if n >= _EXPANSION_MIN_N else None
+    result = None
+    if not _j_side(n, a):
+        result = _eps_series(n, a, p.tol)
     # where J's series refuses p.tol it refuses the less that _theorem asks
-    if result is None and n >= 1 and _j_least(a) <= p.tol:
+    elif n >= 1 and _j_least(a) <= p.tol:
         result = _theorem(n, a, p.tol, _j_series, -1.0)
     return result if result is not None else _eps_quadrature(p)
 
@@ -647,14 +654,10 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
     t_(m+1), since G_n decreases, so once t_m is summed the rest of the side
     is below t_m r/(1 - r).  Each side stops where that tail is below a
     quarter of ``tol`` or 1e-17 of the side's sum, and gives up after
-    _EPS_SERIES_TERMS terms m, or before its first where e^(-pi m^2 x) is
-    not 0.0 and the m-th term's tail, with G_n(z) as G_n(0) e^(-sqrt(u z))
-    (below G_n), exceeds tol/4: a result within ``tol`` charges 8 ulps of
-    the mass, above 1e-17 of a side, so its sides end by the tol/4 stop.
-    The estimate is the two tails, plus each term's rounding: 2(|E| + 8)
-    ulps for G, whose exponent |E| <= sqrt(u z) carries about |E| of them
-    (``specfun._u_olver``), and 2 pi m^2 x ulps for the exponential of the
-    rounded pi m^2 x; plus 8 ulps of the sum of magnitudes, which covers odd
+    _EPS_SERIES_TERMS terms m.  The estimate is the two tails, plus each
+    term's rounding: 2(|E| + 8) ulps for G, whose exponent |E| <= sqrt(u z)
+    carries about |E| of them (``specfun._u_olver``), and 2 pi m^2 x ulps
+    for the exponential of the rounded pi m^2 x; plus 8 ulps of the sum of magnitudes, which covers odd
     n near a = 1, where the two sides cancel; plus 4 ulps of the value for
     the prefactor.  ``evaluations`` counts the G terms.  The rounding charge
     and the mass only grow, so the series gives up at the first term where
@@ -671,13 +674,6 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
     total = mass = error = 0.0
     count = 0
     for x, weight in ((1.0 / a, -1.0 if n % 2 else 1.0), (a, math.sqrt(a))):
-        m = _EPS_SERIES_TERMS  # predict the tail after the last term
-        e = math.exp(-math.pi * (m * m) * x)
-        if e > 0.0:  # the Gaussian cannot end the side first
-            drop = -math.expm1(-math.pi * x * (2 * m + 1))
-            tail = abs(weight) * g0 * e * math.exp(-m * math.sqrt(2.0 * math.pi * u * x)) * (1.0 - drop) / drop
-            if tail > share:
-                return None
         side = 0.0
         for m in range(1, _EPS_SERIES_TERMS + 1):
             y = math.pi * (m * m) * x

@@ -91,9 +91,11 @@ _OLVER = _olver_table(16)
 
 
 def _check_index(name: str, value: int, least: int) -> None:
-    if not isinstance(value, int) or value < least:
+    typed = isinstance(value, int) and not isinstance(value, bool)
+    if not typed or value < least:
         kind = "positive" if least else "non-negative"
-        raise ValueError(f"{name} must be a {kind} integer, got {value}")
+        got = value if typed else f"{value} of type {type(value).__name__}"
+        raise ValueError(f"{name} must be a {kind} integer, got {got}")
 
 
 def _check_a(name: str, value: float) -> None:

@@ -203,6 +203,16 @@ class TestResultTypes:
             with pytest.raises(ValueError, match=f"n must be a non-negative integer, got {n}"):
                 IntegralParams(n, 1.0)
 
+    def test_bool_index_is_rejected(self):
+        # True is an int to isinstance, and would be taken as n = 1
+        with pytest.raises(ValueError, match="n must be a non-negative integer, got True of type bool"):
+            j_integral(IntegralParams(True, 1.0))
+
+    def test_non_int_index_names_its_type(self):
+        np = pytest.importorskip("numpy")
+        with pytest.raises(ValueError, match="n must be a non-negative integer, got 3 of type int64"):
+            IntegralParams(np.int64(3), 1.0)
+
 
 class TestIntegrate:
     def test_decaying_exponential(self):
@@ -1027,9 +1037,8 @@ class TestJTheorem:
         # epsilon_integral (and its quadrature when the series gave up);
         # every eighth decade at all eleven indices and all three
         # tolerances, 2 673 points, matched it too, but takes minutes.  The
-        # tight grid's 43 raises were re-frozen when the quadrature began to
-        # stop where its sum settles above the roundoff floor (956 849
-        # evaluations before, digest 3f8ca2fd...); every other line is as it was
+        # tight grid's 43 raises stop where the quadrature's sum settles
+        # above the roundoff floor
         lines = []
         count = total = 0
         for n in ns:
@@ -1444,8 +1453,9 @@ class TestEpsilonIntegral:
 
 
 class TestEpsilonSeries:
-    """From n = 11 eps_n(a) is the sum of its G series, the bound's terms
-    made exact, with the quadrature as fallback past 64 terms a side."""
+    """From n = 11, between J's seams, eps_n(a) is the sum of its G series,
+    the bound's terms made exact; past 64 terms a side the series gives up
+    and the quadrature answers."""
 
     def test_benchmark_pool_without_quadrature(self, monkeypatch):
         # every index-sweep point from n = 11, called as the benchmark calls it
@@ -1496,8 +1506,8 @@ class TestEpsilonSeries:
     def test_past_the_term_budget_falls_back(self, monkeypatch, n, a):
         # at (11, 1e-6) a side needs 483 terms to reach its share of the
         # tolerance; a far from 1 never gets there, and the series gives up.
-        # J - sigma*T answers there with no quadrature, within the two
-        # estimates of the quadrature, which ran there before
+        # These points lie beyond J's seams, where J - sigma*T answers with
+        # no quadrature, within the two estimates of the quadrature
         p = IntegralParams(n, a, tol=1e-6 * bound(n, a))
         assert quadrature._eps_series(n, a, p.tol) is None
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
@@ -1506,41 +1516,27 @@ class TestEpsilonSeries:
         direct = quadrature._eps_quadrature(p)
         assert len(calls) == 1
         assert abs(res.value - direct.value) <= res.abs_error_estimate + direct.abs_error_estimate
-        calls.clear()
         if 1e-8 < a < 1e8:
-            # the budget is what sent it there: with room for 500 terms the
-            # series lands within the two estimates of the quadrature
+            # the budget is what stops the series: with room for 500 terms
+            # it lands within the two estimates of the quadrature
             monkeypatch.setattr(quadrature, "_EPS_SERIES_TERMS", 500)
-            series = epsilon_integral(p)
-            assert calls == [] and series.evaluations > 64
+            series = quadrature._eps_series(n, a, p.tol)
+            assert series.evaluations > 64
             assert abs(series.value - direct.value) <= series.abs_error_estimate + direct.abs_error_estimate
 
     @pytest.mark.parametrize("a", [1e-6, 1e-8])
     def test_gate_sums_no_term_past_the_budget(self, monkeypatch, a):
-        # the side at x = a would need hundreds of terms; the predicted 64th
-        # term tells so before any G is summed (64 were, at 0.6 ms).  J - sigma*T
-        # then answers with no G and no quadrature, within the two estimates
-        # of the quadrature
+        # the side at x = a would need hundreds of terms, but a lies beyond
+        # J's seams, where the G series is not summed: J - sigma*T answers
+        # with no G and no quadrature, within the two estimates of the
+        # quadrature
         p = IntegralParams(11, a, tol=1e-6 * bound(11, a))
         terms = _count_terms(monkeypatch)
-        assert quadrature._eps_series(11, a, p.tol) is None
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = epsilon_integral(p)
         assert terms == [] and calls == []
         direct = quadrature._eps_quadrature(p)
-        assert terms == [] and len(calls) == 1
         assert abs(res.value - direct.value) <= res.abs_error_estimate + direct.abs_error_estimate
-
-    @pytest.mark.parametrize("n", [11, 12, 13, 30, 200, 2000, 5000])
-    def test_gate_predicts_below_the_true_term(self, n):
-        # the gate's G_n(0) e^(-sqrt(u z)) lies below G_n(z) wherever it
-        # applies (pi x 64^2 < 745, so z = 2 pi 64^2 x < 1 490), or both
-        # underflow; were it above, the gate could give up on a series that
-        # meets its stops
-        g0 = math.sqrt(math.pi) * gamma_half_ratio(n)
-        for e in range(-80, -9):
-            z = 2.0 * math.pi * 64 ** 2 * 10.0 ** (e / 8)
-            assert g0 * math.exp(-math.sqrt((4 * n + 3) * z)) <= u_scaled(n, z), e
 
     def test_rounding_charge_over_tol_stops_the_series(self, monkeypatch):
         # at (12, 10^-2.75) the charge for the terms' rounding, which never
@@ -1551,34 +1547,12 @@ class TestEpsilonSeries:
         assert quadrature._eps_series(n, a, 0.5 * specfun._approximant(n, a)[1]) is None
         assert len(terms) == 2
 
-    def test_gate_keeps_every_success(self, monkeypatch):
-        # n in {11, 12, 13, 15, 20, 30, 50, 100, 200, 500, 1000, 2000, 5000}
-        # by eighth-decade a from 1e-10 to 1e10, at 1e-13 and 1e-6 of the
-        # bound: before the gate the series met its tolerance at 1 903 of
-        # these 4 186 requests and gave up at the other 2 283, each after
-        # summing terms.  The gate keeps all 1 903 and gives up on 2 265 of
-        # the 2 283 before any G is summed
-        terms = _count_terms(monkeypatch)
-        kept = early = late = 0
-        for n in (11, 12, 13, 15, 20, 30, 50, 100, 200, 500, 1000, 2000, 5000):
-            for k in range(-80, 81):
-                a = 10.0 ** (k / 8)
-                for tol in (1e-13, 1e-6 * bound(n, a)):
-                    terms.clear()
-                    if quadrature._eps_series(n, a, tol) is not None:
-                        kept += 1
-                    elif terms:
-                        late += 1
-                    else:
-                        early += 1
-        assert (kept, early, late) == (1903, 2265, 18)
-
 
 class TestEpsilonDifference:
-    """From n = 1, where eps's G series is not summed or gives up, eps_n(a)
-    is J - sigma*T with J by its Bernoulli series, wherever T's rounding
-    bound is at most half the tolerance and the combined estimate meets it;
-    inside the window T's bound refuses the route and the quadrature runs."""
+    """On J's series side (``quadrature._j_side``), from n = 1, eps_n(a) is
+    J - sigma*T with J by its Bernoulli series, wherever T's rounding bound
+    is at most half the tolerance and the combined estimate meets it; inside
+    the window T's bound refuses the route and the quadrature runs."""
 
     @pytest.mark.parametrize(
         "n,a",
@@ -1600,8 +1574,9 @@ class TestEpsilonDifference:
     @pytest.mark.parametrize("n", [11, 30, 200])
     def test_where_the_g_series_gives_up(self, monkeypatch, n):
         # quarter-decade a over [1e-8, 1e8] at 1e-6 of the bound: wherever
-        # the G series gives up, the difference answers, with no quadrature
-        # and within the two estimates of the quadrature
+        # the G series would give up (beyond J's seams, where it is not
+        # summed), the difference answers, with no quadrature and within
+        # the two estimates of the quadrature
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         checked = 0
         for e in range(-32, 33):
@@ -1693,6 +1668,78 @@ class TestEpsilonDifference:
         # tolerance: the give-up changes none of their bits
         res = quadrature._j_series(n, a, 1e-6 * bound(n, a))
         assert (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations) == (value, estimate, evaluations)
+
+
+class TestSeriesSide:
+    """From n = 11 one rule, ``quadrature._j_side``, picks the series for J
+    and eps alike: at and beyond J's seams a = 50(n + 2) and 1/(50(n + 2))
+    J's Bernoulli series, with eps = J - sigma*T; between them eps's G
+    series, with J = sigma*T + eps."""
+
+    @pytest.mark.parametrize("n", [11, 30, 200, 2000])
+    def test_one_series_each_side(self, monkeypatch, n):
+        # eighth-decade a over [1e-10, 1e10], eps at 1e-13 and 1e-6 of the
+        # bound, J at 1e-13: beyond the seams neither function sums a G
+        # term, between them neither calls J's series
+        seam = 50.0 * (n + 2)
+        requests = [
+            (integral, a, tol)
+            for a in (10.0 ** (k / 8) for k in range(-80, 81))
+            for integral, tol in ((epsilon_integral, 1e-13), (epsilon_integral, 1e-6 * bound(n, a)), (j_integral, 1e-13))
+        ]
+        terms = _count_terms(monkeypatch)
+        series = quadrature._j_series
+        tried = []
+        monkeypatch.setattr(quadrature, "_j_series", lambda *args: tried.append(args) or series(*args))
+        sides = set()
+        for integral, a, tol in requests:
+            beyond = not 1.0 / seam < a < seam
+            sides.add(beyond)
+            terms.clear()
+            tried.clear()
+            try:
+                integral(IntegralParams(n, a, tol))
+            except AccuracyError:
+                pass
+            assert (terms if beyond else tried) == [], (integral.__name__, a, tol)
+        assert sides == {False, True}
+
+    @pytest.mark.parametrize("n", [11, 30, 200])
+    def test_seam_points_within_estimate_of_30_digits(self, monkeypatch, n):
+        # a a quarter and a half decade either side of each seam, at 1e-6 of
+        # the bound, against the G series summed at 30 digits.  Beyond the
+        # seams eps was the G series, 3e-6 to 1e-5 relative off and up to
+        # 0.2 of its estimate; J - sigma*T is within 1e-14 relative and
+        # 0.034 of its estimate
+        mp = pytest.importorskip("mpmath")
+        seam = 50.0 * (n + 2)
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        for e in (-0.5, -0.125, 0.125, 0.5):
+            for a in (seam * 10.0 ** e, 1.0 / (seam * 10.0 ** e)):
+                res = epsilon_integral(IntegralParams(n, a, tol=1e-6 * bound(n, a)))
+                with mp.workdps(30):
+                    reference = mp.nstr(_mp_eps(mp, n, a), 32)
+                error = abs(Fraction(res.value) - Fraction(reference))
+                assert error <= res.abs_error_estimate, a
+                if e > 0:
+                    assert error <= 1e-13 * abs(Fraction(reference)), a
+        assert calls == []
+
+    def test_frozen_raise_count(self):
+        # eps at 11 indices x eighth-decade a over [1e-15, 1e15] x two
+        # tolerances, 5 302 requests: the same 915 raise whichever series
+        # answers beyond the seams
+        raised = total = 0
+        for n in (11, 12, 13, 20, 30, 50, 100, 200, 500, 1000, 2000):
+            for k in range(-120, 121):
+                a = 10.0 ** (k / 8)
+                for tol in (1e-13, 1e-6 * bound(n, a)):
+                    total += 1
+                    try:
+                        epsilon_integral(IntegralParams(n, a, tol))
+                    except AccuracyError:
+                        raised += 1
+        assert (total, raised) == (5302, 915)
 
 
 class TestGiveUpBranches:
