@@ -82,8 +82,6 @@ _U_MAX = 690.0
 _SERIES_SEAM = 0.1
 # J's seams, a = _J_SEAM*(n + 2) and its mirror, decide ``_j_side``.
 _J_SEAM = 50.0
-# epsilon_integral's G series gives up after this many terms on either side.
-_EPS_SERIES_TERMS = 64
 # From this n to 10, where J's series misses, j_integral tries sigma*T + eps by eps's quadrature
 # first: J's samples take n Laguerre steps, eps's two theta sums do not grow with n.
 _J_THEOREM_MIN_N = 6
@@ -606,15 +604,15 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
 
     ``_j_side`` picks the series, as for ``j_integral``.  Between J's seams
     eps is the sum of the paper's own G series (``_eps_series``).  On J's
-    side, from n = 1, it is J - sigma*T (``_theorem``) with J by its
-    Bernoulli series (``_j_series``).  Outside the window
+    side it is J - sigma*T (``_theorem``) with J by its Bernoulli series
+    (``_j_series``).  Outside the window
     pi/(2k) << a << 2k/pi eps is not small next to T, so the difference
     cancels nothing; inside it eps reaches 1e-24 while J is O(1e-2), so the
     difference would be pure roundoff, and T's rounding bound, above half of
     any tolerance that asks eps for a digit there, refuses the route.  Where
-    the series picked does not meet ``p.tol``, and at n = 0, the integral is
-    summed by exp-sinh quadrature (``_eps_quadrature``), once.  For odd n at a = 1 the two sides coincide
-    and the result is exactly zero.
+    the series picked does not meet ``p.tol``, the integral is summed by
+    exp-sinh quadrature (``_eps_quadrature``), once.  For odd n at a = 1 the
+    two sides coincide and the result is exactly zero.
 
     Swapping Psi(t/a) and Psi(a*t) gives eps_n(1/a) = sigma(n) a^(3/2)
     eps_n(a), as bound gives B_n(1/a) = a^(3/2) B_n(a).
@@ -624,7 +622,7 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     if not _j_side(n, a):
         result = _eps_series(n, a, p.tol)
     # where J's series refuses p.tol it refuses the less that _theorem asks
-    elif n >= 1 and _j_least(a) <= p.tol:
+    elif _j_least(a) <= p.tol:
         result = _theorem(n, a, p.tol, _j_series, -1.0)
     return result if result is not None else _eps_quadrature(p)
 
@@ -653,11 +651,14 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
     A side's terms t_m fall by at least r = e^(-pi x (2m + 1)) from t_m to
     t_(m+1), since G_n decreases, so once t_m is summed the rest of the side
     is below t_m r/(1 - r).  Each side stops where that tail is below a
-    quarter of ``tol`` or 1e-17 of the side's sum, and gives up after
-    _EPS_SERIES_TERMS terms m.  The estimate is the two tails, plus each
-    term's rounding: 2(|E| + 8) ulps for G, whose exponent |E| <= sqrt(u z)
-    carries about |E| of them (``specfun._u_olver``), and 2 pi m^2 x ulps
-    for the exponential of the rounded pi m^2 x; plus 8 ulps of the sum of magnitudes, which covers odd
+    quarter of ``tol`` or 1e-17 of the side's sum.  It is summed only
+    between J's seams (``_j_side``), where x (4n + 3) > 0.072 on both sides,
+    so G_n(2 pi m^2 x) alone falls by about e^(-0.67) per term and the
+    second stop ends each side within about 60 + 1.5 ln n terms.  The
+    estimate is the two tails, plus each term's rounding: 2(|E| + 8) ulps
+    for G, whose exponent |E| <= sqrt(u z) carries about |E| of them
+    (``specfun._u_olver``), and 2 pi m^2 x ulps for the exponential of the
+    rounded pi m^2 x; plus 8 ulps of the sum of magnitudes, which covers odd
     n near a = 1, where the two sides cancel; plus 4 ulps of the value for
     the prefactor.  ``evaluations`` counts the G terms.  The rounding charge
     and the mass only grow, so the series gives up at the first term where
@@ -675,7 +676,7 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
     count = 0
     for x, weight in ((1.0 / a, -1.0 if n % 2 else 1.0), (a, math.sqrt(a))):
         side = 0.0
-        for m in range(1, _EPS_SERIES_TERMS + 1):
+        for m in itertools.count(1):
             y = math.pi * (m * m) * x
             e = math.exp(-y)
             if e == 0.0:  # this term and the rest are below the float range
@@ -697,8 +698,6 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
             if tail <= share or tail <= 1e-17 * abs(side):
                 error += tail
                 break
-        else:
-            return None
         total += side
     value = total / coef
     estimate = (error + 8.0 * _EPS * mass) / coef + 4.0 * _EPS * abs(value)

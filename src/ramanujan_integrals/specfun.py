@@ -308,8 +308,8 @@ def _watson_s(n: int) -> float:
 
 
 def _approximant(n: int, a: float) -> tuple[float, float]:
-    """T_n(a) for n >= 1 and a bound on its rounding error; see
-    ``approximants.approximant`` for the formula.
+    """T_n(a) for n >= 0 and a bound on its rounding error; see
+    ``approximants.approximant`` for the formula, which holds at n = 0 too.
 
     Below n = 11 T is that formula, and the bound is ``_index_roundoff(n)``
     ulps of (|ratio term| + |F_n|)/(4 pi a), for the n steps of the gamma

@@ -1454,8 +1454,8 @@ class TestEpsilonIntegral:
 
 class TestEpsilonSeries:
     """From n = 11, between J's seams, eps_n(a) is the sum of its G series,
-    the bound's terms made exact; past 64 terms a side the series gives up
-    and the quadrature answers."""
+    the bound's terms made exact; each side ends by its own tail bound, and
+    where the series gives up the quadrature answers."""
 
     def test_benchmark_pool_without_quadrature(self, monkeypatch):
         # every index-sweep point from n = 11, called as the benchmark calls it
@@ -1502,27 +1502,38 @@ class TestEpsilonSeries:
             checked += 1
         assert checked >= 16
 
-    @pytest.mark.parametrize("n,a", [(11, 1e-6), (11, 1e6), (30, 1e-6), (11, 1e-100), (11, 1e100)])
-    def test_past_the_term_budget_falls_back(self, monkeypatch, n, a):
-        # at (11, 1e-6) a side needs 483 terms to reach its share of the
-        # tolerance; a far from 1 never gets there, and the series gives up.
-        # These points lie beyond J's seams, where J - sigma*T answers with
-        # no quadrature, within the two estimates of the quadrature
-        p = IntegralParams(n, a, tol=1e-6 * bound(n, a))
-        assert quadrature._eps_series(n, a, p.tol) is None
+    @pytest.mark.parametrize("n,terms", [(10**8, 67), (10**10, 73), (10**12, 79)])
+    def test_huge_index_at_the_mirror_seam(self, n, terms):
+        # a = 1.01/(50(n + 2)), just inside the mirror seam, at the default
+        # tolerance: the side at x = a ends by its own tail bound, in about
+        # 60 + 1.5 ln n terms.  The quadrature stops on its roundoff floor
+        # (3e-8 at n = 1e8, 3e-4 at 1e12); its best value agrees with the
+        # series within the two estimates
+        a = 1.01 / (50.0 * (n + 2))
+        series = quadrature._eps_series(n, a, quadrature.DEFAULT_TOL)
+        assert series.evaluations == terms
+        try:
+            direct = quadrature._eps_quadrature(IntegralParams(n, a))
+        except AccuracyError as exc:
+            direct = exc.result
+        assert abs(series.value - direct.value) <= series.abs_error_estimate + direct.abs_error_estimate
+
+    @pytest.mark.parametrize("n", [10**8, 10**10, 10**12])
+    def test_huge_index_without_quadrature(self, monkeypatch, n):
+        # at the same points J is sigma*T + eps and eps the G series, with no
+        # driver call; J's quadrature would first build an n-entry table of
+        # Laguerre steps, so that is refused outright
+        def refuse(n):
+            raise AssertionError(f"a Laguerre table of {n} steps")
+
+        monkeypatch.setattr(quadrature, "_laguerre_steps", refuse)
+        a = 1.01 / (50.0 * (n + 2))
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
-        res = epsilon_integral(p)
+        j, eps = j_integral(IntegralParams(n, a)), epsilon_integral(IntegralParams(n, a))
         assert calls == []
-        direct = quadrature._eps_quadrature(p)
-        assert len(calls) == 1
-        assert abs(res.value - direct.value) <= res.abs_error_estimate + direct.abs_error_estimate
-        if 1e-8 < a < 1e8:
-            # the budget is what stops the series: with room for 500 terms
-            # it lands within the two estimates of the quadrature
-            monkeypatch.setattr(quadrature, "_EPS_SERIES_TERMS", 500)
-            series = quadrature._eps_series(n, a, p.tol)
-            assert series.evaluations > 64
-            assert abs(series.value - direct.value) <= series.abs_error_estimate + direct.abs_error_estimate
+        t, t_error = specfun._approximant(n, a)
+        budget = j.abs_error_estimate + eps.abs_error_estimate + t_error
+        assert abs(j.value - sigma(n) * t - eps.value) <= budget
 
     @pytest.mark.parametrize("a", [1e-6, 1e-8])
     def test_gate_sums_no_term_past_the_budget(self, monkeypatch, a):
@@ -1549,10 +1560,10 @@ class TestEpsilonSeries:
 
 
 class TestEpsilonDifference:
-    """On J's series side (``quadrature._j_side``), from n = 1, eps_n(a) is
-    J - sigma*T with J by its Bernoulli series, wherever T's rounding bound
-    is at most half the tolerance and the combined estimate meets it; inside
-    the window T's bound refuses the route and the quadrature runs."""
+    """On J's series side (``quadrature._j_side``), n = 0 included, eps_n(a)
+    is J - sigma*T with J by its Bernoulli series, wherever T's rounding
+    bound is at most half the tolerance and the combined estimate meets it;
+    inside the window T's bound refuses the route and the quadrature runs."""
 
     @pytest.mark.parametrize(
         "n,a",
@@ -1573,16 +1584,16 @@ class TestEpsilonDifference:
 
     @pytest.mark.parametrize("n", [11, 30, 200])
     def test_where_the_g_series_gives_up(self, monkeypatch, n):
-        # quarter-decade a over [1e-8, 1e8] at 1e-6 of the bound: wherever
-        # the G series would give up (beyond J's seams, where it is not
-        # summed), the difference answers, with no quadrature and within
-        # the two estimates of the quadrature
+        # quarter-decade a over [1e-8, 1e8] at 1e-6 of the bound: beyond
+        # J's seams, where the G series is not summed, the difference
+        # answers, with no quadrature and within the two estimates of the
+        # quadrature
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         checked = 0
         for e in range(-32, 33):
             a = 10.0 ** (e / 4)
             p = IntegralParams(n, a, tol=1e-6 * bound(n, a))
-            if quadrature._eps_series(n, a, p.tol) is not None:
+            if not quadrature._j_side(n, a):
                 continue
             res = epsilon_integral(p)
             assert calls == [], a
@@ -1591,6 +1602,31 @@ class TestEpsilonDifference:
             assert abs(res.value - direct.value) <= res.abs_error_estimate + direct.abs_error_estimate, a
             checked += 1
         assert checked >= 16
+
+    @pytest.mark.parametrize("a", [10.0 ** e for e in (-1.5, -1.25, 1.25, 1.5, 2, 4)])
+    def test_index_zero_within_estimate_of_30_digits(self, monkeypatch, a):
+        # eps_0 = J_0 - T_0, the theorem at n = 0, at the default tolerance,
+        # against the G series summed at 30 digits: at most 0.034 of the
+        # estimate, with no quadrature
+        mp = pytest.importorskip("mpmath")
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = epsilon_integral(IntegralParams(0, a))
+        assert calls == []
+        with mp.workdps(30):
+            reference = mp.nstr(_mp_eps(mp, 0, a), 32)
+        assert abs(Fraction(res.value) - Fraction(reference)) <= res.abs_error_estimate
+
+    def test_index_zero_inside_the_skip_bound(self, monkeypatch):
+        # at a = 1 J_0's least term is far above 1e-13: J's series is not
+        # tried, and eps_0 is one quadrature
+        p = IntegralParams(0, 1.0)
+        series = quadrature._j_series
+        tried = []
+        monkeypatch.setattr(quadrature, "_j_series", lambda *args: tried.append(args) or series(*args))
+        counts = _count_quadratures(monkeypatch)
+        res = epsilon_integral(p)
+        assert tried == [] and counts == {"_j_quadrature": 0, "_eps_quadrature": 1}
+        assert res == quadrature._eps_quadrature(p)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     @pytest.mark.parametrize("a", [1e2, 1e3, 1e5, 1e8])

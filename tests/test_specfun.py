@@ -291,6 +291,17 @@ class TestOlverTable:
         g0 = SQRT_PI * gamma_half_ratio(20)
         assert specfun._u_olver(20, 1e-300, g0) == pytest.approx(g0, rel=1e-15, abs=0.0)
 
+    def test_never_gives_up_from_index_eleven(self):
+        # n 11-15 x 1/32-decade z over [1e-20, 1e308], 52 485 points: the
+        # expansion always converges, so u_scaled's quadrature from n = 11
+        # and the G series' give-up on G carry no traffic and stay safety
+        # exits (n 11-39 at 1/256-decade z, 2.4 million points, found none)
+        for n in range(11, 16):
+            g0 = SQRT_PI * gamma_half_ratio(n)
+            for k in range(-640, 9857):
+                z = 10.0 ** (k / 32)
+                assert specfun._u_olver(n, z, g0) is not None, (n, z)
+
 
 class TestThetaPsi:
     def test_single_term_regime(self):
