@@ -507,17 +507,20 @@ def _j_least(a: float) -> float:
 def _theorem(n: int, a: float, tol: float, part, sign: float) -> QuadResult | None:
     """``part`` + ``sign`` sigma T_n(a) to ``tol``, or None: the theorem
     J = sigma T + eps read as J (``part`` is ``_eps_series`` or
-    ``_eps_by_quadrature``, ``sign`` 1) or as eps (``part`` is
-    ``_j_series``, ``sign`` -1), with T and its rounding
-    bound from ``specfun._approximant``.  Refused where that bound exceeds
-    ``tol``/2, before ``part`` runs; else ``part`` is asked for ``tol`` less
-    the bound, and the estimate, part's plus the bound plus 2 ulps of the
-    sum, must meet ``tol``.
+    ``_eps_quadrature``, ``sign`` 1) or as eps (``part`` is ``_j_series``,
+    ``sign`` -1), with T and its rounding bound from
+    ``specfun._approximant``.  Refused where that bound exceeds ``tol``/2,
+    before ``part`` runs; else ``part`` is asked for ``tol`` less the bound,
+    and a part that returns None or raises ``AccuracyError`` is a miss.  The
+    estimate, part's plus the bound plus 2 ulps of the sum, must meet ``tol``.
     """
     t, t_error = _approximant(n, a)
     if not t_error <= 0.5 * tol:
         return None
-    other = part(n, a, tol - t_error)
+    try:
+        other = part(n, a, tol - t_error)
+    except AccuracyError:
+        return None
     if other is None:
         return None
     value = other.value + sign * (-t if n % 2 else t)
@@ -529,37 +532,36 @@ def j_integral(p: IntegralParams) -> QuadResult:
     """J_n(a) = integral_0^inf x e^(-pi a x^2)/(e^(2 pi x)-1) 1F1(-n;3/2;2 pi a x^2) dx,
     to the absolute ``p.tol``: the estimate returned never exceeds it.
 
-    ``_j_side`` picks the series, as for ``epsilon_integral``.  On J's
-    side J_n(a) is the sum of its Bernoulli series (``_j_series``) wherever
-    the series' estimate meets ``p.tol``: no quadrature, and full relative
-    precision at both ends of the float range, where
-    J_n(a) ~ (-1)^n F_n/(4 pi sqrt(a)) and -> 1/24.  From n = 6 to 10, where
-    the series misses ``p.tol``, it is the paper's theorem
-    sigma*T_n(a) + eps_n(a) (``_theorem``) with eps by its quadrature
-    (``_eps_quadrature``): inside the window eps is far smaller than J, so
-    its quadrature meets the same absolute tolerance in fewer levels.
+    The first of these routes that meets ``p.tol`` answers:
 
-    Between J's seams J_n(a) is the theorem with eps the sum of its G series
-    (``_eps_series``) and no quadrature.
+    * between J's seams (``_j_side``, as for ``epsilon_integral``), the
+      paper's theorem sigma*T_n(a) + eps_n(a) (``_theorem``) with eps the sum
+      of its G series (``_eps_series``), with no quadrature;
+    * at every n and a, J's Bernoulli series (``_j_series``), with no
+      quadrature and full relative precision at both ends of the float
+      range, where J_n(a) ~ (-1)^n F_n/(4 pi sqrt(a)) and -> 1/24;
+    * from n = 6 to 10, the theorem with eps by its quadrature
+      (``_eps_quadrature``): inside the window eps is far smaller than J, so
+      its quadrature meets the same absolute tolerance in fewer levels;
+    * the exp-sinh quadrature of the defining integral (``_j_quadrature``),
+      so an unattainable tolerance still raises.
 
-    Where no route applies, or the one that does gives up or would exceed
-    ``p.tol``, the defining integral is summed by exp-sinh quadrature
-    (``_j_quadrature``), so an unattainable tolerance still raises.  Every
-    positive finite a is accepted and no factor overflows, from
+    Every positive finite a is accepted and no factor overflows, from
     J_n(5e-324) ~ 1/24 to J_n(1.8e308) ~ 1e-156.
     """
-    n, a = p.n, p.a
-    if _j_side(n, a):
-        result = _j_series(n, a, p.tol)
-        if result is None and _J_THEOREM_MIN_N <= n < _EXPANSION_MIN_N:
-            result = _theorem(n, a, p.tol, _eps_by_quadrature, 1.0)
-    else:
-        result = _theorem(n, a, p.tol, _eps_series, 1.0)
-    return result if result is not None else _j_quadrature(p)
+    n, a, tol = p.n, p.a, p.tol
+    result = None if _j_side(n, a) else _theorem(n, a, tol, _eps_series, 1.0)
+    if result is None:
+        result = _j_series(n, a, tol)
+    if result is None and _J_THEOREM_MIN_N <= n < _EXPANSION_MIN_N:
+        result = _theorem(n, a, tol, _eps_quadrature, 1.0)
+    return result if result is not None else _j_quadrature(n, a, tol)
 
 
-def _j_quadrature(p: IntegralParams) -> QuadResult:
-    """J_n(a) by exp-sinh quadrature of its defining integral, to the absolute ``p.tol``.
+def _j_quadrature(n: int, a: float, tol: float) -> QuadResult:
+    """J_n(a) by exp-sinh quadrature of its defining integral, to the absolute
+    ``tol`` with no relative target: a ``tol`` below the roundoff floor
+    raises ``AccuracyError`` instead of settling there.
 
     The Kummer factor is the stable Laguerre recurrence
     (``specfun._kummer_scaled``) with the Bose factor and e^(-z/2) folded
@@ -568,7 +570,6 @@ def _j_quadrature(p: IntegralParams) -> QuadResult:
     min(1, sqrt(4 pi/a)): above a = 4 pi the Gaussian is shorter than the
     Bose factor, and following it keeps the cost flat in a.
     """
-    n, a = p.n, p.a
     # z = c * (ax * x) * x: 2*pi*a itself overflows above a = 2.86e307, so
     # there a multiplies the small x first; elsewhere ax = 1.0 changes no bit
     c, ax = 2.0 * math.pi * a, 1.0
@@ -587,9 +588,7 @@ def _j_quadrature(p: IntegralParams) -> QuadResult:
             return 0.0
         return _kummer_scaled(n, z, scale, steps)
 
-    # p.tol is an absolute request and is enforced as such: an unattainable
-    # tolerance raises instead of quietly settling at the roundoff floor.
-    return _integrate_expsinh(f, p.tol, 0.0, _index_roundoff(n), length)
+    return _integrate_expsinh(f, tol, 0.0, _index_roundoff(n), length)
 
 
 def epsilon_integral(p: IntegralParams) -> QuadResult:
@@ -617,22 +616,14 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     Swapping Psi(t/a) and Psi(a*t) gives eps_n(1/a) = sigma(n) a^(3/2)
     eps_n(a), as bound gives B_n(1/a) = a^(3/2) B_n(a).
     """
-    n, a = p.n, p.a
+    n, a, tol = p.n, p.a, p.tol
     result = None
     if not _j_side(n, a):
-        result = _eps_series(n, a, p.tol)
-    # where J's series refuses p.tol it refuses the less that _theorem asks
-    elif _j_least(a) <= p.tol:
-        result = _theorem(n, a, p.tol, _j_series, -1.0)
-    return result if result is not None else _eps_quadrature(p)
-
-
-def _eps_by_quadrature(n: int, a: float, tol: float) -> QuadResult | None:
-    """``_eps_quadrature`` to ``tol``, or None where it raises."""
-    try:
-        return _eps_quadrature(IntegralParams(n, a, tol))
-    except AccuracyError:
-        return None
+        result = _eps_series(n, a, tol)
+    # where J's series refuses tol it refuses the less that _theorem asks
+    elif _j_least(a) <= tol:
+        result = _theorem(n, a, tol, _j_series, -1.0)
+    return result if result is not None else _eps_quadrature(n, a, tol)
 
 
 def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
@@ -706,9 +697,10 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
     return QuadResult(value, estimate, count)
 
 
-def _eps_quadrature(p: IntegralParams) -> QuadResult:
+def _eps_quadrature(n: int, a: float, tol: float) -> QuadResult:
     """eps_n(a) by exp-sinh quadrature of its integral (``epsilon_integral``),
-    to the absolute ``p.tol``; the identity suite's eps at every n.
+    to the absolute ``tol`` with no relative target, as for ``_j_quadrature``;
+    the identity suite's eps at every n.
 
     The substitution t = 1 + u moves the path to (0, inf) and concentrates
     nodes where (t-1)^n turns on.  Theta sums are truncated per point, scaled
@@ -727,7 +719,6 @@ def _eps_quadrature(p: IntegralParams) -> QuadResult:
     For odd n at a = 1 the two theta sums coincide and the integrand
     vanishes identically; the result is exactly zero, with nothing summed.
     """
-    n, a = p.n, p.a
     odd = n % 2 == 1
     if odd and a == 1.0:
         return QuadResult(0.0, 0.0, 1)
@@ -747,7 +738,7 @@ def _eps_quadrature(p: IntegralParams) -> QuadResult:
     integrand, prefactor = f, 1.0 / (4.0 * math.pi * a)
     if prefactor < sys.float_info.min:  # subnormal above a = 3.6e306, 0.0 above 1.4e307
         integrand, prefactor = lambda u: f(u) / sq, 1.0 / (4.0 * math.pi * sq)
-    return _integrate_expsinh(integrand, p.tol, 0.0, _index_roundoff(n), length, prefactor)
+    return _integrate_expsinh(integrand, tol, 0.0, _index_roundoff(n), length, prefactor)
 
 
 def finite_check_integrals(m: int) -> tuple[float, float]:

@@ -10,6 +10,7 @@ short recurrences in floats and integers.
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = [
     "gamma_half_ratio",
@@ -96,6 +97,8 @@ def _check_index(name: str, value: int, least: int) -> None:
         kind = "positive" if least else "non-negative"
         got = value if typed else f"{value} of type {type(value).__name__}"
         raise ValueError(f"{name} must be a {kind} integer, got {got}")
+    if value > sys.float_info.max:  # n + 2, 4n + 3 and the like are floats
+        raise ValueError(f"{name} must be at most {sys.float_info.max:g}, the largest float")
 
 
 def _check_a(name: str, value: float) -> None:

@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass
 
 from .approximants import approximant, bound, drz_approx, sigma
 from .quadrature import (
+    DEFAULT_TOL,
     AccuracyError,
-    IntegralParams,
     _eps_quadrature,
     _j_quadrature,
     finite_check_integrals,
@@ -136,12 +136,14 @@ class _Samples:
     magnitude; J is integrated to DEFAULT_TOL.  A failed quadrature is not
     stored: asked again, it raises again.
 
-    J is always the direct quadrature of its defining integral, never
-    ``j_integral``'s route sigma*T + eps, so the consistency, modular and drz
-    checks test an integral computed independently of T and eps.  Likewise
-    eps is always the quadrature of its integral, never
-    ``epsilon_integral``'s G series from n = 11, whose terms are the bound's
-    own, so the dominance checks compare B with an independent eps.
+    J is always ``_j_quadrature``, the direct quadrature of its defining
+    integral, never ``j_integral``'s series or its sigma*T + eps, so the
+    consistency, modular and drz checks test an integral computed
+    independently of T and eps.  Likewise eps is always ``_eps_quadrature``,
+    the quadrature of its integral, never ``epsilon_integral``'s G series,
+    whose terms are the bound's own, nor its J - sigma*T, so the dominance
+    checks compare B with an independent eps and closure does not hold by
+    construction.
 
     B and eps at a power of two a > 1 are read off the sample at 1/a, by
     B_n(a) = a^(-3/2) B_n(1/a) and eps_n(a) = sigma(n) a^(-3/2) eps_n(1/a);
@@ -152,12 +154,10 @@ class _Samples:
 
     def __init__(self):
         bound_at = functools.cache(bound)
-        eps_at = functools.cache(
-            lambda n, a: _eps_quadrature(IntegralParams(n, a, _EPS_REL_OF_BOUND * bound_at(n, a))).value
-        )
+        eps_at = functools.cache(lambda n, a: _eps_quadrature(n, a, _EPS_REL_OF_BOUND * bound_at(n, a)).value)
         self.bound = lambda n, a: a ** -1.5 * bound_at(n, 1.0 / a) if _folds(a) else bound_at(n, a)
         self.eps = lambda n, a: sigma(n) * a ** -1.5 * eps_at(n, 1.0 / a) if _folds(a) else eps_at(n, a)
-        self.j = functools.cache(lambda n, a: _j_quadrature(IntegralParams(n, a)).value)
+        self.j = functools.cache(lambda n, a: _j_quadrature(n, a, DEFAULT_TOL).value)
 
 
 def reproduce_table(table_id: int) -> list[TableRow]:

@@ -519,7 +519,7 @@ class TestRamanujanI:
         gap = ramanujan_i(alpha) / ramanujan_i(beta) - 1.0
         assert abs(gap) <= 1e-14
         small = j_integral(IntegralParams(0, beta / PI)).value
-        oracle = quadrature._j_quadrature(IntegralParams(0, beta / PI, 1e-12 * small)).value
+        oracle = quadrature._j_quadrature(0, beta / PI, 1e-12 * small).value
         assert small == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
     def test_functional_equation_at_top_of_float_range(self):

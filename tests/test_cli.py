@@ -224,6 +224,13 @@ class TestParsing:
         assert code == 1 and out == ""
         assert err.startswith(f"error: n must be a {least} integer, got {bad}\n")
 
+    @pytest.mark.parametrize("command", ["eval", "approx", "bound"])
+    def test_index_above_the_float_range_is_an_error(self, capsys, command):
+        # it used to end in an OverflowError traceback
+        code, out, err = run_cli(capsys, command, "--n", "1" + "0" * 400, "--a", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("error: n must be at most 1.79769e+308, the largest float\n")
+
     def test_table_ids_are_the_library_grids(self, capsys):
         # --id's choices are TABLE_GRIDS' keys, stated once, and --help lists them
         with pytest.raises(SystemExit):

@@ -9,6 +9,7 @@ traceback.
 """
 
 import math
+import sys
 
 import pytest
 
@@ -22,9 +23,12 @@ from ramanujan_integrals import (
     bound_odd,
     drz_approx,
     epsilon_integral,
+    gamma_half_ratio,
+    gauss_f,
     j_integral,
     ramanujan_i,
     ramanujan_i_approx,
+    sigma,
     t_even,
     t_odd,
     u_scaled,
@@ -77,6 +81,20 @@ def test_public_functions_at_the_edges(name):
             if not _allowed(value, a, overflows_below, signs):
                 bad.append((index, a, value))
     assert not bad, bad
+
+
+# Above the largest float an index cannot enter the float formulas (n + 2,
+# 4n + 3); 10**5000 has more digits than Python will format.
+_HUGE_INDICES = (int(sys.float_info.max) + 1, 10 ** 400, 10 ** 5000)
+_INDEX_ONLY = {"gamma_half_ratio": gamma_half_ratio, "gauss_f": gauss_f, "sigma": sigma}
+
+
+@pytest.mark.parametrize("name", sorted(({*_FUNCTIONS} - {"ramanujan_i", "ramanujan_i_approx"}) | {*_INDEX_ONLY}))
+def test_indices_above_the_float_range_are_rejected(name):
+    f = _INDEX_ONLY.get(name)
+    for index in _HUGE_INDICES:
+        with pytest.raises(ValueError, match=r"must be at most 1\.79769e\+308, the largest float"):
+            f(index) if f else _FUNCTIONS[name][0](index, 1.0)
 
 
 _COMMANDS = {

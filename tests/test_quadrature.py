@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramanujan_integrals import (
+    DEFAULT_TOL,
     AccuracyError,
     IntegralParams,
     QuadResult,
@@ -72,9 +73,9 @@ def _count_quadratures(monkeypatch):
         driver = getattr(quadrature, name)
         counts[name] = 0
 
-        def counted(p, name=name, driver=driver):
+        def counted(*args, name=name, driver=driver):
             counts[name] += 1
-            return driver(p)
+            return driver(*args)
 
         monkeypatch.setattr(quadrature, name, counted)
     return counts
@@ -343,7 +344,7 @@ class TestIntegrate:
         "call,evaluations",
         [
             (lambda: j_integral(IntegralParams(1, 1.0, tol=1e-300)), 343),
-            (lambda: quadrature._eps_quadrature(IntegralParams(2, 1e-8, tol=1e-30)), 845),
+            (lambda: quadrature._eps_quadrature(2, 1e-8, 1e-30), 845),
             (lambda: integrate(lambda t: math.exp(-t), 0.0, math.inf, tol=1e-300, rel_tol=0.0), 403),
         ],
         ids=["j-1-1", "eps-2-1e-08", "exp"],
@@ -362,7 +363,7 @@ class TestIntegrate:
         # and 6, where its sum has settled, and 4.98529e-17 at level 7.  A
         # request between them is met at level 7; the quadrature gives up
         # only on a floor above twice the target
-        res = quadrature._j_quadrature(IntegralParams(1, 10.0 ** 1.5, tol=4.98607e-17))
+        res = quadrature._j_quadrature(1, 10.0 ** 1.5, 4.98607e-17)
         assert (res.abs_error_estimate, res.evaluations) == (pytest.approx(4.98529e-17, rel=1e-5), 609)
 
     def test_determinism(self):
@@ -446,21 +447,21 @@ class TestTailCap:
         # a = 1e+-30; G to z = 1e298
         grids = {
             "j": [
-                lambda n=n, a=a, tol=tol: quadrature._j_quadrature(IntegralParams(n, a, tol))
+                lambda n=n, a=a, tol=tol: quadrature._j_quadrature(n, a, tol)
                 for n in (0, 1, 5, 10, 30, 200, 2000)
                 for a in (10.0 ** (k / 2) for k in range(-10, 11, 2))
                 for tol in ((1e-15, 1e-13, 1e-6) if n < 2000 else (1e-6,))
             ]
             + [
-                lambda n=n, a=a, tol=tol: quadrature._j_quadrature(IntegralParams(n, a, tol))
+                lambda n=n, a=a, tol=tol: quadrature._j_quadrature(n, a, tol)
                 for n, a, tol in ((30, 1.0, 1e-20), (1, 1.0, 1e-300))
             ],
             "eps": [
-                lambda n=n, a=a: quadrature._eps_quadrature(IntegralParams(n, a, 1e-6 * bound(n, a)))
+                lambda n=n, a=a: quadrature._eps_quadrature(n, a, 1e-6 * bound(n, a))
                 for n in (1, 2, 3, 10, 11, 200, 2000)
                 for a in (10.0 ** k for k in range(-30, 31, 6))
             ]
-            + [lambda: quadrature._eps_quadrature(IntegralParams(2, 1e-8, 1e-30))],
+            + [lambda: quadrature._eps_quadrature(2, 1e-8, 1e-30)],
             "u": [
                 lambda n=n, z=z: u_scaled(n, z)
                 for n in (0, 1, 3, 10)
@@ -558,7 +559,7 @@ class TestJIntegral:
         # different integrand in eps; the power-sum integrand raised or went
         # wrong from n ~ 20 on.  j_integral itself takes that route here, so
         # the direct quadrature is the one tested
-        res = quadrature._j_quadrature(IntegralParams(n, a))
+        res = quadrature._j_quadrature(n, a, DEFAULT_TOL)
         t = t_even(n // 2, a) if n % 2 == 0 else t_odd((n - 1) // 2, a)
         closed = sigma(n) * t
         eps = epsilon_integral(IntegralParams(n, a, tol=1e-18)).value
@@ -569,7 +570,7 @@ class TestJIntegral:
         # exact and machine-independent: a change here is a change in cost of
         # the direct quadrature, which j_integral takes from n = 11 on only
         # where sigma*T + eps cannot meet the tolerance
-        assert quadrature._j_quadrature(IntegralParams(n, 1.0)).evaluations == evaluations
+        assert quadrature._j_quadrature(n, 1.0, DEFAULT_TOL).evaluations == evaluations
 
     @pytest.mark.parametrize("n", [0, 5, 10])
     def test_cost_is_flat_in_scale(self, n):
@@ -577,9 +578,9 @@ class TestJIntegral:
         # exp-sinh nodes are sparse unless x is taken in its own length scale;
         # j_integral sums its series at both ends, so the direct quadrature,
         # its fallback, is the one tested
-        at_one = quadrature._j_quadrature(IntegralParams(n, 1.0)).evaluations
+        at_one = quadrature._j_quadrature(n, 1.0, DEFAULT_TOL).evaluations
         for e in range(-8, 9):
-            assert quadrature._j_quadrature(IntegralParams(n, 10.0 ** e)).evaluations <= 2 * at_one, e
+            assert quadrature._j_quadrature(n, 10.0 ** e, DEFAULT_TOL).evaluations <= 2 * at_one, e
 
     def test_cost_map(self, monkeypatch):
         # driver evaluations of every quarter decade of a from 1e-4 to 1e4 at
@@ -616,7 +617,7 @@ class TestJIntegral:
         ids=["0-2.34e-08", "38-0.1731", "184-2.788", "5-4pi"],
     )
     def test_bitwise_snapshot(self, n, a, value, estimate, evaluations):
-        res = quadrature._j_quadrature(IntegralParams(n, a))
+        res = quadrature._j_quadrature(n, a, DEFAULT_TOL)
         assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 10])
@@ -646,7 +647,7 @@ class TestJSeries:
             if a < 50.0 * (n + 2):
                 continue  # (200, 1e4) lies below the seam
             series = j_integral(IntegralParams(n, a)).value
-            oracle = quadrature._j_quadrature(IntegralParams(n, a, 1e-12 * abs(series))).value
+            oracle = quadrature._j_quadrature(n, a, 1e-12 * abs(series)).value
             scale = math.sqrt(a)
             assert scale * series == pytest.approx(scale * oracle, rel=bound, abs=0.0), a
 
@@ -886,8 +887,9 @@ class TestJSeriesRoundoff:
 
 class TestJTheorem:
     """Between the series seams, from n = 11 on, j_integral returns sigma*T + eps
-    where T's rounding and eps's G series fit the tolerance, and the direct
-    quadrature of the defining integral otherwise."""
+    where T's rounding and eps's G series fit the tolerance, J's own series
+    where that misses and the series reaches, and the direct quadrature of
+    the defining integral otherwise."""
 
     @pytest.mark.parametrize(
         "n,a,value,estimate,evaluations",
@@ -937,7 +939,7 @@ class TestJTheorem:
             if a >= 50.0 * (n + 2):
                 continue
             res = j_integral(IntegralParams(n, a))
-            direct = quadrature._j_quadrature(IntegralParams(n, a))
+            direct = quadrature._j_quadrature(n, a, DEFAULT_TOL)
             if res != direct:
                 routed += 1
                 if abs(res.value - direct.value) > res.abs_error_estimate:
@@ -949,18 +951,17 @@ class TestJTheorem:
                     assert route_error < direct_error <= direct.abs_error_estimate, a
         assert routed >= 15
 
-    @pytest.mark.parametrize(
-        "n,a,tol", [(5, 1.0, 1e-13), (30, 1e-3, 1e-15), (100, 1e-3, 2e-15)], ids=["5-1.0", "30-0.001", "100-0.001"]
-    )
+    @pytest.mark.parametrize("n,a,tol", [(5, 1.0, 1e-13), (12, 0.1, 3e-16)], ids=["5-1.0", "12-0.1"])
     def test_direct_quadrature_below_the_cost_seam_or_the_budget(self, monkeypatch, n, a, tol):
-        # n = 5 is below both routes' index cuts; at small a T ~ 1/a rounds
-        # by more than half of a tight tolerance (3.6e-15 at (30, 1e-3)), so
-        # no eps series or quadrature runs.  At the default tolerance every a
-        # between the seams takes the route from n = 11 up.
+        # n = 5 is below both routes' index cuts.  At (12, 0.1) T rounds by
+        # 2.4e-16, more than half of a tight tolerance, so no eps series runs,
+        # and J's series, whose least term is 1.6e-15 there, is not tried.
+        # At the default tolerance every a between the seams takes the
+        # route from n = 11 up.
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = j_integral(IntegralParams(n, a, tol))
         assert len(calls) == 1
-        assert res == quadrature._j_quadrature(IntegralParams(n, a, tol))
+        assert res == quadrature._j_quadrature(n, a, tol)
 
     def test_remainder_quadrature_from_index_6(self, monkeypatch):
         # at (10, 1) J's series cannot reach 1e-13: sigma*T + eps with eps by
@@ -968,8 +969,17 @@ class TestJTheorem:
         counts = _count_quadratures(monkeypatch)
         res = j_integral(IntegralParams(10, 1.0))
         assert counts == {"_j_quadrature": 0, "_eps_quadrature": 1}
-        assert res == quadrature._theorem(10, 1.0, 1e-13, quadrature._eps_by_quadrature, 1.0)
+        assert res == quadrature._theorem(10, 1.0, 1e-13, quadrature._eps_quadrature, 1.0)
         assert res.evaluations == 35
+
+    def test_failed_remainder_quadrature_falls_back(self, monkeypatch):
+        # _theorem takes eps's AccuracyError as a miss: J's own quadrature
+        # answers, bit for bit as called directly
+        def fail(n, a, tol):
+            raise AccuracyError("forced failure", QuadResult(0.0, 1.0, 1))
+
+        monkeypatch.setattr(quadrature, "_eps_quadrature", fail)
+        assert j_integral(IntegralParams(10, 1.0)) == quadrature._j_quadrature(10, 1.0, 1e-13)
 
     @pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
     def test_remainder_quadrature_within_estimate_of_30_digits(self, monkeypatch, n):
@@ -1002,19 +1012,53 @@ class TestJTheorem:
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = j_integral(IntegralParams(30, 1.0))
         assert len(calls) == 1
-        assert res == quadrature._j_quadrature(IntegralParams(30, 1.0))
+        assert res == quadrature._j_quadrature(30, 1.0, DEFAULT_TOL)
 
     def test_remainder_over_its_share_falls_back(self, monkeypatch):
         # at twice T's bound eps's series has T's bound left, which its
-        # estimate exceeds after 43 terms (its rounding alone is 0.73 of it);
-        # the direct quadrature runs once
+        # rounding charge exceeds; J's own series answers in 10 terms, and
+        # no quadrature runs (the direct one did until J's series was tried
+        # between the seams)
         n, a = 12, 10.0 ** -2.75
         tol = 2.0 * specfun._approximant(n, a)[1]
         assert quadrature._eps_series(n, a, 0.5 * tol) is None
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = j_integral(IntegralParams(n, a, tol))
-        assert len(calls) == 1
-        assert res == quadrature._j_quadrature(IntegralParams(n, a, tol))
+        assert calls == []
+        assert res == quadrature._j_series(n, a, tol)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            assert abs(mp.mpf(res.value) - _mp_j_series(mp, n, a)) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize(
+        "n,a,tol",
+        [
+            (2000, 1e-5, 1e-15),
+            (200, 10.0 ** -3.75, 3e-15),
+            (50, 10.0 ** -3.25, 1e-15),
+            (11, 10.0 ** 2.125, 1e-17),
+            (30, 1e-3, 1e-15),
+            (100, 1e-3, 2e-15),
+        ],
+        ids=["2000-1e-05", "200-10^-3.75", "50-10^-3.25", "11-10^2.125", "30-0.001", "100-0.001"],
+    )
+    def test_j_series_where_the_theorem_misses(self, monkeypatch, n, a, tol):
+        # between the seams T rounds by more than half of a tight tolerance
+        # (3.6e-15 at (30, 1e-3)), so the theorem is refused, but J's own
+        # series reaches: no quadrature runs.  At (2000, 1e-5, 1e-15) the
+        # direct quadrature spent about 3 s and raised
+        def fail(*args):
+            raise AssertionError("no quadrature runs")
+
+        assert not quadrature._j_side(n, a)
+        assert quadrature._theorem(n, a, tol, quadrature._eps_series, 1.0) is None
+        monkeypatch.setattr(quadrature, "_j_quadrature", fail)
+        monkeypatch.setattr(quadrature, "_integrate_expsinh", fail)
+        res = j_integral(IntegralParams(n, a, tol))
+        assert res == quadrature._j_series(n, a, tol)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            assert abs(mp.mpf(res.value) - _mp_j_series(mp, n, a)) <= res.abs_error_estimate
 
     @pytest.mark.parametrize(
         "ns,step,tols,digest,raised,evaluations",
@@ -1025,7 +1069,7 @@ class TestJTheorem:
             ),
             (
                 (11, 12, 13, 30), 4, (1e-15, 1e-16),
-                "483a77bd244bc9eb962be34252e3c5c7b47eaccd4b09b73a43e5c7e304df8c9b", 43, 80941,
+                "be3f3ed95195f528afbe66d4b8d44d6352dfe2526151e25a2e6842d5e302ad29", 43, 79187,
             ),
         ],
         ids=["default-tol", "tight-tol"],
@@ -1038,7 +1082,11 @@ class TestJTheorem:
         # every eighth decade at all eleven indices and all three
         # tolerances, 2 673 points, matched it too, but takes minutes.  The
         # tight grid's 43 raises stop where the quadrature's sum settles
-        # above the roundoff floor
+        # above the roundoff floor.  Re-frozen when J's series was tried
+        # between the seams: it answers 10 of the tight grid's 1e-15
+        # requests at a from 1e-3 to 0.03 in 10-36 terms, where the direct
+        # quadrature took 191-193 evaluations, each within 0.07 of its
+        # estimate of 30-digit ``_mp_j_series``
         lines = []
         count = total = 0
         for n in ns:
@@ -1317,7 +1365,7 @@ class TestEpsilonIntegral:
         calls = []
         theta = quadrature.theta_psi
         monkeypatch.setattr(quadrature, "theta_psi", lambda tau: calls.append(tau) or theta(tau))
-        assert quadrature._eps_quadrature(IntegralParams(n, 1.0, 1e-10)) == QuadResult(0.0, 0.0, 1)
+        assert quadrature._eps_quadrature(n, 1.0, 1e-10) == QuadResult(0.0, 0.0, 1)
         assert calls == []
 
     def test_even_reference_value(self):
@@ -1496,7 +1544,7 @@ class TestEpsilonSeries:
             p = IntegralParams(n, a, tol=1e-6 * bound(n, a))
             res = epsilon_integral(p)
             assert calls == [], a
-            direct = quadrature._eps_quadrature(p)
+            direct = quadrature._eps_quadrature(p.n, p.a, p.tol)
             calls.clear()
             assert abs(res.value - direct.value) <= res.abs_error_estimate + direct.abs_error_estimate, a
             checked += 1
@@ -1513,7 +1561,7 @@ class TestEpsilonSeries:
         series = quadrature._eps_series(n, a, quadrature.DEFAULT_TOL)
         assert series.evaluations == terms
         try:
-            direct = quadrature._eps_quadrature(IntegralParams(n, a))
+            direct = quadrature._eps_quadrature(n, a, DEFAULT_TOL)
         except AccuracyError as exc:
             direct = exc.result
         assert abs(series.value - direct.value) <= series.abs_error_estimate + direct.abs_error_estimate
@@ -1546,7 +1594,7 @@ class TestEpsilonSeries:
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = epsilon_integral(p)
         assert terms == [] and calls == []
-        direct = quadrature._eps_quadrature(p)
+        direct = quadrature._eps_quadrature(p.n, p.a, p.tol)
         assert abs(res.value - direct.value) <= res.abs_error_estimate + direct.abs_error_estimate
 
     def test_rounding_charge_over_tol_stops_the_series(self, monkeypatch):
@@ -1597,7 +1645,7 @@ class TestEpsilonDifference:
                 continue
             res = epsilon_integral(p)
             assert calls == [], a
-            direct = quadrature._eps_quadrature(p)
+            direct = quadrature._eps_quadrature(p.n, p.a, p.tol)
             calls.clear()
             assert abs(res.value - direct.value) <= res.abs_error_estimate + direct.abs_error_estimate, a
             checked += 1
@@ -1626,7 +1674,7 @@ class TestEpsilonDifference:
         counts = _count_quadratures(monkeypatch)
         res = epsilon_integral(p)
         assert tried == [] and counts == {"_j_quadrature": 0, "_eps_quadrature": 1}
-        assert res == quadrature._eps_quadrature(p)
+        assert res == quadrature._eps_quadrature(p.n, p.a, p.tol)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
     @pytest.mark.parametrize("a", [1e2, 1e3, 1e5, 1e8])
@@ -1654,7 +1702,7 @@ class TestEpsilonDifference:
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = epsilon_integral(p)
         assert tried == [] and len(calls) == 1
-        assert res == quadrature._eps_quadrature(p)
+        assert res == quadrature._eps_quadrature(p.n, p.a, p.tol)
 
     def test_running_give_up(self, monkeypatch):
         # at (8, 9.21) the series cannot meet 1e-6 of the bound: from j = 6
@@ -1674,7 +1722,7 @@ class TestEpsilonDifference:
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = epsilon_integral(p)
         assert len(terms) <= 6 and terms[-1] == math.inf
-        assert len(calls) == 1 and res == quadrature._eps_quadrature(p)
+        assert len(calls) == 1 and res == quadrature._eps_quadrature(p.n, p.a, p.tol)
 
     def test_running_give_up_keeps_every_success(self):
         # n <= 10, 1/16-decade a in [1e-4, 1e4], four tolerances: every sum
@@ -1808,13 +1856,13 @@ class TestGiveUpBranches:
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = epsilon_integral(p)
         assert len(calls) == 1
-        assert res == quadrature._eps_quadrature(p)
+        assert res == quadrature._eps_quadrature(p.n, p.a, p.tol)
 
     def test_j_integral(self, monkeypatch, failing_expansion):
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = j_integral(IntegralParams(30, 1.0))
         assert len(calls) == 1
-        assert res == quadrature._j_quadrature(IntegralParams(30, 1.0))
+        assert res == quadrature._j_quadrature(30, 1.0, DEFAULT_TOL)
 
     def test_epsilon_integral_over_tolerance(self, monkeypatch):
         # at 1e-30 the series stops at 1e-17 of each side, and its rounding
