@@ -59,14 +59,26 @@ def approximant(n: int, a: float) -> float:
     return _approximant(n, a)[0]
 
 
-def _majorant_energy(x: float, n: int) -> float:
+def _majorant_energy(x: float, n: int, near: float = 0.0) -> float:
     """E_n(x) with the theta sum replaced by its elementary majorant:
-    x^(1/4) * lambda(x) * exp(-pi*x) * G_n(2*pi*x).  Where exp(-pi*x)
-    underflows (x > 237) the term is exactly 0.0 and G_n is not integrated."""
+    x^(1/4) * lambda(x) * exp(-pi*x) * G_n(2*pi*x).  It is 0.0, and G_n is
+    not integrated, where exp(-pi*x) underflows (x > 237) and, given B's
+    other term ``near``, where a cap on it is below a quarter ulp of
+    ``near``, so that ``near`` + E_n(x) rounds to ``near`` either way: the
+    integrand of G_n is below exp(-z t) and exp(-z t) t^n, so G_n(z) is
+    below 1/z and n!/z^(n+1)."""
     g = math.exp(-math.pi * x)
     if g == 0.0:
         return 0.0
-    return x ** 0.25 * lambda_factor(x) * g * u_scaled(n, 2.0 * math.pi * x)
+    front = x ** 0.25 * lambda_factor(x) * g
+    z = 2.0 * math.pi * x
+    if near:
+        cap = 1.0 / z
+        if n < math.e * z:  # n! >= (n/e)^n: n!/z^(n+1) is the smaller only here
+            cap = min(cap, math.exp(math.lgamma(n + 1.0) - (n + 1) * math.log(z)))
+        if front * cap < 0.25 * math.ulp(near):
+            return 0.0
+    return front * u_scaled(n, z)
 
 
 def bound(n: int, a: float) -> float:
@@ -78,18 +90,16 @@ def bound(n: int, a: float) -> float:
     The theta sum Psi(x) is majorised by lambda(x)*exp(-pi*x), which keeps the
     bound rigorous (Psi(x) is strictly smaller) and reproduces the tabulated
     reference values.  By formula symmetry B_n(1/a) = a^(3/2) * B_n(a).  Not
-    sharp near a = 1 for odd n, where eps_n itself vanishes.  Outside about
-    [1/237, 237] one term underflows to 0.0 and only the other is evaluated.
-    Each term is one ``u_scaled`` call.
+    sharp near a = 1 for odd n, where eps_n itself vanishes.  The term at
+    min(a, 1/a) is one ``u_scaled`` call; the other is one more only where it
+    can change B's bits, which for n <= 2000 is within about [1/25, 25].
     """
     _check_index("n", n, 1)
     _check_a("a", a)
-    if a == 1.0:
-        e = _majorant_energy(1.0, n)
-        pair = e + e
-    else:
-        pair = _majorant_energy(a, n) + _majorant_energy(1.0 / a, n)
-    return a ** -0.75 * _BOUND_COEF * pair
+    near_x, far_x = (a, 1.0 / a) if a < 1.0 else (1.0 / a, a)
+    near = _majorant_energy(near_x, n)
+    far = near if a == 1.0 else _majorant_energy(far_x, n, near)
+    return a ** -0.75 * _BOUND_COEF * (near + far)
 
 
 # The paper's tables are indexed by k; these keep its names for n = 2k and

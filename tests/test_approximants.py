@@ -210,6 +210,17 @@ class TestTOdd:
             t_odd(0, 0.0)
 
 
+def _bound_in_full(n, a):
+    """B_n(a) with both energy terms evaluated whenever exp(-pi x) does not
+    underflow, as ``bound`` did before it capped the far term."""
+
+    def energy(x):
+        g = math.exp(-PI * x)
+        return 0.0 if g == 0.0 else x ** 0.25 * lambda_factor(x) * g * u_scaled(n, 2.0 * PI * x)
+
+    return a ** -0.75 * approximants._BOUND_COEF * (energy(a) + energy(1.0 / a))
+
+
 class TestBounds:
     @pytest.mark.parametrize(
         "k,a,printed",
@@ -254,8 +265,7 @@ class TestBounds:
     @pytest.mark.parametrize("a", [1e-7, 1e7, 0.1, 10.0, 1.0 / 200.0, 200.0])
     def test_extreme_scale_against_40_digit_evaluation(self, a, k):
         # lambda(x) needs 1 - exp(-pi x) at x = 1e-7 in one of the two energy
-        # terms; formed by subtraction it costs ~1e-10 relative.  At the other
-        # four a both energy terms are nonzero.
+        # terms; formed by subtraction it costs ~1e-10 relative.
         assert bound_even(k, a) == pytest.approx(_bound_40_digits(2 * k, a), rel=1e-12, abs=0.0)
         assert bound_odd(k, a) == pytest.approx(_bound_40_digits(2 * k + 1, a), rel=1e-12, abs=0.0)
 
@@ -299,6 +309,49 @@ class TestBounds:
             calls.clear()
             bound(n, a)
             assert len(calls) == quadratures, a
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 30, 2000])
+    def test_far_term_skipped_only_where_it_cannot_change_the_bits(self, n):
+        edges = [1.0, 237.0, 1 / 237, 238.0, 5e-324, 1.7e308]
+        for a in [10.0 ** (e / 32) for e in range(-384, 385)] + edges:
+            assert bound(n, a) == _bound_in_full(n, a), a
+
+    def test_far_term_cap_at_a_huge_index(self):
+        # the cap's n!/z^(n+1) is taken only below n = e*z, so it never
+        # forms lgamma(n + 1), which overflows near n = 2.5e305
+        n = 10 ** 300
+        for a in (5e-324, 1e-300, 1e-3, 0.5, 1.0, 2.0, 237.0, 1.7e308):
+            assert bound(n, a) == _bound_in_full(n, a), a
+        for x in (1.0, 2.0, 237.0):
+            assert approximants._majorant_energy(x, n, 1e-300) == approximants._majorant_energy(x, n)
+
+    def test_cost_map(self, monkeypatch):
+        # driver evaluations of every quarter decade of a from 1e-8 to 1e8:
+        # the far term is integrated only where it can change B's bits.  With
+        # it integrated wherever exp(-pi x) does not underflow the total was
+        # 49 052 and the worst point 448, at (2, 10^-2.25), as now
+        driver = quadrature._integrate_expsinh
+        calls = []
+
+        def counted(*args):
+            result = driver(*args)
+            calls.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(quadrature, "_integrate_expsinh", counted)
+        cost = {}
+        for n in (*range(1, 11), 30, 2000):
+            for e in range(-32, 33):
+                before = len(calls)
+                bound(n, 10.0 ** (e / 4))
+                cost[n, e] = sum(calls[before:])
+        assert max(cost.values()) <= 400, max(cost.items(), key=lambda item: item[1])
+        assert sum(cost.values()) == 38060
+        # the bench harness counts two G quadratures in B_2 at 0.5 and 2
+        for n, a, quadratures in ((2, 0.5, 2), (2, 2.0, 2), (5, 10.0, 1)):
+            calls.clear()
+            bound(n, a)
+            assert len(calls) == quadratures, (n, a)
 
     def test_domain(self):
         with pytest.raises(ValueError):
