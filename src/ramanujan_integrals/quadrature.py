@@ -190,7 +190,7 @@ def _sweep(f, length, nodes, cap) -> tuple[float, float, float, int, float]:
     mass = 0.0
     umass = 0.0
     count = 0
-    peak = 0.0
+    peak = cut = 0.0
     first = 0.0  # |u| where the current run of negligible samples began; 0.0: none (u > 0 after the first sample)
     for e, w, u in nodes:
         if first and u >= cap > first:
@@ -202,9 +202,9 @@ def _sweep(f, length, nodes, cap) -> tuple[float, float, float, int, float]:
         mass += av
         umass += u * av
         if av > peak:
-            peak = av
+            peak, cut = av, _TRUNC * av
             first = 0.0
-        elif av < _TRUNC * peak:
+        elif av < cut:
             if first:
                 return total, mass, umass, count, first
             first = u
@@ -368,7 +368,7 @@ def u_scaled(n: int, z: float) -> float:
     if n >= _EXPANSION_MIN_N:
         g = _u_olver(n, z, _SQRT_PI * _stirling_ratio(n))
         if g is not None:
-            return g
+            return g[0]
     elif (n + 1) * z <= _SERIES_SEAM:
         first = gamma_half_ratio(n) * _kummer_series(n + 1, 0.5, z)
         return _SQRT_PI * (first - 2.0 * math.sqrt(z) * _kummer_series(n + 1.5, 1.5, z))
@@ -399,8 +399,8 @@ def _bose_factor(x: float) -> float:
         s = 2.0 * math.pi * x
         s2 = s * s
         return (1.0 - s / 2.0 + s2 / 12.0 - s2 * s2 / 720.0) / (2.0 * math.pi)
-    em = math.exp(-2.0 * math.pi * x)
-    return x * em / -math.expm1(-2.0 * math.pi * x)
+    y = -2.0 * math.pi * x
+    return x * math.exp(y) / -math.expm1(y)
 
 
 def _bernoulli_terms(n: int, x: float, power: float, sign: float, least: float, tol: float):
@@ -637,7 +637,13 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
     the terms of the bound B_n(a) with Psi(x) no longer majorised by
     lambda(x) e^(-pi x).  Each G is one uniform expansion
     (``specfun._u_olver``), so a term costs O(1) in n; where one does not
-    converge the series gives up.
+    converge the series gives up.  Term m of a side gives its G the room
+    share/(64 m^2), share being the side's quarter of ``tol``: the
+    expansion stops at its first pair of terms below that room over
+    |weight| e^(-pi m^2 x), or below 1e-17 of G, and the term is charged
+    twice that pair, at most its own size.  A side's charges stay below
+    2 (pi^2/6)/64 < 1/19 of its share.  At a subnormal exponential the room
+    is inf, and the charge, a product, stays finite.
 
     A side's terms t_m fall by at least r = e^(-pi x (2m + 1)) from t_m to
     t_(m+1), since G_n decreases, so once t_m is summed the rest of the side
@@ -646,8 +652,8 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
     between J's seams (``_j_side``), where x (4n + 3) > 0.072 on both sides,
     so G_n(2 pi m^2 x) alone falls by about e^(-0.67) per term and the
     second stop ends each side within about 60 + 1.5 ln n terms.  The
-    estimate is the two tails, plus each term's rounding: 2(|E| + 8) ulps
-    for G, whose exponent |E| <= sqrt(u z) carries about |E| of them
+    estimate is the two tails and the charges, plus each term's rounding:
+    2(|E| + 8) ulps for G, whose exponent |E| <= sqrt(u z) carries about |E| of them
     (``specfun._u_olver``), and 2 pi m^2 x ulps for the exponential of the
     rounded pi m^2 x; plus 8 ulps of the sum of magnitudes, which covers odd
     n near a = 1, where the two sides cancel; plus 4 ulps of the value for
@@ -662,8 +668,8 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
     coef = 4.0 * math.sqrt(2.0) * math.pi * a  # 1/prefactor
     if not sys.float_info.min <= coef < math.inf:  # a < 2e-309 or a > 1.01e307
         return None
-    share = 0.25 * tol * coef  # each side's tail, before the prefactor
-    total = mass = error = 0.0
+    share = 0.25 * tol * coef  # each side's quarter of tol, before the prefactor
+    total = mass = error = charged = 0.0
     count = 0
     for x, weight in ((1.0 / a, -1.0 if n % 2 else 1.0), (a, math.sqrt(a))):
         side = 0.0
@@ -673,13 +679,16 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
             if e == 0.0:  # this term and the rest are below the float range
                 break
             z = 2.0 * y
-            g = _u_olver(n, z, g0)
-            if g is None:
+            expansion = _u_olver(n, z, g0, share / (64 * m * m) / e / abs(weight))
+            if expansion is None:
                 return None
-            term = weight * e * g
+            g, omitted = expansion
+            front = weight * e
+            term = front * g
             size = abs(term)
             side += term
             mass += size
+            charged += min(size, 2.0 * abs(front) * omitted)
             error += size * (2.0 * (math.sqrt(u * z) + 8.0) + 2.0 * y) * _EPS
             count += 1
             if (error + 8.0 * _EPS * mass) / coef > tol:  # this charge never shrinks
@@ -691,7 +700,7 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
                 break
         total += side
     value = total / coef
-    estimate = (error + 8.0 * _EPS * mass) / coef + 4.0 * _EPS * abs(value)
+    estimate = (error + charged + 8.0 * _EPS * mass) / coef + 4.0 * _EPS * abs(value)
     if not estimate <= tol:
         return None
     return QuadResult(value, estimate, count)
@@ -728,7 +737,7 @@ def _eps_quadrature(n: int, a: float, tol: float) -> QuadResult:
     def f(u: float) -> float:
         t = 1.0 + u
         psi = theta_psi(t / a)
-        phi = theta_psi(a * t)
+        phi = psi if a == 1.0 else theta_psi(a * t)  # t/a and a t are both t at a = 1
         s = (sq * phi - psi) if odd else (psi + sq * phi)
         if s == 0.0:
             return 0.0

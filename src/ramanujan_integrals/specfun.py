@@ -53,8 +53,9 @@ def _watson_table(count: int) -> tuple[float, ...]:
     return tuple(nk / 8 ** k for k, nk in enumerate(numerators))
 
 
-def _olver_table(count: int) -> tuple[tuple[float, ...], ...]:
-    """The polynomials A_1 ... A_count of ``_u_olver``'s expansion.
+def _olver_table(count: int) -> tuple[tuple[tuple[float, float], ...], ...]:
+    """The polynomials A_1 ... A_(2 count) of ``_u_olver``'s expansion, in
+    ``count`` pairs (A_(2j-1), A_(2j)).
 
     A_0 = 1 and A_(s+1)(tau) = -(1 - tau^2)^2 A_s'(tau)/2
     + (1/2) integral_0^tau (1/2 - 5 v^2/4) A_s(v) dv + c, with c such that
@@ -62,12 +63,14 @@ def _olver_table(count: int) -> tuple[tuple[float, ...], ...]:
     tau = t/sqrt(1 + t^2) = 2 tau_DLMF + 1 for the terms (-1)^s A_s, with
     each constant fixed at t = 0 instead of at t = inf, so that
     G_n(0) = sqrt(pi) R(n) normalises the sum.  A_s has the parity of s and
-    degree 3s; each entry holds the coefficients of its nonzero powers,
-    tau^(s mod 2) first, built in floats within 5 ulps of the exact
-    rationals.
+    degree 3s, built in floats within 5 ulps of the exact rationals.  Entry
+    j - 1 lists (odd, even) pairs: the coefficients of tau^(2k+1) in
+    A_(2j-1) and of tau^(2k) in A_(2j), highest k first, the odd column led
+    by the two zeros that give it the even one's length, so that one Horner
+    loop in tau^2 sums both.
     """
     polys = [[1.0]]
-    for _ in range(count):
+    for _ in range(2 * count):
         a = polys[-1]
         new = [0.0] * (len(a) + 3)
         for k in range(1, len(a)):
@@ -80,15 +83,15 @@ def _olver_table(count: int) -> tuple[tuple[float, ...], ...]:
             new[k + 3] -= 0.625 * c / (k + 3)
         new[0] = 0.0
         polys.append(new)
-    return tuple(tuple(p[s % 2::2]) for s, p in enumerate(polys) if s)
+    return tuple(tuple(zip([0.0, 0.0, *odd[::-2]], even[::-2])) for odd, even in zip(polys[1::2], polys[2::2]))
 
 
 # c_k (2k)! for Watson's lemma on S_n: the least term, at k near pi(n + 3/4)/2,
 # is reached within these 20 from n = 11 on.
 _WATSON = _watson_table(20)
-# A_1 ... A_16 of G_n's uniform expansion; where 16 terms are not enough,
-# u_scaled integrates instead.
-_OLVER = _olver_table(16)
+# A_1 ... A_16 of G_n's uniform expansion, in eight pairs; where 16 terms are
+# not enough, u_scaled integrates instead.
+_OLVER = _olver_table(8)
 
 
 def _check_index(name: str, value: int, least: int) -> None:
@@ -210,11 +213,11 @@ def _sum_asymptotic(first: float, terms) -> tuple[float, float, float, int]:
     return total, mass, abs(term), count
 
 
-def _u_olver(n: int, z: float, g0: float) -> float | None:
+def _u_olver(n: int, z: float, g0: float, atol: float = 0.0) -> tuple[float, float] | None:
     """G_n(z) = n! U(n+1, 1/2, z) for n >= 11 by its uniform expansion in
-    u = 4n + 3, or None where 16 terms do not reach 1e-17 of the sum.
-    ``g0`` is G_n(0) = sqrt(pi) R(n), which a caller summing G at many z
-    forms once.
+    u = 4n + 3, and the size of its first omitted pair of terms, or None
+    where 16 terms do not converge.  ``g0`` is G_n(0) = sqrt(pi) R(n), which
+    a caller summing G at many z forms once.
 
     G_n(z) = n! 2^(n+1) e^(z/2) U(2n + 3/2, sqrt(2z)) is a parabolic-cylinder
     function (DLMF 12.7.14), and Olver's expansion of U(u/2, sqrt(2u) t)
@@ -227,35 +230,46 @@ def _u_olver(n: int, z: float, g0: float) -> float | None:
     G_n(0) = sqrt(pi) R(n).  E is formed without cancellation, but as one
     float, so e^E carries about |E| <= sqrt(u z) ulps; above t = 1 its asinh
     part is (t + sqrt(1 + t^2))^(-u/2), whose rounding is u/2 ulps where
-    exp(-(u/2) asinh t) would carry (u/2) asinh t of them.  A_s(tau)
+    exp(-(u/2) asinh t) would carry (u/2) asinh t of them.  t and E are
+    formed from n + 3/4, the small factor first, so that nothing overflows
+    or underflows to zero up to n = 1.8e308.  A_s(tau)
     has the parity of s, so an odd term can exceed the even one before it
     (near tau = 0, by up to 1.6 times above the series seam); the terms are
-    therefore summed in pairs, up to the first pair below 1e-17 of the sum.
-    A pair can also exceed the one before it where that one nearly cancels,
-    so the sum gives up only at a pair larger than both pairs before it.
+    therefore summed in pairs, up to the first pair below 1e-17 of the sum
+    or, times the leading factor g0 e^E (1 + t^2)^(-1/4), below ``atol``;
+    that pair, times the leading factor, is the one reported.  A pair can
+    also exceed the one before it where that one nearly cancels, so the sum
+    gives up only at a pair larger than both pairs before it.
     """
-    u = 4.0 * n + 3.0
-    t = math.sqrt(z / u)
+    lam = n + 0.75  # u/4; u itself overflows above n = 4.49e307
+    ratio = z / lam
+    if ratio >= 4.0 * sys.float_info.min:  # z/u is a normal float
+        t = 0.5 * math.sqrt(ratio)
+    else:
+        t = 0.5 * math.sqrt(z) / math.sqrt(lam)
     r = math.sqrt(1.0 + t * t)
     tau = t / r
     tau2 = tau * tau
     w = t / (t + r)  # t sqrt(1 + t^2) - t^2
-    if t > 1.0:
-        g = math.exp(-0.5 * u * w) * (t + r) ** (-0.5 * u)
+    if t > 1.0:  # z > u, so u/2 = 2 lam is finite
+        g = math.exp(-lam * (2.0 * w)) * (t + r) ** (-2.0 * lam)
     else:
-        g = math.exp(-0.5 * u * (w + math.asinh(t)))
+        g = math.exp(-lam * (2.0 * (w + math.asinh(t))))
+    lead = g0 * g / math.sqrt(r)
+    u = min(4.0 * lam, sys.float_info.max)  # 4n + 3, capped so that scale/u^2 is 0.0, not inf/inf
+    uu = u * u
     total = last = before = 1.0
     scale = u
-    for odd, even in zip(_OLVER[::2], _OLVER[1::2]):  # -A_(2j-1)/u^(2j-1) + A_(2j)/u^(2j)
+    for pairs in _OLVER:  # -A_(2j-1)/u^(2j-1) + A_(2j)/u^(2j)
         p = q = 0.0
-        for c in reversed(odd):
-            p = p * tau2 + c
-        for c in reversed(even):
-            q = q * tau2 + c
-        scale /= u * u
+        for odd, even in pairs:
+            p = p * tau2 + odd
+            q = q * tau2 + even
+        scale /= uu
         pair = scale * (q / u - tau * p)
-        if abs(pair) < 1e-17 * abs(total):
-            return g0 * g / math.sqrt(r) * total
+        omitted = lead * abs(pair)
+        if abs(pair) < 1e-17 * abs(total) or omitted < atol:
+            return lead * total, omitted
         if abs(pair) > max(last, before):
             return None
         total += pair
@@ -358,10 +372,11 @@ def theta_psi(tau: float) -> float:
 
         sum_{n>N} exp(-pi n^2 tau) < exp(-pi (N+1)^2 tau) / (1 - q),
 
-    so the truncation error is below tol.  A term that underflows to zero
-    ends the sum regardless of tol.  The sum takes about 3.4*tau**-0.5
-    terms, at most 36 (at tau = 0.01).  The rounded exponent pi*tau still
-    moves each term by up to ~pi*tau ulps.
+    so the truncation error is below tol.  From tau = 4 the sum is q alone:
+    the n=2 term, q e^(-3 pi tau) <= e^(-12 pi) q = 4.3e-17 q < 2^-54 q, is
+    below half an ulp of q, so summing on would return q.  The sum takes
+    about 3.4*tau**-0.5 terms, at most 36 (at tau = 0.01).  The rounded
+    exponent pi*tau still moves each term by up to ~pi*tau ulps.
 
     For tau < 0.01 the Jacobi transform
 
@@ -378,15 +393,15 @@ def theta_psi(tau: float) -> float:
         r = 1.0 / math.sqrt(tau)
         return r * theta_psi(1.0 / tau) + (r - 1.0) / 2.0
     q = math.exp(-math.pi * tau)
-    # Past tau = 225.46 tol underflows to zero, and so does the n=2 term, which
-    # ends the sum at q; past tau = 237.18 q itself underflows and the sum is 0.
+    if tau >= 4.0:
+        return q
     threshold = 1e-16 * q * (1.0 - q)
-    total = 0.0
-    n = 1
+    total = q
+    n = 2
     while True:
         term = math.exp(-math.pi * n * n * tau)
         total += term
-        if term < threshold or term == 0.0:
+        if term < threshold:
             return total
         n += 1
 

@@ -97,6 +97,25 @@ def test_indices_above_the_float_range_are_rejected(name):
             f(index) if f else _FUNCTIONS[name][0](index, 1.0)
 
 
+def test_indices_at_the_top_of_the_float_range_take_the_expansion():
+    # 4n + 3 overflows above n = 4.49e307; G's expansion forms its exponent
+    # from n + 3/4, so u_scaled and bound return finite values there, where
+    # they raised AccuracyError from a quadrature whose peak was inf/inf.
+    # At z = 5e-324 t = sqrt(z/(4n + 3)) is subnormal, yet G_n(z) is still
+    # G_n(0) e^(-sqrt((4n + 3) z)), 4e-8 below G_n(0)
+    for n in (10**308, int(sys.float_info.max)):
+        g = math.sqrt(math.pi) * gamma_half_ratio(n) * math.exp(-2.0 * math.sqrt((n + 0.75) * 5e-324))
+        assert u_scaled(n, 5e-324) == pytest.approx(g, rel=1e-15, abs=0.0)
+        for z in (1e-300, 1.0, 2.0 * math.pi, sys.float_info.max):
+            assert u_scaled(n, z) == 0.0, z
+        for a in (1e-3, 1.0, 2.0, 1e300):
+            assert bound(n, a) == 0.0, a
+    # z/(4n + 3) = 2.5e-401 underflows, but t is formed from sqrt(z) there:
+    # G_n(z) = G_n(0) e^(-2), where it was G_n(0)
+    g0 = math.sqrt(math.pi) * gamma_half_ratio(10**200)
+    assert u_scaled(10**200, 1e-200) == pytest.approx(g0 * math.exp(-2.0), rel=1e-15, abs=0.0)
+
+
 _COMMANDS = {
     # argv -> (a below which a printed value may be infinite, allowed signs)
     ("eval",): (0.0, ()),

@@ -112,12 +112,21 @@ def _mp_g(mp, n, z):
     return mp.factorial(n) * mp.hyperu(n + 1, mp.mpf(1) / 2, z, maxprec=100000, maxterms=10 ** 6)
 
 
+def _mp_g_cap(mp, n, z):
+    """An upper bound on G_n(z): its integrand is at most
+    e^(-z t/2) max_s e^(-z s/2) (s/(1 + s))^n, and that maximum is at
+    s(1 + s) = 2n/z."""
+    s = (mp.sqrt(1 + 8 * n / z) - 1) / 2
+    return 2 / z * mp.exp(-z * s / 2 + n * mp.log(s / (1 + s)))
+
+
 def _mp_eps(mp, n, a):
     """eps_n(a) by its G series (``quadrature.epsilon_integral``) at mpmath's
     precision, the side with the smaller x first.  A side stops where
-    e^(-pi m^2 x) G_n(0), which bounds its term, or the bound t_m r/(1 - r),
-    r = e^(-pi x (2m + 1)), on the rest of it is below 10^-(dps + 3) of the
-    sum."""
+    e^(-pi m^2 x) times G_n(0) or ``_mp_g_cap``, each of which bounds its
+    term, or the bound t_m r/(1 - r), r = e^(-pi x (2m + 1)), on the rest of
+    it is below 10^-(dps + 3) of the sum (mpmath's G costs seconds at large
+    n and z, where the cap skips it)."""
     a, sign = mp.mpf(a), (-1) ** n
     g0 = mp.sqrt(mp.pi) * mp.gamma(n + 1) / mp.gamma(n + mp.mpf(1.5))
     least = mp.mpf(10) ** -(mp.mp.dps + 3)
@@ -125,7 +134,7 @@ def _mp_eps(mp, n, a):
     for x, weight in sorted(((1 / a, sign), (a, mp.sqrt(a)))):
         for m in itertools.count(1):
             e = abs(weight) * mp.exp(-mp.pi * m * m * x)
-            if e * g0 < least * abs(total):
+            if e * min(g0, _mp_g_cap(mp, n, 2 * mp.pi * m * m * x)) < least * abs(total):
                 break
             term = e * _mp_g(mp, n, 2 * mp.pi * m * m * x)
             total += term if weight > 0 else -term
@@ -148,13 +157,16 @@ def _mp_j_integral(mp, n, a):
     return mp.quad(f, [0, length / 4, length, 4 * length, mp.inf])
 
 
-def _mp_theorem_j(mp, n, a):
-    """J_n(a) = sigma*T_n(a) + eps_n(a) at mpmath's precision, T by the
-    paper's formula."""
+def _mp_t(mp, n, a):
+    """T_n(a) by the paper's formula at mpmath's precision."""
     am, sign = mp.mpf(a), (-1) ** n
     r = mp.gamma(n + 1) / mp.gamma(n + mp.mpf(1.5))
-    t = ((1 + sign * mp.sqrt(am)) / 2 * mp.sqrt(mp.pi / 2) * r - sign * _mp_gauss_f(mp, n)) / (4 * mp.pi * am)
-    return sign * t + _mp_eps(mp, n, a)
+    return ((1 + sign * mp.sqrt(am)) / 2 * mp.sqrt(mp.pi / 2) * r - sign * _mp_gauss_f(mp, n)) / (4 * mp.pi * am)
+
+
+def _mp_theorem_j(mp, n, a):
+    """J_n(a) = sigma*T_n(a) + eps_n(a) at mpmath's precision."""
+    return (-1) ** n * _mp_t(mp, n, a) + _mp_eps(mp, n, a)
 
 
 def _mp_j_series(mp, n, a):
@@ -894,9 +906,9 @@ class TestJTheorem:
     @pytest.mark.parametrize(
         "n,a,value,estimate,evaluations",
         [
-            (30, 1.0, 0.008345819063448027, 4.727948443508356e-17, 2),
+            (30, 1.0, 0.008345819063448036, 6.759566436172359e-17, 2),
             (200, 1.0, 0.0034204905668463407, 1.7413179669506064e-17, 2),
-            (184, 2.788, 0.002158635625593385, 1.081950249228732e-17, 2),
+            (184, 2.788, 0.002158635625593385, 1.0819502676617576e-17, 2),
         ],
         ids=["30-1", "200-1", "184-2.788"],
     )
@@ -906,7 +918,10 @@ class TestJTheorem:
         # quadrature evaluations before) are the series' and T's bounds.
         # Against 30-digit sigma*T + eps (mpmath hyperu) the values are
         # 8.9e-17, 1.2e-16 and 5.9e-17 relative off; the third was
-        # 0.0021586356255933856, 2.6e-16 off
+        # 0.0021586356255933856, 2.6e-16 off.  Re-frozen when each G stopped
+        # at its term's share of the tolerance: 30-1 moved from
+        # 0.008345819063448027 +- 4.7e-17 and is 9.5e-16 relative (0.12 of
+        # its estimate) off, and 184-2.788's estimate rose by 1.8e-25
         res = j_integral(IntegralParams(n, a))
         assert (res.value, res.abs_error_estimate, res.evaluations) == (value, estimate, evaluations)
 
@@ -1065,11 +1080,11 @@ class TestJTheorem:
         [
             (
                 (11, 12, 13, 20, 30, 50, 100, 200, 500, 1000, 2000), 1, (1e-13,),
-                "8c8ff06cf5fdd6986ff209428153ca63ab92e0f6111e7a58f9fd8edfcc683b95", 0, 8319,
+                "9ae5826b9cc1266992d64de8941516929fe7547625f24d3eccd2ea39d7b30757", 0, 8319,
             ),
             (
                 (11, 12, 13, 30), 4, (1e-15, 1e-16),
-                "be3f3ed95195f528afbe66d4b8d44d6352dfe2526151e25a2e6842d5e302ad29", 43, 79187,
+                "dcae0029fd651854283ccfb52c45eaeebf707c249b61bda35057f1589d45b874", 43, 79187,
             ),
         ],
         ids=["default-tol", "tight-tol"],
@@ -1086,7 +1101,9 @@ class TestJTheorem:
         # between the seams: it answers 10 of the tight grid's 1e-15
         # requests at a from 1e-3 to 0.03 in 10-36 terms, where the direct
         # quadrature took 191-193 evaluations, each within 0.07 of its
-        # estimate of 30-digit ``_mp_j_series``
+        # estimate of 30-digit ``_mp_j_series``.  Re-frozen, counts unchanged,
+        # when each G of eps's series stopped at its term's share of the
+        # tolerance (``TestEpsilonSeries::test_g_series_grid_within_estimate_of_30_digits``)
         lines = []
         count = total = 0
         for n in ns:
@@ -1412,7 +1429,7 @@ class TestEpsilonIntegral:
             (7, 2.0, None, -7.6631294112747e-07, 1.1867990382216816e-18, 75),
             # the G series from n = 11: 3 terms; the quadrature gave
             # 2.281603572796117e-12 +- 6.4e-24 in 57 evaluations
-            (41, 0.5, None, 2.2816035727961242e-12, 9.900613613705526e-26, 3),
+            (41, 0.5, None, 2.2816035728055556e-12, 1.9296889807567213e-23, 3),
         ],
         ids=["2-1.0-1e-10", "7-2.0-None", "41-0.5-None"],
     )
@@ -1421,8 +1438,10 @@ class TestEpsilonIntegral:
         # sqrt(2n/(pi min(a, 1/a))))) and prefactor 1/(4 pi a); the counting
         # wrapper, like the benchmark's, rejects keywords.  Each value lies
         # within its estimate of a 32-digit mpmath quadrature of the remainder
-        # integral (41-0.5: 6.5e-27 off, 2.8e-15 relative, against 8.0e-28
-        # for the quadrature; the series stops at a quarter of the tolerance)
+        # integral (41-0.5: 9.4e-24 off, 4.1e-12 relative and 0.49 of its
+        # estimate, against 8.0e-28 for the quadrature: the series stops at a
+        # quarter of the tolerance, and each G at its term's share of it; it
+        # was 6.5e-27 off while each G was summed to 1e-17 of itself)
         p = IntegralParams(n, a, tol=1e-6 * bound(n, a) if tol is None else tol)
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = epsilon_integral(p)
@@ -1596,6 +1615,78 @@ class TestEpsilonSeries:
         assert terms == [] and calls == []
         direct = quadrature._eps_quadrature(p.n, p.a, p.tol)
         assert abs(res.value - direct.value) <= res.abs_error_estimate + direct.abs_error_estimate
+
+    @pytest.mark.parametrize("n", [11, 12, 13, 20, 30, 200, 2000])
+    def test_g_series_grid_within_estimate_of_30_digits(self, n):
+        # quarter-decade a between J's seams x four tolerances: each G stops
+        # at its term's share of the tolerance and charges twice its first
+        # omitted pair.  eps by the G series, and J by sigma*T + eps, each lie
+        # within its estimate of the G series summed at 30 digits
+        mp = pytest.importorskip("mpmath")
+        seam = 50.0 * (n + 2)
+        answered = requests = 0
+        for k in range(-20, 21):
+            a = 10.0 ** (k / 4)
+            if not 1.0 / seam < a < seam:
+                continue
+            requests += 8
+            exact = None
+            for tol in (1e-15, 1e-13, 1e-10, 1e-6 * bound(n, a)):
+                eps = quadrature._eps_series(n, a, tol)
+                j = quadrature._theorem(n, a, tol, quadrature._eps_series, 1.0)
+                if exact is None and (eps or j):
+                    with mp.workdps(30):
+                        # odd n at a = 1: the sides cancel exactly, and at 30 digits to 1e-42
+                        exact = _mp_eps(mp, n, a) if n % 2 == 0 or a != 1.0 else mp.mpf(0)
+                        exact = mp.nstr(exact, 32), mp.nstr((-1) ** n * _mp_t(mp, n, a) + exact, 32)
+                for res, reference in ((eps, exact and exact[0]), (j, exact and exact[1])):
+                    if res is not None:
+                        answered += 1
+                        assert abs(Fraction(res.value) - Fraction(reference)) <= res.abs_error_estimate, (a, tol)
+        # 1 458 of 1 552 requests (92-95% at each n); the worst is 0.50 of its
+        # estimate, at (12, 1, 1e-15)
+        assert answered >= 0.9 * requests
+
+    def test_subnormal_first_term_answers_by_the_theorem(self, monkeypatch):
+        # at (2000, 237.1) the side at x = a starts at e^(-pi a) = 5e-324, so
+        # its G's room, share/(64 e sqrt(a)), is inf: that G stops at its
+        # first pair, and its charge is finite.  J is sigma*T + eps, with no
+        # driver call; the direct quadrature there misses by 16 times its
+        # estimate
+        n, a, tol = 2000, 237.1, 1e-10
+        assert math.exp(-math.pi * a) == 5e-324
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = j_integral(IntegralParams(n, a, tol))
+        assert calls == []
+        assert res == quadrature._theorem(n, a, tol, quadrature._eps_series, 1.0)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            assert abs(mp.mpf(res.value) - _mp_theorem_j(mp, n, a)) <= res.abs_error_estimate
+
+    def test_frozen_pair_count_on_the_benchmark_pool(self, monkeypatch):
+        # the pairs of G's expansion (``specfun._u_olver``) formed over the
+        # 44 index-sweep points from n = 11, called as the benchmark calls
+        # them: eps at 1e-6 of the bound (whose own G is summed to 1e-17 of
+        # itself), J at the default tolerance up to n = 200.  313 expansions
+        # form 743 pairs; summing every G to 1e-17 of itself formed 1 574
+        formed = []
+
+        class Counted(tuple):
+            def __iter__(self):
+                for pairs in tuple.__iter__(self):
+                    formed.append(pairs)
+                    yield pairs
+
+        monkeypatch.setattr(specfun, "_OLVER", Counted(specfun._OLVER))
+        terms = _count_terms(monkeypatch)
+        with open(_POOL) as fh:
+            points = [p for p in json.load(fh)["index-sweep"] if p["n"] >= 11]
+        for point in points:
+            n, a = point["n"], point["a"]
+            epsilon_integral(IntegralParams(n, a, tol=1e-6 * bound(n, a)))
+            if n <= 200:
+                j_integral(IntegralParams(n, a))
+        assert (len(points), len(terms), len(formed)) == (44, 313, 743)
 
     def test_rounding_charge_over_tol_stops_the_series(self, monkeypatch):
         # at (12, 10^-2.75) the charge for the terms' rounding, which never
@@ -1833,12 +1924,13 @@ class TestGiveUpBranches:
     @pytest.fixture(params=["growing-pair", "short-table"])
     def failing_expansion(self, request, monkeypatch):
         # a first pair above 1 is larger than both pairs before it (taken as
-        # 1); one pair alone cannot reach 1e-17 of the sum at z = 2 pi
+        # 1); a table with no pair runs out before any G stops, even where
+        # the room a G is given would take its first pair
         olver = specfun._OLVER
         if request.param == "growing-pair":
-            table = tuple(tuple(1e20 * c for c in poly) for poly in olver[:2]) + olver[2:]
+            table = (tuple((1e20 * odd, 1e20 * even) for odd, even in olver[0]),) + olver[1:]
         else:
-            table = olver[:2]
+            table = ()
         monkeypatch.setattr(specfun, "_OLVER", table)
         return olver
 

@@ -268,7 +268,7 @@ class TestOlverTable:
         # + c with A_(s+1)(0) = 0, in exact rationals; the float recurrence
         # leaves each coefficient within 5 ulps (measured: 4.5, in A_16)
         polys = [{0: Fraction(1)}]
-        for _ in range(len(specfun._OLVER)):
+        for _ in range(2 * len(specfun._OLVER)):
             new = {}
             for k, c in polys[-1].items():
                 for power, weight in ((k - 1, -1), (k + 1, 2), (k + 3, -1)):
@@ -278,18 +278,27 @@ class TestOlverTable:
                 new[k + 3] = new.get(k + 3, 0) - 5 * c / (8 * (k + 3))
             new[0] = Fraction(0)
             polys.append(new)
-        for s, (table, exact) in enumerate(zip(specfun._OLVER, polys[1:]), 1):
-            powers = range(s % 2, 3 * s + 1, 2)
-            assert len(table) == len(powers), s
-            for c, k in zip(table, powers):
-                value = exact.get(k, Fraction(0))
-                assert abs(Fraction(c) - value) <= 5 * Fraction(math.ulp(float(value))), (s, k)
-            assert {k for k, c in exact.items() if c} <= set(powers), s
+        # entry j - 1 pairs the tau^(2k+1) coefficient of A_(2j-1) with the
+        # tau^(2k) one of A_(2j), highest k first; the odd column's two
+        # powers above its degree are exact zeros
+        for j, pairs in enumerate(specfun._OLVER, 1):
+            assert len(pairs) == 3 * j + 1, j
+            for s, column in ((2 * j - 1, [odd for odd, _ in pairs]), (2 * j, [even for _, even in pairs])):
+                exact = polys[s]
+                powers = range(3 * s + 4 if s % 2 else 3 * s, -1, -2)
+                assert len(column) == len(powers), s
+                for c, k in zip(column, powers):
+                    if k > 3 * s:
+                        assert c == 0.0, (s, k)
+                        continue
+                    value = exact.get(k, Fraction(0))
+                    assert abs(Fraction(c) - value) <= 5 * Fraction(math.ulp(float(value))), (s, k)
+                assert {k for k, c in exact.items() if c} <= set(powers), s
 
     def test_normalisation_at_zero_argument(self):
         # G_n(0) = sqrt(pi) R(n): the sum is exactly 1 at z -> 0
         g0 = SQRT_PI * gamma_half_ratio(20)
-        assert specfun._u_olver(20, 1e-300, g0) == pytest.approx(g0, rel=1e-15, abs=0.0)
+        assert specfun._u_olver(20, 1e-300, g0)[0] == pytest.approx(g0, rel=1e-15, abs=0.0)
 
     def test_never_gives_up_from_index_eleven(self):
         # n 11-15 x 1/32-decade z over [1e-20, 1e308], 52 485 points: the
@@ -307,9 +316,13 @@ class TestThetaPsi:
     def test_single_term_regime(self):
         # the n=2 term is exp(-300 pi) times the first, far below one ulp of it
         assert theta_psi(100.0) == math.exp(-100.0 * math.pi)
-        # past tau = 225.46 the truncation tolerance 1e-16*q underflows to
-        # zero; the underflowing n=2 term still ends the sum at q
         assert theta_psi(230.0) == math.exp(-230.0 * math.pi)
+        # from tau = 4 the sum is q alone: there the n=2 term is at most
+        # e^(-12 pi) = 4.3e-17 of q, below half an ulp, so summing it and the
+        # rest returns q too
+        for tau in (4.0, 4.5, 10.0):
+            q = math.exp(-math.pi * tau)
+            assert theta_psi(tau) == q == q + math.exp(-4.0 * math.pi * tau) + math.exp(-9.0 * math.pi * tau)
 
     def test_small_argument_sum(self):
         oracle = sum(math.exp(-math.pi * n * n) for n in (1, 2, 3))
