@@ -252,10 +252,9 @@ def _refine(f, tol, rel_tol, roundoff=0.0, length=1.0, prefactor=1.0) -> QuadRes
             if level >= _MIN_LEVEL:
                 if err <= target:
                     return QuadResult(value, err, evaluations)
-                # give up once the sum settles within a floor above twice the
-                # target, two levels in a row: where f changes sign the floor
-                # still moves by up to 1e-3 of itself per level, never by 2x
-                settled = settled + 1 if abs(value - previous) <= floor and floor > 2.0 * target else 0
+                # give up on a floor above 1.1x the target once two levels settle
+                # within it: it moves by up to 1e-3 of itself a level, 1.2% in all
+                settled = settled + 1 if abs(value - previous) <= floor and floor > 1.1 * target else 0
                 if settled == 2:
                     break
         previous = value
@@ -359,9 +358,9 @@ def u_scaled(n: int, z: float) -> float:
       with no quadrature.
     * Otherwise the integral is summed by exp-sinh quadrature, as accurate as
       its integrand, whose power (t/(1+t))**n carries about n/2 ulps.  The
-      nodes are placed at length max(t*, min(1, 16/z)), where t* is the
-      integrand's peak, the root of n/t - (n + 3/2)/(1 + t) = z, formed so
-      that nothing overflows up to z = 1.8e308.
+      nodes sit at length max(t*, min(max(1, 6/z), 32/z)), 6 to 32 decay
+      lengths 1/z of exp(-z t), or at the integrand's peak t*, the root of
+      n/t - (n + 3/2)/(1 + t) = z, formed so nothing overflows to z = 1.8e308.
     """
     _check_index("n", n, 0)
     _check_a("z", z)
@@ -374,7 +373,7 @@ def u_scaled(n: int, z: float) -> float:
         return _SQRT_PI * (first - 2.0 * math.sqrt(z) * _kummer_series(n + 1.5, 1.5, z))
     b = z + 1.5
     peak = 2.0 * n / (b + math.hypot(b, 2.0 * math.sqrt(n) * math.sqrt(z)))
-    length = max(peak, min(1.0, 16.0 / z))
+    length = max(peak, min(max(1.0, 6.0 / z), 32.0 / z))
 
     def f(t: float) -> float:
         g = math.exp(-z * t)
@@ -689,7 +688,8 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
             side += term
             mass += size
             charged += min(size, 2.0 * abs(front) * omitted)
-            error += size * (2.0 * (math.sqrt(u * z) + 8.0) + 2.0 * y) * _EPS
+            if size:  # a G that underflowed charges nothing; sqrt(u z) is inf from n ~ 1e307
+                error += size * (2.0 * (math.sqrt(u * z) + 8.0) + 2.0 * y) * _EPS
             count += 1
             if (error + 8.0 * _EPS * mass) / coef > tol:  # this charge never shrinks
                 return None
