@@ -706,10 +706,11 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
     return QuadResult(value, estimate, count)
 
 
-def _eps_quadrature(n: int, a: float, tol: float) -> QuadResult:
+def _eps_quadrature(n: int, a: float, tol: float, rel_tol: float = 0.0) -> QuadResult:
     """eps_n(a) by exp-sinh quadrature of its integral (``epsilon_integral``),
-    to the absolute ``tol`` with no relative target, as for ``_j_quadrature``;
-    the identity suite's eps at every n.
+    to ``max(tol, rel_tol*|eps|)``.  The routes ask the absolute ``tol`` with
+    no relative target, as for ``_j_quadrature``; the identity suite, whose
+    eps this is at every n, asks a relative target and no absolute one.
 
     The substitution t = 1 + u moves the path to (0, inf) and concentrates
     nodes where (t-1)^n turns on.  Theta sums are truncated per point, scaled
@@ -747,7 +748,7 @@ def _eps_quadrature(n: int, a: float, tol: float) -> QuadResult:
     integrand, prefactor = f, 1.0 / (4.0 * math.pi * a)
     if prefactor < sys.float_info.min:  # subnormal above a = 3.6e306, 0.0 above 1.4e307
         integrand, prefactor = lambda u: f(u) / sq, 1.0 / (4.0 * math.pi * sq)
-    return _integrate_expsinh(integrand, tol, 0.0, _index_roundoff(n), length, prefactor)
+    return _integrate_expsinh(integrand, tol, rel_tol, _index_roundoff(n), length, prefactor)
 
 
 def finite_check_integrals(m: int) -> tuple[float, float]:

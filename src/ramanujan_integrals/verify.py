@@ -55,9 +55,9 @@ _CONSISTENCY_TOL = 1e-12
 _CONSISTENCY_WINDOW = 1e-12
 _MODULAR_TOL = 1e-10
 _DRZ_MARGIN_POINTS = 0.3
-# remainder tolerance as a fraction of its bound; keeps eps accurate in the
-# relative sense even at 1e-24
-_EPS_REL_OF_BOUND = 1e-6
+# relative tolerance of the remainder's quadrature: six digits of eps at any
+# magnitude, even at 1e-24, with no bound to compute first
+_EPS_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,10 @@ def _folds(a: float) -> bool:
 
 class _Samples:
     """B_n(a), eps_n(a) and J_n(a) values, each computed at most once per
-    instance.  B comes first and sets eps's tolerance to _EPS_REL_OF_BOUND
-    times itself (B is cheap), giving ~6 significant digits of eps at any
-    magnitude; J is integrated to DEFAULT_TOL.  A failed quadrature is not
-    stored: asked again, it raises again.
+    instance.  eps is integrated to _EPS_REL_TOL of itself, ~6 significant
+    digits at any magnitude, and asks nothing of B, which only the checks
+    and tables that read it compute; J is integrated to DEFAULT_TOL.  A
+    failed quadrature is not stored: asked again, it raises again.
 
     J is always ``_j_quadrature``, the direct quadrature of its defining
     integral, never ``j_integral``'s series or its sigma*T + eps, so the
@@ -147,14 +147,13 @@ class _Samples:
 
     B and eps at a power of two a > 1 are read off the sample at 1/a, by
     B_n(a) = a^(-3/2) B_n(1/a) and eps_n(a) = sigma(n) a^(-3/2) eps_n(1/a);
-    the tolerance 1e-6 B_n(1/a) scales to exactly 1e-6 B_n(a).  Other a,
-    whose reciprocal would round, are integrated as they are.  J is never
-    folded: the modular checks compare J at a and 1/a as independent
-    quadratures."""
+    a relative tolerance is the same at a and 1/a.  Other a, whose
+    reciprocal would round, are integrated as they are.  J is never folded:
+    the modular checks compare J at a and 1/a as independent quadratures."""
 
     def __init__(self):
         bound_at = functools.cache(bound)
-        eps_at = functools.cache(lambda n, a: _eps_quadrature(n, a, _EPS_REL_OF_BOUND * bound_at(n, a)).value)
+        eps_at = functools.cache(lambda n, a: _eps_quadrature(n, a, 0.0, _EPS_REL_TOL).value)
         self.bound = lambda n, a: a ** -1.5 * bound_at(n, 1.0 / a) if _folds(a) else bound_at(n, a)
         self.eps = lambda n, a: sigma(n) * a ** -1.5 * eps_at(n, 1.0 / a) if _folds(a) else eps_at(n, a)
         self.j = functools.cache(lambda n, a: _j_quadrature(n, a, DEFAULT_TOL).value)
@@ -164,7 +163,7 @@ def reproduce_table(table_id: int) -> list[TableRow]:
     """Recompute a reference table on its exact (k, a) grid.
 
     Each row pairs the remainder magnitude with its bound from the suite's
-    samples; the bound comes first and sets the remainder's tolerance.
+    samples; the remainder is integrated to 1e-6 of itself, not of B.
     """
     if table_id not in TABLE_GRIDS:
         raise ValueError(f"table id must be 1, 2 or 3, got {table_id}")

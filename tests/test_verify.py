@@ -10,17 +10,14 @@ from ramanujan_integrals import (
     ALL_CHECK_GROUPS,
     DEFAULT_TOL,
     AccuracyError,
-    IntegralParams,
     QuadResult,
     SuiteReport,
     TableRow,
     TolProfile,
-    bound,
-    epsilon_integral,
     reproduce_table,
     run_suite,
 )
-from ramanujan_integrals import specfun, verify
+from ramanujan_integrals import quadrature, specfun, verify
 from ramanujan_integrals.verify import _POISSON_TAUS, TABLE_GRIDS
 from reference_tables import fourth_digit_tol
 
@@ -146,7 +143,7 @@ class TestRunSuite:
         assert start == len(default_suite_report.checks)
 
     def test_failing_quadratures_are_recorded_not_raised(self, monkeypatch):
-        def fail(n, a, tol):
+        def fail(*args):
             raise AccuracyError("forced failure", QuadResult(0.0, 1.0, 1))
 
         monkeypatch.setattr(verify, "_eps_quadrature", fail)
@@ -202,8 +199,32 @@ class TestRunSuite:
         # 1/0.9 and 1/1.1 round in binary64, so these points are not folded
         name = f"sign/odd/k={n // 2}/a={a:g}"
         check = next(c for c in run_suite(TolProfile(checks=("sign",))).checks if c.name == name)
-        direct = epsilon_integral(IntegralParams(n, a, 1e-6 * bound(n, a))).value
+        direct = quadrature._eps_quadrature(n, a, 0.0, verify._EPS_REL_TOL).value
         assert check.residual == math.copysign(1.0, a - 1.0) * direct
+
+    def test_sign_and_consistency_compute_no_bound(self, monkeypatch):
+        # eps is asked for six digits of itself, so checks that never read B
+        # compute none; dominance and the tables still do
+        calls = collections.Counter()
+        monkeypatch.setattr(verify, "bound", _counting(calls, "bound", verify.bound))
+        for group in ("sign", "consistency"):
+            run_suite(TolProfile(checks=(group,)))
+            assert calls["bound"] == 0, group
+        run_suite(TolProfile(checks=("dominance",)))
+        assert calls["bound"] > 0
+        # driver evaluations of a full run: 11 925 while eps's tolerance was
+        # 1e-6 B, whose G quadratures cost more than eps's own below n = 11
+        evaluations = []
+        driver = quadrature._integrate_expsinh
+
+        def counted(*args):
+            result = driver(*args)
+            evaluations.append(result.evaluations)
+            return result
+
+        monkeypatch.setattr(quadrature, "_integrate_expsinh", counted)
+        run_suite()
+        assert sum(evaluations) == 10893
 
     def test_empty_selection_is_vacuous_pass(self):
         report = run_suite(TolProfile(checks=()))
