@@ -34,22 +34,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .specfun import (
-    _EPS,
-    _EXPANSION_MIN_N,
-    _SQRT_PI,
-    _approximant,
-    _check_a,
-    _check_index,
-    _index_roundoff,
-    _kummer_scaled,
-    _kummer_series,
-    _laguerre_steps,
-    _stirling_ratio,
-    _sum_asymptotic,
-    _u_olver,
-    gamma_half_ratio,
-    gauss_f,
-    theta_psi,
+    _EPS, _EXPANSION_MIN_N, _SQRT_PI, _approximant, _check_a, _check_index, _index_roundoff, _kummer_scaled,
+    _kummer_series, _laguerre_steps, _stirling_ratio, _sum_asymptotic, _u_olver, gamma_half_ratio, gauss_f, theta_psi,
 )
 
 __all__ = [
@@ -121,7 +107,8 @@ class AccuracyError(ArithmeticError):
 
     The message says what stopped the quadrature: the level budget ran out,
     the roundoff floor of the integrand alone exceeds the tolerance, or a
-    level's sum is not finite (its estimate is then infinite).
+    level's sum is not finite (its estimate is then infinite); or, from J's
+    and eps's series (``_first_within``), that none met the tolerance.
     """
 
     def __init__(self, message: str, result: QuadResult):
@@ -186,9 +173,7 @@ def _sweep(f, length, nodes, cap) -> tuple[float, float, float, int, float]:
     below |u| = ``cap``, where a coarser level's run began.  A sweep whose last
     sample below ``cap`` is not negligible goes on past it.
     """
-    total = 0.0
-    mass = 0.0
-    umass = 0.0
+    total = mass = umass = 0.0
     count = 0
     peak = cut = 0.0
     first = 0.0  # |u| where the current run of negligible samples began; 0.0: none (u > 0 after the first sample)
@@ -224,12 +209,9 @@ def _refine(f, tol, rel_tol, roundoff=0.0, length=1.0, prefactor=1.0) -> QuadRes
     weight and in the point sampled, so each sample adds 2|u| ulps of itself.
     """
     scale = length * prefactor
-    total = 0.0
-    mass = 0.0
-    umass = 0.0
-    evaluations = 0
+    total = mass = umass = 0.0
+    evaluations = settled = 0
     previous = None
-    settled = 0
     cap_pos = cap_neg = math.inf
     for level in range(_MAX_LEVEL + 1):
         pos, neg = _expsinh_nodes(level)
@@ -410,14 +392,14 @@ def _bernoulli_terms(n: int, x: float, power: float, sign: float, least: float, 
     P_j = 2F1(-n, 1 - j; 3/2; 2) is a sum of min(n, j - 1) + 1 positive
     terms, so a term costs O(n), and zeta(2j) is read from ``_zeta_table``;
     the terms end with that table, or with one infinite term at the first j
-    where P_j times ``least`` exceeds ``tol``.
+    where P_j times ``least`` exceeds ``tol`` or is NaN.
     """
     for j, zeta in enumerate(_zeta_table(), 1):
         p = c = 1.0
         for k in range(min(n, j - 1)):
             c *= 2.0 * (n - k) * (j - 1 - k) / ((k + 1.5) * (k + 1))
             p += c
-        if p * least > tol:
+        if not p * least <= tol:  # NaN where P_j overflows and least underflows
             yield math.inf
             return
         yield (sign if j % 2 else -sign) * 2.0 * zeta * power * p
@@ -426,7 +408,7 @@ def _bernoulli_terms(n: int, x: float, power: float, sign: float, least: float, 
 
 def _j_series(n: int, a: float, tol: float) -> QuadResult | None:
     """J_n(a) by its Bernoulli series, in s^2 = 1/(pi a) for a >= 1 and in
-    a/pi below, or None where its estimate would exceed ``tol``.
+    a/pi below, as summed for ``tol`` (its estimate may exceed it), or None.
 
     Large a.  Expanding x/(e^(2 pi x) - 1) by DLMF 24.2.1 and integrating term
     by term with DLMF 13.10.3 gives, with H_n(b) = 2F1(-n, b; 3/2; 2),
@@ -464,10 +446,9 @@ def _j_series(n: int, a: float, tol: float) -> QuadResult | None:
     least = 0.96 e^(-y)/sqrt(2 pi y), y = pi max(a, 1/a) (zeta(2j) >= 1 and
     Gamma(j + 1/2) x^j >= 0.96 sqrt(2 pi) e^(-1/x)).  P_j only grows with
     j, so from the first j where P_j least exceeds ``tol`` so does every
-    later term, and with it the estimate: by its omitted term or, where the
-    sum stops at 1e-17 of itself, by its rounding charge.  The series gives
-    up there, and before its first term where least alone exceeds ``tol``
-    (P_1 = 1), so near a = 1 a failed attempt sums no term.
+    later term, and with it the estimate.  The series stops there, with an
+    infinite omitted term, and returns None where least alone exceeds
+    ``tol`` (P_1 = 1), summing no term.  At ``tol`` = inf it ends at its least term.
     """
     least = _j_least(a)
     if least > tol:
@@ -487,7 +468,7 @@ def _j_series(n: int, a: float, tol: float) -> QuadResult | None:
     total, mass, omitted, count = _sum_asymptotic(first, terms)
     roundoff = _index_roundoff(min(n, _EXPANSION_MIN_N - 1))
     estimate = (omitted + roundoff * _EPS * mass) * scale
-    return QuadResult(total * scale, estimate, count) if estimate <= tol else None
+    return QuadResult(total * scale, estimate, count)
 
 
 def _j_side(n: int, a: float) -> bool:
@@ -504,14 +485,16 @@ def _j_least(a: float) -> float:
 
 
 def _theorem(n: int, a: float, tol: float, part, sign: float) -> QuadResult | None:
-    """``part`` + ``sign`` sigma T_n(a) to ``tol``, or None: the theorem
+    """``part`` + ``sign`` sigma T_n(a) as summed for ``tol``: the theorem
     J = sigma T + eps read as J (``part`` is ``_eps_series`` or
     ``_eps_quadrature``, ``sign`` 1) or as eps (``part`` is ``_j_series``,
     ``sign`` -1), with T and its rounding bound from
-    ``specfun._approximant``.  Refused where that bound exceeds ``tol``/2,
+    ``specfun._approximant``.  None where that bound exceeds ``tol``/2,
     before ``part`` runs; else ``part`` is asked for ``tol`` less the bound,
-    and a part that returns None or raises ``AccuracyError`` is a miss.  The
-    estimate, part's plus the bound plus 2 ulps of the sum, must meet ``tol``.
+    and a part that returns None or raises ``AccuracyError`` gives None.  The
+    estimate, part's plus the bound plus 2 ulps of the sum, may exceed
+    ``tol``.  Where the gate refuses ``tol``, twice the bound is the least
+    request it admits, which the routes from n = 11 ask next.
     """
     t, t_error = _approximant(n, a)
     if not t_error <= 0.5 * tol:
@@ -524,43 +507,69 @@ def _theorem(n: int, a: float, tol: float, part, sign: float) -> QuadResult | No
         return None
     value = other.value + sign * (-t if n % 2 else t)
     estimate = other.abs_error_estimate + t_error + 2.0 * _EPS * abs(value)
-    return QuadResult(value, estimate, other.evaluations) if estimate <= tol else None
+    return QuadResult(value, estimate, other.evaluations)
+
+
+def _first_within(tol: float, results) -> QuadResult:
+    """The first of ``results`` that meets ``tol``: each route's result, run
+    only once those before it missed, or None where it gave no value.  Past
+    the last, ``AccuracyError`` carries the smallest estimate's, or nan +- inf
+    where none gave a value, and its message says why."""
+    best = None
+    for result in results:
+        if result is not None and result.abs_error_estimate <= tol:
+            return result
+        if result is not None and (best is None or result.abs_error_estimate < best.abs_error_estimate):
+            best = result
+    why = (f"best estimate {best.value:.17g} +- {best.abs_error_estimate:g} after {best.evaluations} terms" if best
+           else "none gave a value: G's expansion failed, or T or eps's prefactor left the float range")
+    raise AccuracyError(f"no series reached tolerance {tol:g} ({why})", best or QuadResult(math.nan, math.inf, 1))
 
 
 def j_integral(p: IntegralParams) -> QuadResult:
     """J_n(a) = integral_0^inf x e^(-pi a x^2)/(e^(2 pi x)-1) 1F1(-n;3/2;2 pi a x^2) dx,
     to the absolute ``p.tol``: the estimate returned never exceeds it.
 
-    The first of these routes that meets ``p.tol`` answers:
-
-    * between J's seams (``_j_side``, as for ``epsilon_integral``), the
-      paper's theorem sigma*T_n(a) + eps_n(a) (``_theorem``) with eps the sum
-      of its G series (``_eps_series``), with no quadrature;
-    * at every n and a, J's Bernoulli series (``_j_series``), with no
-      quadrature and full relative precision at both ends of the float
-      range, where J_n(a) ~ (-1)^n F_n/(4 pi sqrt(a)) and -> 1/24;
-    * from n = 6 to 10, the theorem with eps by its quadrature
-      (``_eps_quadrature``): inside the window eps is far smaller than J, so
-      its quadrature meets the same absolute tolerance in fewer levels;
-    * the exp-sinh quadrature of the defining integral (``_j_quadrature``),
-      so an unattainable tolerance still raises.
+    The first route that meets ``p.tol`` answers (``_first_within``): between
+    J's seams (``_j_side``) the paper's theorem sigma*T_n(a) + eps_n(a)
+    (``_theorem``) with eps by its G series (``_eps_series``); then J's
+    Bernoulli series (``_j_series``), with full relative precision at both
+    ends of the float range, where J_n(a) ~ (-1)^n F_n/(4 pi sqrt(a)) and
+    -> 1/24.  Below n = 11 the quadratures follow: from n = 6 the theorem
+    with eps by its quadrature (``_eps_quadrature``), which inside the window
+    meets the same absolute tolerance in fewer levels, then J's own
+    (``_j_quadrature``), which answers or raises.  From n = 11 no quadrature
+    runs: the theorem asked for twice T's bound, where that refused
+    ``p.tol`` between the seams, and J's series summed to its least term
+    follow, and a miss raises the best result in microseconds.
 
     Every positive finite a is accepted and no factor overflows, from
     J_n(5e-324) ~ 1/24 to J_n(1.8e308) ~ 1e-156.
     """
-    n, a, tol = p.n, p.a, p.tol
-    result = None if _j_side(n, a) else _theorem(n, a, tol, _eps_series, 1.0)
-    if result is None:
-        result = _j_series(n, a, tol)
-    if result is None and _J_THEOREM_MIN_N <= n < _EXPANSION_MIN_N:
-        result = _theorem(n, a, tol, _eps_quadrature, 1.0)
-    return result if result is not None else _j_quadrature(n, a, tol)
+    return _first_within(p.tol, _j_routes(p.n, p.a, p.tol))
+
+
+def _j_routes(n: int, a: float, tol: float):
+    between = not _j_side(n, a)
+    if between:
+        yield _theorem(n, a, tol, _eps_series, 1.0)
+    yield _j_series(n, a, tol)
+    if n < _EXPANSION_MIN_N:
+        if n >= _J_THEOREM_MIN_N:
+            yield _theorem(n, a, tol, _eps_quadrature, 1.0)
+        yield _j_quadrature(n, a, tol)  # meets tol or raises
+        return
+    if between and 0.5 * tol < (t_error := _approximant(n, a)[1]) < math.inf:
+        yield _theorem(n, a, 2.0 * t_error, _eps_series, 1.0)
+    yield _j_series(n, a, math.inf)
 
 
 def _j_quadrature(n: int, a: float, tol: float) -> QuadResult:
     """J_n(a) by exp-sinh quadrature of its defining integral, to the absolute
     ``tol`` with no relative target: a ``tol`` below the roundoff floor
-    raises ``AccuracyError`` instead of settling there.
+    raises ``AccuracyError`` instead of settling there.  Its callers ask
+    n <= 10 (``j_integral``) and n <= 20 (the identity suite); from about
+    n = 500 its floor under-states its rounding, by 3.55 times at (2000, 0.1).
 
     The Kummer factor is the stable Laguerre recurrence
     (``specfun._kummer_scaled``) with the Bose factor and e^(-z/2) folded
@@ -600,35 +609,40 @@ def epsilon_integral(p: IntegralParams) -> QuadResult:
     Odd n uses the combination sqrt(a) phi(t) - psi(t) with the same kernel
     shape, where psi(t) = Psi(t/a) and phi(t) = Psi(a*t).
 
-    ``_j_side`` picks the series, as for ``j_integral``.  Between J's seams
-    eps is the sum of the paper's own G series (``_eps_series``).  On J's
-    side it is J - sigma*T (``_theorem``) with J by its Bernoulli series
-    (``_j_series``).  Outside the window
-    pi/(2k) << a << 2k/pi eps is not small next to T, so the difference
-    cancels nothing; inside it eps reaches 1e-24 while J is O(1e-2), so the
-    difference would be pure roundoff, and T's rounding bound, above half of
-    any tolerance that asks eps for a digit there, refuses the route.  Where
-    the series picked does not meet ``p.tol``, the integral is summed by
-    exp-sinh quadrature (``_eps_quadrature``), once.  For odd n at a = 1 the
-    two sides coincide and the result is exactly zero.
+    Between J's seams (``_j_side``) eps is the sum of the paper's own G
+    series (``_eps_series``).  On J's side it is J - sigma*T (``_theorem``)
+    with J by its Bernoulli series (``_j_series``): outside the window
+    pi/(2k) << a << 2k/pi the difference cancels nothing, and inside it,
+    where eps reaches 1e-24 while J is O(1e-2), T's rounding bound refuses
+    any tolerance that asks eps for a digit.  Where that misses, below
+    n = 11 the integral is summed by exp-sinh quadrature
+    (``_eps_quadrature``), once; from n = 11 the difference is asked for
+    twice T's bound where that refused ``p.tol``, and a miss raises the best
+    result (``_first_within``).  For odd n at a = 1 eps is exactly zero.
 
     Swapping Psi(t/a) and Psi(a*t) gives eps_n(1/a) = sigma(n) a^(3/2)
     eps_n(a), as bound gives B_n(1/a) = a^(3/2) B_n(a).
     """
-    n, a, tol = p.n, p.a, p.tol
-    result = None
+    return _first_within(p.tol, _eps_routes(p.n, p.a, p.tol))
+
+
+def _eps_routes(n: int, a: float, tol: float):
     if not _j_side(n, a):
-        result = _eps_series(n, a, tol)
+        yield _eps_series(n, a, tol)
+        return
     # where J's series refuses tol it refuses the less that _theorem asks
-    elif _j_least(a) <= tol:
-        result = _theorem(n, a, tol, _j_series, -1.0)
-    return result if result is not None else _eps_quadrature(n, a, tol)
+    if _j_least(a) <= tol:
+        yield _theorem(n, a, tol, _j_series, -1.0)
+    if n < _EXPANSION_MIN_N:
+        yield _eps_quadrature(n, a, tol)  # meets tol or raises
+    elif 0.5 * tol < (t_error := _approximant(n, a)[1]) < math.inf:
+        yield _theorem(n, a, 2.0 * t_error, _j_series, -1.0)
 
 
 def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
-    """eps_n(a) for n >= 11 by its G series, or None where it does not
-    reach ``tol``.  Expanding Psi term by term in ``epsilon_integral``'s
-    integrand and substituting t = 1 + 2v gives exactly
+    """eps_n(a) for n >= 11 by its G series, as summed for ``tol`` (its
+    estimate may exceed it), or None.  Expanding Psi term by term in
+    ``epsilon_integral``'s integrand and substituting t = 1 + 2v gives exactly
 
         eps_n(a) = 1/(4 sqrt(2) pi a) sum_{m>=1} [sigma e^(-pi m^2/a) G_n(2 pi m^2/a)
                                                   + sqrt(a) e^(-pi m^2 a) G_n(2 pi m^2 a)],
@@ -636,13 +650,13 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
     the terms of the bound B_n(a) with Psi(x) no longer majorised by
     lambda(x) e^(-pi x).  Each G is one uniform expansion
     (``specfun._u_olver``), so a term costs O(1) in n; where one does not
-    converge the series gives up.  Term m of a side gives its G the room
-    share/(64 m^2), share being the side's quarter of ``tol``: the
-    expansion stops at its first pair of terms below that room over
-    |weight| e^(-pi m^2 x), or below 1e-17 of G, and the term is charged
-    twice that pair, at most its own size.  A side's charges stay below
-    2 (pi^2/6)/64 < 1/19 of its share.  At a subnormal exponential the room
-    is inf, and the charge, a product, stays finite.
+    converge, or 1/(4 sqrt(2) pi a) is not a normal float, it gives None.
+    Term m of a side gives its G the room share/(64 m^2), share being the
+    side's quarter of ``tol``: the expansion stops at its first pair of
+    terms below that room over |weight| e^(-pi m^2 x), or below 1e-17 of G,
+    and the term is charged twice that pair, at most its own size.  A side's
+    charges stay below 2 (pi^2/6)/64 < 1/19 of its share.  At a subnormal
+    exponential the room is inf, and the charge, a product, stays finite.
 
     A side's terms t_m fall by at least r = e^(-pi x (2m + 1)) from t_m to
     t_(m+1), since G_n decreases, so once t_m is summed the rest of the side
@@ -656,9 +670,7 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
     (``specfun._u_olver``), and 2 pi m^2 x ulps for the exponential of the
     rounded pi m^2 x; plus 8 ulps of the sum of magnitudes, which covers odd
     n near a = 1, where the two sides cancel; plus 4 ulps of the value for
-    the prefactor.  ``evaluations`` counts the G terms.  The rounding charge
-    and the mass only grow, so the series gives up at the first term where
-    they alone exceed ``tol``.
+    the prefactor.  ``evaluations`` counts the G terms.
     """
     if n % 2 and a == 1.0:  # the sides cancel exactly
         return QuadResult(0.0, 0.0, 1)
@@ -691,8 +703,6 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
             if size:  # a G that underflowed charges nothing; sqrt(u z) is inf from n ~ 1e307
                 error += size * (2.0 * (math.sqrt(u * z) + 8.0) + 2.0 * y) * _EPS
             count += 1
-            if (error + 8.0 * _EPS * mass) / coef > tol:  # this charge never shrinks
-                return None
             drop = -math.expm1(-math.pi * x * (2 * m + 1))  # 1 - r
             tail = size * (1.0 - drop) / drop
             if tail <= share or tail <= 1e-17 * abs(side):
@@ -701,16 +711,14 @@ def _eps_series(n: int, a: float, tol: float) -> QuadResult | None:
         total += side
     value = total / coef
     estimate = (error + charged + 8.0 * _EPS * mass) / coef + 4.0 * _EPS * abs(value)
-    if not estimate <= tol:
-        return None
     return QuadResult(value, estimate, count)
 
 
 def _eps_quadrature(n: int, a: float, tol: float, rel_tol: float = 0.0) -> QuadResult:
     """eps_n(a) by exp-sinh quadrature of its integral (``epsilon_integral``),
-    to ``max(tol, rel_tol*|eps|)``.  The routes ask the absolute ``tol`` with
-    no relative target, as for ``_j_quadrature``; the identity suite, whose
-    eps this is at every n, asks a relative target and no absolute one.
+    to ``max(tol, rel_tol*|eps|)``.  ``epsilon_integral`` asks below n = 11
+    for the absolute ``tol`` alone, as for ``_j_quadrature``; the identity
+    suite, whose eps this is at every n, asks a relative target alone.
 
     The substitution t = 1 + u moves the path to (0, inf) and concentrates
     nodes where (t-1)^n turns on.  Theta sums are truncated per point, scaled
@@ -724,10 +732,8 @@ def _eps_quadrature(n: int, a: float, tol: float, rel_tol: float = 0.0) -> QuadR
     place the nodes past it and return a wrong value with a small estimate.
 
     Above a = 3.6e306, where 1/(4 pi a) would be subnormal, sqrt(a) moves
-    from the prefactor into the integrand.
-
-    For odd n at a = 1 the two theta sums coincide and the integrand
-    vanishes identically; the result is exactly zero, with nothing summed.
+    from the prefactor into the integrand.  For odd n at a = 1 the two theta
+    sums coincide, and the result is exactly zero, with nothing summed.
     """
     odd = n % 2 == 1
     if odd and a == 1.0:

@@ -30,7 +30,7 @@ _JACOBI_SEAM = 0.01
 # From this index up, R(n), F_n and G_n(z) come from their asymptotic
 # expansions in n; below it from the loops (G from Kummer or quadrature).  At
 # n = 11 Watson's series for F still reaches its least term, about 1e-16 of
-# F, and G's expansion needs at most 16 terms at all but a few z.
+# F, and G's expansion converged within 16 terms at every z measured.
 _EXPANSION_MIN_N = 11
 # B_2k/(2k(2k - 1)) for k = 1..8, the coefficients of Stirling's series for
 # ln Gamma (DLMF 5.11.1); each quotient of two exact integers is correctly

@@ -19,13 +19,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from .approximants import approximant, bound, drz_approx, sigma
-from .quadrature import (
-    DEFAULT_TOL,
-    AccuracyError,
-    _eps_quadrature,
-    _j_quadrature,
-    finite_check_integrals,
-)
+from .quadrature import DEFAULT_TOL, AccuracyError, _eps_quadrature, _j_quadrature, finite_check_integrals
 from .specfun import gamma_half_ratio, gauss_f, theta_psi
 
 __all__ = [

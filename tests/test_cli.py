@@ -105,6 +105,18 @@ class TestEval:
         assert payload["evaluations"] == j_integral(IntegralParams(2, 1e308)).evaluations == 1
         assert calls == []
 
+    def test_unattainable_tolerance_at_a_huge_index(self, capsys, monkeypatch):
+        # J's quadrature first built a table of 1e8 Laguerre steps here; from
+        # n = 11 no quadrature runs, and the miss is an error line
+        def refuse(*args):
+            raise AssertionError("no quadrature runs from n = 11")
+
+        monkeypatch.setattr(ramanujan_integrals.quadrature, "_laguerre_steps", refuse)
+        monkeypatch.setattr(ramanujan_integrals.quadrature, "_integrate_expsinh", refuse)
+        code, out, err = run_cli(capsys, "eval", "--n", "100000000", "--a", "1", "--tol", "1e-20")
+        assert code == 1 and out == ""
+        assert err.startswith("error: no series reached tolerance 1e-20") and "Traceback" not in err
+
     def test_csv_layout(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--n", "2", "--a", "1", "--format", "csv")
         assert code == 0 and err == ""

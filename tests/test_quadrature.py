@@ -85,7 +85,8 @@ def _series_reach(n, ratio):
     """The first a = ratio**(k/8), k = 0, 1, 2, ..., where J_n's Bernoulli
     series has an estimate within 1e-13."""
     steps = (ratio ** (k / 8) for k in itertools.count())
-    return next(a for a in steps if quadrature._j_series(n, a, 1e-13) is not None)
+    series = ((a, quadrature._j_series(n, a, 1e-13)) for a in steps)
+    return next(a for a, res in series if res is not None and res.abs_error_estimate <= 1e-13)
 
 
 def _mp_gauss_f(mp, n):
@@ -336,15 +337,15 @@ class TestIntegrate:
         assert "roundoff floor" not in message
 
     def test_failure_names_the_roundoff_floor(self, monkeypatch):
-        # 2(n + 8) ulps of J_30(1) ~ 2e-16 alone exceed the 1e-20 request; so
-        # does T's rounding bound, so no eps quadrature runs before the direct
-        # one.  Its sum settles within the floor at levels 6 and 7, where it
-        # raises (after all 12 levels, 21 560 evaluations, until it did)
+        # 2(n + 8) ulps of J_30(1) ~ 2e-16 alone exceed the 1e-20 request.
+        # The sum settles within the floor at levels 6 and 7, where it raises
+        # (after all 12 levels, 21 560 evaluations, until it did).
+        # j_integral runs no quadrature from n = 11, so it is called directly
         expsinh = quadrature._integrate_expsinh
         calls = []
         monkeypatch.setattr(quadrature, "_integrate_expsinh", lambda *args: calls.append(args) or expsinh(*args))
         with pytest.raises(AccuracyError) as excinfo:
-            j_integral(IntegralParams(30, 1.0, tol=1e-20))
+            quadrature._j_quadrature(30, 1.0, 1e-20)
         message = str(excinfo.value)
         assert "roundoff floor" in message
         assert "level budget" not in message
@@ -839,7 +840,7 @@ class TestJSeriesReach:
                     summed.clear()
                     res = j_integral(IntegralParams(n, a, tol))
                     series = quadrature._j_series(n, a, tol)
-                    if series is not None:
+                    if series is not None and series.abs_error_estimate <= tol:
                         assert summed and res == series, (n, a, tol)
                     elif tol == 1e-13 and 0.125 <= a <= 8.0:
                         assert not summed, (n, a)
@@ -909,8 +910,8 @@ class TestJSeriesRoundoff:
 class TestJTheorem:
     """Between the series seams, from n = 11 on, j_integral returns sigma*T + eps
     where T's rounding and eps's G series fit the tolerance, J's own series
-    where that misses and the series reaches, and the direct quadrature of
-    the defining integral otherwise."""
+    where that misses and the series reaches, and otherwise the theorem asked
+    for twice T's rounding bound, or raises; it runs no quadrature."""
 
     @pytest.mark.parametrize(
         "n,a,value,estimate,evaluations",
@@ -975,13 +976,13 @@ class TestJTheorem:
                     assert route_error < direct_error <= direct.abs_error_estimate, a
         assert routed >= 15
 
-    @pytest.mark.parametrize("n,a,tol", [(5, 1.0, 1e-13), (12, 0.1, 3e-16)], ids=["5-1.0", "12-0.1"])
+    @pytest.mark.parametrize("n,a,tol", [(5, 1.0, 1e-13)], ids=["5-1.0"])
     def test_direct_quadrature_below_the_cost_seam_or_the_budget(self, monkeypatch, n, a, tol):
-        # n = 5 is below both routes' index cuts.  At (12, 0.1) T rounds by
-        # 2.4e-16, more than half of a tight tolerance, so no eps series runs,
-        # and J's series, whose least term is 1.6e-15 there, is not tried.
-        # At the default tolerance every a between the seams takes the
-        # route from n = 11 up.
+        # n = 5 is below both routes' index cuts.  At the default tolerance
+        # every a between the seams takes the route from n = 11 up
+        # (``test_theorem_at_twice_the_bound_of_t`` has (12, 0.1, 3e-16),
+        # where the direct quadrature answered until no quadrature ran from
+        # n = 11).
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = j_integral(IntegralParams(n, a, tol))
         assert len(calls) == 1
@@ -1030,13 +1031,35 @@ class TestJTheorem:
         assert routed >= 60
 
     def test_failed_remainder_falls_back(self, monkeypatch):
-        # eps's series gives up: the direct quadrature runs, once, and eps's
-        # own quadrature never
+        # eps's series gives no value: J's series is refused at 1e-13 near
+        # a = 1 and summed to its least term, far from it, and its result is
+        # raised with no quadrature (the direct one ran here, and answered)
         monkeypatch.setattr(quadrature, "_eps_series", lambda n, a, tol: None)
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
-        res = j_integral(IntegralParams(30, 1.0))
-        assert len(calls) == 1
-        assert res == quadrature._j_quadrature(30, 1.0, DEFAULT_TOL)
+        with pytest.raises(AccuracyError, match="no series reached tolerance 1e-13") as excinfo:
+            j_integral(IntegralParams(30, 1.0))
+        assert calls == []
+        assert excinfo.value.result == quadrature._j_series(30, 1.0, math.inf)
+        assert excinfo.value.result.abs_error_estimate > 1e-13
+
+    def test_theorem_at_twice_the_bound_of_t(self, monkeypatch):
+        # at (12, 0.1) T rounds by 2.4e-16, more than half of 3e-16, so the
+        # theorem is refused there, and J's series, whose least term is
+        # 1.6e-15, is not tried.  Asked for twice T's bound, eps's series
+        # leaves the theorem's estimate at 2.5e-16, within 3e-16: it answers
+        # in 7 G terms, where the direct quadrature took 193 evaluations
+        n, a, tol = 12, 0.1, 3e-16
+        t_error = specfun._approximant(n, a)[1]
+        assert 0.5 * tol < t_error < tol
+        assert quadrature._theorem(n, a, tol, quadrature._eps_series, 1.0) is None
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        res = j_integral(IntegralParams(n, a, tol))
+        assert calls == []
+        assert res == quadrature._theorem(n, a, 2.0 * t_error, quadrature._eps_series, 1.0)
+        assert (res.abs_error_estimate, res.evaluations) == (pytest.approx(2.54e-16, rel=1e-2), 7)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            assert abs(mp.mpf(res.value) - _mp_theorem_j(mp, n, a)) <= res.abs_error_estimate
 
     def test_remainder_over_its_share_falls_back(self, monkeypatch):
         # at twice T's bound eps's series has T's bound left, which its
@@ -1045,7 +1068,7 @@ class TestJTheorem:
         # between the seams)
         n, a = 12, 10.0 ** -2.75
         tol = 2.0 * specfun._approximant(n, a)[1]
-        assert quadrature._eps_series(n, a, 0.5 * tol) is None
+        assert quadrature._eps_series(n, a, 0.5 * tol).abs_error_estimate > 0.5 * tol
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = j_integral(IntegralParams(n, a, tol))
         assert calls == []
@@ -1093,7 +1116,7 @@ class TestJTheorem:
             ),
             (
                 (11, 12, 13, 30), 4, (1e-15, 1e-16),
-                "d17adb5800aabebd2626af5434266ea0b57b90991f134f2826e53e1d25be36ea", 43, 17785,
+                "dc08aeadda086da043eb1c19fe8b30ea5abf2faa96b8fd6632bd08d90d5a0548", 39, 1599,
             ),
         ],
         ids=["default-tol", "tight-tol"],
@@ -1116,7 +1139,13 @@ class TestJTheorem:
         # Re-frozen when the quadrature gave up on a settled floor above 1.1x
         # (not 2x) the target: the same 43 raise, and three of them, n = 11,
         # 12 and 13 at (1, 1e-16), after 683 evaluations, not 21 119-21 183,
-        # with their best estimates moved; every answer kept its bits
+        # with their best estimates moved; every answer kept its bits.
+        # Re-frozen when no quadrature ran from n = 11: every answer kept its
+        # bits; n = 11, 12 and 13 at (1, 1e-16) and 30 at (10^-0.5, 1e-16)
+        # answer by the theorem at twice T's bound, within 0.02, 0.037, 0.019
+        # and 0.042 of their estimates of 30-digit sigma*T + eps; the other 39
+        # raise the best series result, after 1 599 terms in all, not 17 785
+        # evaluations
         lines = []
         count = total = 0
         for n in ns:
@@ -1535,7 +1564,7 @@ class TestEpsilonIntegral:
 class TestEpsilonSeries:
     """From n = 11, between J's seams, eps_n(a) is the sum of its G series,
     the bound's terms made exact; each side ends by its own tail bound, and
-    where the series gives up the quadrature answers."""
+    where the series misses the tolerance its result is raised."""
 
     def test_benchmark_pool_without_quadrature(self, monkeypatch):
         # every index-sweep point from n = 11, called as the benchmark calls it
@@ -1675,8 +1704,8 @@ class TestEpsilonSeries:
                         exact = _mp_eps(mp, n, a) if n % 2 == 0 or a != 1.0 else mp.mpf(0)
                         exact = mp.nstr(exact, 32), mp.nstr((-1) ** n * _mp_t(mp, n, a) + exact, 32)
                 for res, reference in ((eps, exact and exact[0]), (j, exact and exact[1])):
-                    if res is not None:
-                        answered += 1
+                    if res is not None:  # a result over tol is checked too, since a raise carries it
+                        answered += res.abs_error_estimate <= tol
                         assert abs(Fraction(res.value) - Fraction(reference)) <= res.abs_error_estimate, (a, tol)
         # 1 458 of 1 552 requests (92-95% at each n); the worst is 0.50 of its
         # estimate, at (12, 1, 1e-15)
@@ -1723,21 +1752,13 @@ class TestEpsilonSeries:
                 j_integral(IntegralParams(n, a))
         assert (len(points), len(terms), len(formed)) == (44, 313, 743)
 
-    def test_rounding_charge_over_tol_stops_the_series(self, monkeypatch):
-        # at (12, 10^-2.75) the charge for the terms' rounding, which never
-        # shrinks, ends at 0.73 of T's rounding bound; asked for half of that
-        # bound, the series gives up at the second G term, not after all 43
-        n, a = 12, 10.0 ** -2.75
-        terms = _count_terms(monkeypatch)
-        assert quadrature._eps_series(n, a, 0.5 * specfun._approximant(n, a)[1]) is None
-        assert len(terms) == 2
-
 
 class TestEpsilonDifference:
     """On J's series side (``quadrature._j_side``), n = 0 included, eps_n(a)
     is J - sigma*T with J by its Bernoulli series, wherever T's rounding
     bound is at most half the tolerance and the combined estimate meets it;
-    inside the window T's bound refuses the route and the quadrature runs."""
+    inside the window T's bound refuses the route and, below n = 11, the
+    quadrature runs."""
 
     @pytest.mark.parametrize(
         "n,a",
@@ -1937,8 +1958,12 @@ class TestSeriesSide:
 
     def test_frozen_raise_count(self):
         # eps at 11 indices x eighth-decade a over [1e-15, 1e15] x two
-        # tolerances, 5 302 requests: the same 915 raise whichever series
-        # answers beyond the seams
+        # tolerances, 5 302 requests: the same 915 raised whichever series
+        # answered beyond the seams.  From n = 11 no quadrature runs, and 21
+        # of them answer at 1e-13 by J - sigma*T asked for twice T's bound,
+        # one or two per index, from a = 10^-3.875 (n = 11) down to 10^-6.25
+        # (n = 2000), 6 J terms each, within 0.081 of their estimates of
+        # 30-digit eps; the other 894 raise
         raised = total = 0
         for n in (11, 12, 13, 20, 30, 50, 100, 200, 500, 1000, 2000):
             for k in range(-120, 121):
@@ -1949,12 +1974,12 @@ class TestSeriesSide:
                         epsilon_integral(IntegralParams(n, a, tol))
                     except AccuracyError:
                         raised += 1
-        assert (total, raised) == (5302, 915)
+        assert (total, raised) == (5302, 894)
 
 
 class TestGiveUpBranches:
-    """Where G's expansion or eps's series gives up, u_scaled, epsilon_integral
-    and j_integral each run their quadrature, once."""
+    """Where G's expansion gives up, u_scaled runs its quadrature, once;
+    epsilon_integral and j_integral run none from n = 11, and raise."""
 
     @pytest.fixture(params=["growing-pair", "short-table"])
     def failing_expansion(self, request, monkeypatch):
@@ -1979,29 +2004,101 @@ class TestGiveUpBranches:
         assert value == pytest.approx(u_scaled(30, 2.0 * math.pi), rel=1e-13, abs=0.0)
 
     def test_epsilon_integral(self, monkeypatch, failing_expansion):
-        p = IntegralParams(30, 1.0, 1e-15)
+        # no route gives a value: the raise says so, and carries nan +- inf
+        # (eps's quadrature answered here)
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
-        res = epsilon_integral(p)
-        assert len(calls) == 1
-        assert res == quadrature._eps_quadrature(p.n, p.a, p.tol)
+        with pytest.raises(AccuracyError, match="none gave a value") as excinfo:
+            epsilon_integral(IntegralParams(30, 1.0, 1e-15))
+        assert calls == []
+        best = excinfo.value.result
+        assert math.isnan(best.value) and (best.abs_error_estimate, best.evaluations) == (math.inf, 1)
 
     def test_j_integral(self, monkeypatch, failing_expansion):
+        # the theorem gives no value, and J's series at a = 1, refused at
+        # 1e-13, summed to its least term is far off: that is raised (J's
+        # quadrature answered here)
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
-        res = j_integral(IntegralParams(30, 1.0))
-        assert len(calls) == 1
-        assert res == quadrature._j_quadrature(30, 1.0, DEFAULT_TOL)
+        with pytest.raises(AccuracyError, match="no series reached tolerance 1e-13") as excinfo:
+            j_integral(IntegralParams(30, 1.0))
+        assert calls == []
+        assert excinfo.value.result == quadrature._j_series(30, 1.0, math.inf)
 
     def test_epsilon_integral_over_tolerance(self, monkeypatch):
         # at 1e-30 the series stops at 1e-17 of each side, and its rounding
-        # charge is far above the tolerance; the quadrature's floor is too
-        p = IntegralParams(30, 1.0, 1e-30)
-        assert quadrature._eps_series(30, 1.0, 1e-30) is None
-        driver = quadrature._integrate_expsinh
-        calls = []
-        monkeypatch.setattr(quadrature, "_integrate_expsinh", lambda *args: calls.append(args) or driver(*args))
-        with pytest.raises(AccuracyError, match="roundoff floor"):
-            epsilon_integral(p)
-        assert len(calls) == 1
+        # charge is far above the tolerance; so is the quadrature's floor,
+        # which raised here.  The series' result is raised, with no
+        # quadrature, and lies within its estimate of 30-digit eps
+        series = quadrature._eps_series(30, 1.0, 1e-30)
+        assert series.abs_error_estimate > 1e-30
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        with pytest.raises(AccuracyError, match="no series reached tolerance 1e-30") as excinfo:
+            epsilon_integral(IntegralParams(30, 1.0, 1e-30))
+        assert calls == []
+        assert excinfo.value.result == series
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            assert abs(mp.mpf(series.value) - _mp_eps(mp, 30, 1.0)) <= series.abs_error_estimate
+
+
+class TestNoQuadratureFromIndex11:
+    """From n = 11 j_integral and epsilon_integral run no quadrature: a
+    request no series meets raises the result with the smallest estimate."""
+
+    @staticmethod
+    def _refuse(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("no quadrature runs from n = 11")
+
+        monkeypatch.setattr(quadrature, "_laguerre_steps", refuse)
+        monkeypatch.setattr(quadrature, "_integrate_expsinh", refuse)
+
+    @pytest.mark.parametrize("n,a,tol", [(10**8, 1.0, 1e-20), (10**306, 1e-310, 1e-13)], ids=["1e8-1", "1e306-1e-310"])
+    def test_huge_index_raises_without_a_laguerre_table(self, monkeypatch, n, a, tol):
+        # J's quadrature started by building an n-entry table of Laguerre
+        # steps here, about 10 GB at n = 1e8.  At (1e8, 1, 1e-20) the
+        # theorem at twice T's bound carries 4.986579542640116e-06 +- 2.4e-20;
+        # at (1e306, 1e-310) P_j overflows where n = 0's least term
+        # underflows, and J's series stops with an infinite omitted term
+        self._refuse(monkeypatch)
+        with pytest.raises(AccuracyError, match="no series reached tolerance"):
+            j_integral(IntegralParams(n, a, tol))
+
+    def test_cliff_point_raises_within_its_estimate(self, monkeypatch):
+        # J's quadrature raised here after 22 330 evaluations and seconds,
+        # carrying +- 9.0e-15.  Now the theorem at twice T's bound is raised,
+        # +- 3.6e-17, with no quadrature
+        mp = pytest.importorskip("mpmath")
+        n, a, tol = 2000, 10.0 ** -1.625, 1e-17
+        self._refuse(monkeypatch)
+        with pytest.raises(AccuracyError) as excinfo:
+            j_integral(IntegralParams(n, a, tol))
+        best = excinfo.value.result
+        assert tol < best.abs_error_estimate < 1e-16
+        with mp.workdps(30):
+            assert abs(mp.mpf(best.value) - _mp_theorem_j(mp, n, a)) <= best.abs_error_estimate
+
+    def test_grid_runs_no_quadrature(self, monkeypatch):
+        # n from 11 to 2000 x quarter-decade a over [1e-5, 1e5]: J at 1e-17
+        # (below n = 500), 1e-16 and 1e-15, eps at 1e-15, 1e-13 and 1e-10.
+        # 540 of these 2 583 requests ran a quadrature, and none answered;
+        # 41 now answer by the theorem at twice T's bound, and every raise
+        # carries a finite value and estimate (on this grid each lies within
+        # 0.14 of its estimate of 30-digit sigma*T + eps)
+        self._refuse(monkeypatch)
+        raised = answered = 0
+        for n in (11, 12, 13, 20, 30, 50, 100, 200, 500, 1000, 2000):
+            for k in range(-20, 21):
+                a = 10.0 ** (k / 4)
+                requests = [(j_integral, tol) for tol in (1e-17, 1e-16, 1e-15) if n < 500 or tol > 1e-17]
+                for integral, tol in requests + [(epsilon_integral, tol) for tol in (1e-15, 1e-13, 1e-10)]:
+                    try:
+                        res = integral(IntegralParams(n, a, tol))
+                        answered += 1
+                    except AccuracyError as exc:
+                        res = exc.result
+                        raised += 1
+                        assert math.isfinite(res.value) and tol < res.abs_error_estimate < math.inf, (n, a, tol)
+        assert (answered, raised) == (2084, 499)
 
 
 class TestTheoremConsistency:
