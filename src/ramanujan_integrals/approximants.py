@@ -176,6 +176,7 @@ def drz_approx(n: int, a: float) -> float:
         # ((1 + x)^(1/4) - 1)/x; its series where x/4 would lose subnormal bits
         q = 0.25 - 0.09375 * x if x < 1e-8 else math.expm1(math.log1p(x) / 4.0) / x
         return f / (4.0 * math.pi) * q * (a + c)
+    # the plain form from a = 1: the one above is 9.5e-16 off at a = 5.6e7, 1.4e-14 at 1e116 (n = 0)
     radicand = 1.0 + a * a + 2.0 * math.pi * a / (3.0 * f)
     if math.isinf(radicand):  # a^2 overflows; the other terms are below 1e-77 relative
         return f / (4.0 * math.pi * math.sqrt(a))

@@ -355,6 +355,7 @@ def _approximant(n: int, a: float) -> tuple[float, float]:
         numerator = ratio_term - s * f
         magnitude = _index_roundoff(n) * _EPS * (abs(ratio_term) + abs(f))
         denominator = 4.0 * math.pi
+    # only there: dividing by a last everywhere moves T off the paper's own bits below n = 11
     if math.isinf(denominator * a):  # a > 7.15e306 or 1.43e307: divide by a last
         t, magnitude = numerator / denominator / a, magnitude / denominator / a
     else:

@@ -444,10 +444,14 @@ class TestVerify:
         # a changed residual anywhere must be deliberate and come with a new
         # digest.  Re-frozen when G's quadrature nodes moved to six of its
         # decay lengths 1/z: 17 dominance residuals at n = 2-10 moved in
-        # their last digits (each listed in CHANGES.md), and all pass
+        # their last digits (each listed in CHANGES.md), and all pass.
+        # Re-frozen when eps's quadrature integrated psi/sqrt(a) + phi under
+        # 1/(4 pi sqrt(a)) and J's formed 2 pi (a x) x: 38 residuals
+        # (dominance 18, consistency 10, sign 10) moved in their last digits
+        # (each listed in CHANGES.md), and all pass
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
         assert code == 0
-        digest = "156a6455d9691e7c399e33891d193b2c968903150eba8dcabedb4dbec99283a6"
+        digest = "3467c6b09bbe0c8b30b7166f533fdc85e96500aeba703cac2d2e85b1d97c3ca6"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_json_check_names_and_order(self, capsys):

@@ -145,6 +145,36 @@ def _mp_eps(mp, n, a):
     return total / (4 * mp.sqrt(2) * mp.pi * a)
 
 
+def _mp_leading(mp, n, a):
+    """T_n(a) and eps_n(a) at a huge index, by T's form from n = 11
+    (``specfun._approximant``) and eps's G series (``_mp_eps``), each to
+    leading order in 1/n: R(n) = (n + 3/4)^(-1/2), S_n = 1/(2(n + 3/4)), and
+    G_n(z) the leading term of its uniform expansion (``specfun._u_olver``),
+    whose first omitted terms are O(1/n) of it.  Near a = 1/n the terms of
+    a side fall like e^(-m sqrt(8 pi n x)), a log-concave sequence, so the
+    rest of a side is below t_m q/(1 - q), q = t_m/t_(m-1)."""
+    a, sign = mp.mpf(a), (-1) ** n
+    lam = n + mp.mpf(3) / 4
+    r = 1 / mp.sqrt(lam)
+    least = mp.mpf(10) ** -(mp.mp.dps + 3)
+    total = 0
+    for x, weight in sorted(((1 / a, sign), (a, mp.sqrt(a)))):
+        previous = None
+        for m in itertools.count(1):
+            z = 2 * mp.pi * m * m * x
+            t = mp.sqrt(z / (4 * lam))
+            e = -2 * lam * (t / (t + mp.sqrt(1 + t * t)) + mp.asinh(t))
+            term = abs(weight) * mp.exp(-mp.pi * m * m * x) * mp.sqrt(mp.pi) * r * mp.exp(e) / (1 + t * t) ** 0.25
+            total += term if weight > 0 else -term
+            q = term / previous if previous else 0
+            if term < least * abs(total) or (0 < q < 1 and term * q / (1 - q) < least * abs(total)):
+                break
+            previous = term
+    eps = total / (4 * mp.sqrt(2) * mp.pi * a)
+    t = sign * (mp.sqrt(a) * mp.sqrt(mp.pi / 2) * r - 1 / (2 * lam)) / (8 * mp.pi * a)
+    return t, eps
+
+
 def _mp_j_integral(mp, n, a):
     """J_n(a) by mpmath quadrature of its defining integral, the path split
     around the integrand's length min(1, sqrt(4 pi/a))."""
@@ -449,8 +479,8 @@ class TestTailCap:
     @pytest.mark.parametrize(
         "name,digest",
         [
-            ("j", "d26011783f912bb94e040facab0d49fa14ab2c9963a3fab492b2de64bf9df949"),
-            ("eps", "49376fb7f2f3b9845e15f58205548298108debf73d7e963a355aa6b3697ec256"),
+            ("j", "9b938ba3d12e5f96f9cd5c06b3a5c9e18bba5ba7f5a59756cca70343c5ce008d"),
+            ("eps", "4a731faf74292cf53a032a2e1ac84a6ecf22748c35718d7debcba5963005648b"),
             ("u", "74e34e6e829f65029c0a2eb9f2b3b075bc6d550938a242c95f251c592e5e157a"),
             ("finite", "bb77c154329c8e9f25a70fc30c513fd185302a0af61abab554a4346866a41b99"),
         ],
@@ -466,7 +496,13 @@ class TestTailCap:
         # 22 300, with a best estimate 4.4e-16 off the old one;
         # for u when G's nodes moved to max(t*, min(max(1, 6/z), 32/z)): 59
         # of its 144 values move, all within 4.8e-16 of 40-digit n! hyperu
-        # (4.6e-16 before)
+        # (4.6e-16 before); for j when z became 2 pi (a x) x at every a, and
+        # for eps when its integrand became psi/sqrt(a) + phi under
+        # 1/(4 pi sqrt(a)): 73 of j's 211 and 59 of eps's 78 results move in
+        # their last bits, no evaluation count or raise moves, and each lies
+        # within its estimate of 30 digits but j's (2000, 1e3..1e5, 1e-6)
+        # (1.1-5.9x, the floor at n >= 500) and eps's (3, 1e+-12) (1.02x),
+        # which miss by as much at the parent
         grids = {
             "j": [
                 lambda n=n, a=a, tol=tol: quadrature._j_quadrature(n, a, tol)
@@ -629,12 +665,15 @@ class TestJIntegral:
         [
             # bench/pool.json points; the results of the integrand with its
             # Laguerre coefficients formed inline at every node, which the
-            # tabulated coefficients must reproduce bit for bit
+            # tabulated coefficients must reproduce bit for bit.  Re-frozen
+            # when z became 2 pi (a x) x: 184-2.788's estimate and 5-4pi's
+            # value moved in their last bits, each within 0.035 of its
+            # estimate of 30 digits
             (0, 2.34e-08, 0.0416666663603614, 4.163336342344337e-16, 103),
             (38, 0.1731, 0.01628885293747854, 4.1922971611031114e-16, 371),
-            (184, 2.788, 0.0021586356255934593, 6.2454381943855e-15, 1397),
+            (184, 2.788, 0.0021586356255934593, 6.2450045135165055e-15, 1397),
             # up to a = 4 pi the integrand is sampled at x itself
-            (5, 4 * math.pi, 0.0054767682740541725, 6.420565439948484e-17, 167),
+            (5, 4 * math.pi, 0.005476768274054172, 6.420565439948484e-17, 167),
         ],
         ids=["0-2.34e-08", "38-0.1731", "184-2.788", "5-4pi"],
     )
@@ -644,14 +683,21 @@ class TestJIntegral:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 10])
     def test_top_of_float_range(self, n):
-        # sqrt(a)*J_n(a) tends to a constant as a -> inf; above a = 2.86e307
-        # 2*pi*a overflows, and every sample was inf or NaN
+        # sqrt(a)*J_n(a) tends to (-1)^n F_n/(4 pi) as a -> inf, the next term
+        # 1e-154 of it here.  j_integral answers by J's series; the direct
+        # quadrature forms z = 2 pi (a x) x, since 2 pi a overflows above
+        # a = 2.86e307, where every sample of 2 pi a x^2 was inf or NaN
         def scaled(a):
             return math.sqrt(a) * j_integral(IntegralParams(n, a, 1e-12 / (4.0 * math.pi * math.sqrt(a)))).value
 
+        mp = pytest.importorskip("mpmath")
         reference = scaled(1e300)
         for a in (2.9e307, 1e308, 1.7976931348623157e308):
             assert scaled(a) == pytest.approx(reference, rel=1e-14, abs=0.0), a
+            direct = quadrature._j_quadrature(n, a, 1e-12 / (4.0 * math.pi * math.sqrt(a)))
+            with mp.workdps(30):
+                limit = (-1) ** n * _mp_gauss_f(mp, n) / (4 * mp.pi)
+                assert abs(direct.value - limit / mp.sqrt(a)) <= direct.abs_error_estimate, a
 
 
 class TestJSeries:
@@ -1112,11 +1158,11 @@ class TestJTheorem:
         [
             (
                 (11, 12, 13, 20, 30, 50, 100, 200, 500, 1000, 2000), 1, (1e-13,),
-                "9ae5826b9cc1266992d64de8941516929fe7547625f24d3eccd2ea39d7b30757", 0, 8319,
+                "dd897d7eb6a5ac1d643477d9bd62c308548ead2ff0a2f5848ce6de637c93f162", 0, 8319,
             ),
             (
                 (11, 12, 13, 30), 4, (1e-15, 1e-16),
-                "dc08aeadda086da043eb1c19fe8b30ea5abf2faa96b8fd6632bd08d90d5a0548", 39, 1599,
+                "188d11fe84a6a66703c88eada4d9f1522cdca96034249cb1412eeff55a8bb985", 39, 1599,
             ),
         ],
         ids=["default-tol", "tight-tol"],
@@ -1145,7 +1191,10 @@ class TestJTheorem:
         # answer by the theorem at twice T's bound, within 0.02, 0.037, 0.019
         # and 0.042 of their estimates of 30-digit sigma*T + eps; the other 39
         # raise the best series result, after 1 599 terms in all, not 17 785
-        # evaluations
+        # evaluations.  Re-frozen when eps's series divided by 4 sqrt(2) pi
+        # and then by a: 177 and 7 answers moved in their last bits, every
+        # count and raise kept, each within 0.49 of its estimate of 30-digit
+        # sigma*T + eps
         lines = []
         count = total = 0
         for n in ns:
@@ -1468,7 +1517,7 @@ class TestEpsilonIntegral:
         [
             # tol None: 1e-6 of the bound, as a caller sizing it from B asks
             (2, 1.0, 1e-10, 1.2503290434096424e-05, 6.503430489650914e-12, 49),
-            (7, 2.0, None, -7.6631294112747e-07, 1.1867990382216816e-18, 75),
+            (7, 2.0, None, -7.6631294112747e-07, 1.1869049173400884e-18, 75),
             # the G series from n = 11: 3 terms; the quadrature gave
             # 2.281603572796117e-12 +- 6.4e-24 in 57 evaluations
             (41, 0.5, None, 2.2816035728055556e-12, 1.9296889807567213e-23, 3),
@@ -1483,7 +1532,9 @@ class TestEpsilonIntegral:
         # integral (41-0.5: 9.4e-24 off, 4.1e-12 relative and 0.49 of its
         # estimate, against 8.0e-28 for the quadrature: the series stops at a
         # quarter of the tolerance, and each G at its term's share of it; it
-        # was 6.5e-27 off while each G was summed to 1e-17 of itself)
+        # was 6.5e-27 off while each G was summed to 1e-17 of itself).
+        # 7-2.0's estimate moved in its last bits when the integrand became
+        # psi/sqrt(a) + phi under 1/(4 pi sqrt(a))
         p = IntegralParams(n, a, tol=1e-6 * bound(n, a) if tol is None else tol)
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         res = epsilon_integral(p)
@@ -1540,14 +1591,43 @@ class TestEpsilonIntegral:
 
     @pytest.mark.parametrize("n", [1, 2, 30])
     def test_top_of_float_range(self, n):
-        # 1/(4 pi a) is subnormal from a = 3.6e306 and was 0.0 from 1.4e307,
-        # where eps came back as 0.0 with estimate 0.0.  sqrt(a)*eps_n(a) is
-        # constant to 1e-150 relative here, so the 1e300 reference scales.
+        # J - sigma*T answers here (the quadrature at these a:
+        # test_quadrature_at_the_top_of_float_range).  When the quadrature
+        # answered, with the prefactor 1/(4 pi a), subnormal from a = 3.6e306
+        # and 0.0 from 1.4e307, eps came back as 0.0 with estimate 0.0.
+        # sqrt(a)*eps_n(a) is constant to 1e-150 relative here, so the 1e300
+        # reference scales.
         limit = 1e150 * self._OUTSIDE_WINDOW[n, 1e300]
         for a in (3.6e306, 1e307, 1.5e307, 1e308, 1.7976931348623157e308):
             res = epsilon_integral(IntegralParams(n, a, tol=1e-15 / math.sqrt(a)))
             assert math.sqrt(a) * res.value == pytest.approx(limit, rel=1e-14, abs=0.0), a
             assert abs(res.value - limit / math.sqrt(a)) <= res.abs_error_estimate, a
+
+    @pytest.mark.parametrize("a", [5e306, 1e307, 1.7e308])
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_quadrature_at_the_top_of_float_range(self, monkeypatch, n, a):
+        # at 1e-170, below twice T's rounding bound, the theorem's gate
+        # refuses and eps's quadrature runs; at n = 2 and a = 5e306 and 1e307
+        # it stops on its roundoff floor, as it did when sqrt(a) moved into
+        # the integrand only above a = 3.6e306.  sqrt(a)*eps_n(a) tends to
+        # sigma K(1/2)/(8 pi), K(1/2) = 2^(-1/2) int_0^1 u^n (1 + u)^(-1/2) du
+        # (test_top_of_float_range's limit), the next term 1e-153 of it here
+        p = IntegralParams(n, a, 1e-170)
+        assert specfun._approximant(n, a)[1] > 0.5 * p.tol
+        counts = _count_quadratures(monkeypatch)
+        try:
+            res = epsilon_integral(p)
+        except AccuracyError as exc:
+            assert "roundoff floor" in str(exc)
+            res, raised = exc.result, True
+        else:
+            raised = False
+        assert raised == (n == 2 and a < 1e308)
+        assert counts == {"_j_quadrature": 0, "_eps_quadrature": 1}
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            limit = sigma(n) * mp.quad(lambda u: u ** n / mp.sqrt(1 + u), [0, 1]) / (8 * mp.sqrt(2) * mp.pi)
+            assert abs(res.value - limit / mp.sqrt(a)) <= res.abs_error_estimate
 
     @pytest.mark.parametrize("n", [1, 2, 30])
     def test_outside_window_references_are_consistent(self, n):
@@ -1665,6 +1745,29 @@ class TestEpsilonSeries:
             t, _ = specfun._approximant(n, a)
             assert j.value == sigma(n) * t and j.abs_error_estimate <= 1e-14 * j.value, a
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "n,a",
+        [(10**306, 1.2e307), (10**307, 1e308), (10**307, 1.7e308), (8 * 10**306, 1.3e-309), (10**307, 1.2e-309)],
+        ids=["1e306-1.2e307", "1e307-1e308", "1e307-1.7e308", "8e306-1.3e-309", "1e307-1.2e-309"],
+    )
+    def test_float_range_against_40_digits(self, monkeypatch, n, a):
+        # between J's seams at the ends of the float range, where
+        # 4 sqrt(2) pi a is not a normal float from a = 1.01e307 up and
+        # 2e-309 down: the series refused there, and eps raised "none gave a
+        # value".  Dividing its sum by 4 sqrt(2) pi and then by a, eps and J
+        # answer with no quadrature, each within its estimate of 40-digit T
+        # and eps to leading order in 1/n.  Above 1.01e307 eps is 1e-462 and
+        # sums to 0.0, its estimate the first term's tail bound, which J's
+        # estimate carries too
+        calls = _count_calls(monkeypatch, "_integrate_expsinh")
+        eps, j = epsilon_integral(IntegralParams(n, a)), j_integral(IntegralParams(n, a))
+        assert calls == []
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            t, reference = _mp_leading(mp, n, a)
+            assert abs(eps.value - reference) <= eps.abs_error_estimate
+            assert abs(j.value - (sigma(n) * t + reference)) <= j.abs_error_estimate
 
     @pytest.mark.parametrize("a", [1e-6, 1e-8])
     def test_gate_sums_no_term_past_the_budget(self, monkeypatch, a):
