@@ -69,7 +69,7 @@ _SERIES_SEAM = 0.1
 _J_SEAM = 50.0
 # From this n to 10, where J's series misses, j_integral tries sigma*T + eps by eps's quadrature
 # first: J's samples take n Laguerre steps, eps's two theta sums do not grow with n.  Index- and
-# scale-sweep quad_evals are 4 330/4 434 from 6, 3 820/4 588 from 0, 4 796/4 888 with no such route.
+# scale-sweep quad_evals are 3 750/4 102 from 6, 3 820/4 588 from 0, 4 044/4 386 with no such route.
 _J_THEOREM_MIN_N = 6
 
 
@@ -565,34 +565,34 @@ def _j_routes(n: int, a: float, tol: float):
 
 
 def _j_quadrature(n: int, a: float, tol: float) -> QuadResult:
-    """J_n(a) by exp-sinh quadrature of its defining integral, to the absolute
-    ``tol`` with no relative target: a ``tol`` below the roundoff floor
-    raises ``AccuracyError`` instead of settling there.  Its callers ask
-    n <= 10 (``j_integral``) and n <= 20 (the identity suite); from about
-    n = 500 its floor under-states its rounding, by 3.55 times at (2000, 0.1).
-
-    The Kummer factor is the stable Laguerre recurrence
-    (``specfun._kummer_scaled``) with the Bose factor and e^(-z/2) folded
-    into its start values, O(n) per sample, and the estimate is never below
-    2(n + 8) ulps of integral |f|.  The nodes are placed at length
-    min(1, sqrt(4 pi/a)): above a = 4 pi the Gaussian is shorter than the
-    Bose factor, and following it keeps the cost flat in a.
+    """J_n(a) = integral_0^inf e^(-z/2) 1F1(-n; 3/2; z)/(2(e^(2 pi x) - 1)) dy,
+    z = 2 pi a y, by exp-sinh quadrature in y = x^2, where the Gaussian is an
+    exponential and x = 0 is a y^(-1/2) singularity, to the absolute ``tol``
+    with no relative target: a ``tol`` below the roundoff floor raises
+    ``AccuracyError``.  Its callers ask n <= 10 (``j_integral``) and n <= 20
+    (the identity suite).  v is sampled at length 1 under the prefactor
+    y/v = min(2, 4/a), z = 2 pi (a y/v) v and x = sqrt(y/v) sqrt(v): y itself
+    underflows near v = 0 at a = 1e300.  ``specfun._kummer_scaled`` takes
+    e^(-z/2) times the Bose factor over 2x as its start; the floor, 2(n + 8)
+    ulps of integral |f|, covers the roots and 1/(2x) (0.25 ulp), but from
+    about n = 500 not the recurrence: 5.0x short at (1000, 0.0178).
     """
-    c = 2.0 * math.pi  # z = c (a x) x: a multiplies the small x first, so nothing overflows
-    length = min(1.0, math.sqrt(4.0 * math.pi / a))
+    length = min(2.0, 4.0 / a)
+    c, root = 2.0 * math.pi * (a * length), math.sqrt(length)
     steps = _laguerre_steps(n)  # formed inline, the steps cost 1.5-1.8x the time at n <= 20
 
-    def f(x: float) -> float:
-        z = c * (a * x) * x
+    def f(v: float) -> float:
+        z = c * v
         scale = math.exp(-0.5 * z)
         if scale == 0.0:
             return 0.0
-        scale *= _bose_factor(x)
+        x = root * math.sqrt(v)
+        scale *= _bose_factor(x) / (2.0 * x)
         if scale == 0.0:
             return 0.0
         return _kummer_scaled(n, z, scale, steps)
 
-    return _integrate_expsinh(f, tol, 0.0, _index_roundoff(n), length)
+    return _integrate_expsinh(f, tol, 0.0, _index_roundoff(n), 1.0, length)
 
 
 def epsilon_integral(p: IntegralParams) -> QuadResult:

@@ -448,10 +448,12 @@ class TestVerify:
         # Re-frozen when eps's quadrature integrated psi/sqrt(a) + phi under
         # 1/(4 pi sqrt(a)) and J's formed 2 pi (a x) x: 38 residuals
         # (dominance 18, consistency 10, sign 10) moved in their last digits
-        # (each listed in CHANGES.md), and all pass
+        # (each listed in CHANGES.md), and all pass.  Re-frozen when J's
+        # quadrature integrated in y = x^2: 23 residuals (consistency 12,
+        # modular 8, drz 3) moved (each listed in CHANGES.md), and all pass
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
         assert code == 0
-        digest = "3467c6b09bbe0c8b30b7166f533fdc85e96500aeba703cac2d2e85b1d97c3ca6"
+        digest = "59596f83eda0b7869353fd38f5b4086bc4d709c0ee49a3bed0cd26149f89e6f9"
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_json_check_names_and_order(self, capsys):

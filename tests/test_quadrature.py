@@ -369,7 +369,8 @@ class TestIntegrate:
     def test_failure_names_the_roundoff_floor(self, monkeypatch):
         # 2(n + 8) ulps of J_30(1) ~ 2e-16 alone exceed the 1e-20 request.
         # The sum settles within the floor at levels 6 and 7, where it raises
-        # (after all 12 levels, 21 560 evaluations, until it did).
+        # (after all 12 levels, 21 560 evaluations, until it did; 697 before
+        # J was integrated in y = x^2, 837 since).
         # j_integral runs no quadrature from n = 11, so it is called directly
         expsinh = quadrature._integrate_expsinh
         calls = []
@@ -381,12 +382,12 @@ class TestIntegrate:
         assert "level budget" not in message
         assert excinfo.value.result.value == pytest.approx(0.0083458190634480, abs=1e-15)
         assert len(calls) == 1
-        assert excinfo.value.result.evaluations == 697
+        assert excinfo.value.result.evaluations == 837
 
     @pytest.mark.parametrize(
         "call,evaluations",
         [
-            (lambda: j_integral(IntegralParams(1, 1.0, tol=1e-300)), 343),
+            (lambda: j_integral(IntegralParams(1, 1.0, tol=1e-300)), 211),
             (lambda: quadrature._eps_quadrature(2, 1e-8, 1e-30), 845),
             (lambda: integrate(lambda t: math.exp(-t), 0.0, math.inf, tol=1e-300, rel_tol=0.0), 403),
             (lambda: epsilon_integral(IntegralParams(1, 10.0 ** -1.75, 1e-15)), 759),
@@ -395,7 +396,8 @@ class TestIntegrate:
     )
     def test_unattainable_tolerance_stops_where_the_sum_settles(self, call, evaluations):
         # each ran all 12 levels (20 653, 26 349 and 24 326 evaluations)
-        # before raising what two settled levels had already decided.  eps_1
+        # before raising what two settled levels had already decided; J_1(1)
+        # settles at levels 4 and 5 in y = x^2 (at 6 and 7, 343, in x).  eps_1
         # at 10^-1.75 settles on a floor of 1.7264e-15, 1.73x its target: it
         # ran all 12 levels (23 495) while a floor had to exceed twice it
         with pytest.raises(AccuracyError) as excinfo:
@@ -405,12 +407,12 @@ class TestIntegrate:
 
     def test_floor_that_still_moves_is_not_final(self):
         # J_1(10^1.5)'s floor moves by up to 1e-3 of itself per level, since
-        # its integrand changes sign: 4.98610e-17 and 4.98619e-17 at levels 5
-        # and 6, where its sum has settled, and 4.98529e-17 at level 7.  A
-        # request between them is met at level 7; the quadrature gives up
-        # only on a floor above 1.1x the target
-        res = quadrature._j_quadrature(1, 10.0 ** 1.5, 4.98607e-17)
-        assert (res.abs_error_estimate, res.evaluations) == (pytest.approx(4.98529e-17, rel=1e-5), 609)
+        # its integrand changes sign: 5.78093e-17 at level 4, where its sum
+        # has settled, and 5.77610e-17 at level 5.  A request between them is
+        # met at level 5; the quadrature gives up only on a floor above 1.1x
+        # the target
+        res = quadrature._j_quadrature(1, 10.0 ** 1.5, 5.7770e-17)
+        assert (res.abs_error_estimate, res.evaluations) == (pytest.approx(5.77610e-17, rel=1e-5), 207)
 
     def test_determinism(self):
         a = integrate(lambda t: math.exp(-t) / (1.0 + t), 0.0, math.inf)
@@ -479,7 +481,7 @@ class TestTailCap:
     @pytest.mark.parametrize(
         "name,digest",
         [
-            ("j", "9b938ba3d12e5f96f9cd5c06b3a5c9e18bba5ba7f5a59756cca70343c5ce008d"),
+            ("j", "195facd6464eb3d448c204ba9e24a87137b39b1f21457b714348649a1c356ab7"),
             ("eps", "4a731faf74292cf53a032a2e1ac84a6ecf22748c35718d7debcba5963005648b"),
             ("u", "74e34e6e829f65029c0a2eb9f2b3b075bc6d550938a242c95f251c592e5e157a"),
             ("finite", "bb77c154329c8e9f25a70fc30c513fd185302a0af61abab554a4346866a41b99"),
@@ -502,7 +504,11 @@ class TestTailCap:
         # their last bits, no evaluation count or raise moves, and each lies
         # within its estimate of 30 digits but j's (2000, 1e3..1e5, 1e-6)
         # (1.1-5.9x, the floor at n >= 500) and eps's (3, 1e+-12) (1.02x),
-        # which miss by as much at the parent
+        # which miss by as much at the parent; for j when J was integrated in
+        # y = x^2: every result moves, 7 still raise, and each lies within
+        # the sum of its estimate and j_integral's at 1e-16 but (200, 1e4,
+        # 1e-6) (1.17x, the difference of two coarse levels) and (2000,
+        # 1e-5/1e4/1e5, 1e-6) (1.36/1.91/1.19x; 1.08-5.9x at 1e3-1e5 in x)
         grids = {
             "j": [
                 lambda n=n, a=a, tol=tol: quadrature._j_quadrature(n, a, tol)
@@ -623,11 +629,35 @@ class TestJIntegral:
         eps = epsilon_integral(IntegralParams(n, a, tol=1e-18)).value
         assert abs(res.value - closed - eps) <= res.abs_error_estimate + 1e-15 * abs(closed)
 
-    @pytest.mark.parametrize("n,evaluations", [(30, 359), (200, 1425)], ids=["30", "200"])
+    def test_direct_quadrature_within_its_estimate(self):
+        # quarter-decade a from 1e-2 to 1e2 at the default tolerance.  Up to
+        # n = 20, as the identity suite asks, against 20-digit sigma*T + eps
+        # (mpmath hyperu): the worst error is 0.082 of the estimate, at
+        # (20, 10^0.5).  From n = 50 the floor under-states the Laguerre
+        # recurrence's rounding, so each value lies only within the sum of
+        # its estimate and j_integral's at 1e-16: the worst is 0.88, at
+        # (200, 0.01), also on the eighth-decade grid, where in x, not
+        # y = x^2, (200, 10^-1.375) missed by 1.03
+        mp = pytest.importorskip("mpmath")
+        for n in (0, 1, 2, 3, 5, 7, 10, 15, 20, 50, 100, 200):
+            for e in range(-8, 9):
+                a = 10.0 ** (e / 4)
+                res = quadrature._j_quadrature(n, a, DEFAULT_TOL)
+                if n <= 20:
+                    with mp.workdps(20):
+                        assert abs(mp.mpf(res.value) - _mp_theorem_j(mp, n, a)) <= res.abs_error_estimate, (n, a)
+                    continue
+                try:
+                    reference = j_integral(IntegralParams(n, a, 1e-16))
+                except AccuracyError as exc:
+                    reference = exc.result
+                error = abs(res.value - reference.value)
+                assert error <= res.abs_error_estimate + reference.abs_error_estimate, (n, a)
+
+    @pytest.mark.parametrize("n,evaluations", [(30, 427), (200, 874)], ids=["30", "200"])
     def test_evaluation_count_snapshot(self, n, evaluations):
         # exact and machine-independent: a change here is a change in cost of
-        # the direct quadrature, which j_integral takes from n = 11 on only
-        # where sigma*T + eps cannot meet the tolerance
+        # the direct quadrature, which j_integral takes below n = 11 only
         assert quadrature._j_quadrature(n, 1.0, DEFAULT_TOL).evaluations == evaluations
 
     @pytest.mark.parametrize("n", [0, 5, 10])
@@ -645,7 +675,8 @@ class TestJIntegral:
         # n = 0 to 10, the default tolerance: the series costs none, and
         # where it cannot reach no point costs over 200 or twice a
         # neighbour's.  From n = 6 eps's quadrature replaces J's there, at
-        # 35 to 79 evaluations against 169 to 193; the total was 17 401
+        # 35 to 79 evaluations against 109 to 223; the total was 17 401, and
+        # 11 306 with J integrated in x, not y = x^2
         calls = _count_calls(monkeypatch, "_integrate_expsinh")
         cost = {}
         for n in range(11):
@@ -658,7 +689,7 @@ class TestJIntegral:
             neighbour = cost.get((n, e + 1), 0)
             if c and neighbour:
                 assert max(c, neighbour) <= 2 * min(c, neighbour), (n, e)
-        assert sum(cost.values()) == 11306
+        assert sum(cost.values()) == 8958
 
     @pytest.mark.parametrize(
         "n,a,value,estimate,evaluations",
@@ -666,14 +697,13 @@ class TestJIntegral:
             # bench/pool.json points; the results of the integrand with its
             # Laguerre coefficients formed inline at every node, which the
             # tabulated coefficients must reproduce bit for bit.  Re-frozen
-            # when z became 2 pi (a x) x: 184-2.788's estimate and 5-4pi's
-            # value moved in their last bits, each within 0.035 of its
-            # estimate of 30 digits
-            (0, 2.34e-08, 0.0416666663603614, 4.163336342344337e-16, 103),
-            (38, 0.1731, 0.01628885293747854, 4.1922971611031114e-16, 371),
-            (184, 2.788, 0.0021586356255934593, 6.2450045135165055e-15, 1397),
-            # up to a = 4 pi the integrand is sampled at x itself
-            (5, 4 * math.pi, 0.005476768274054172, 6.420565439948484e-17, 167),
+            # when J was integrated in y = x^2: each within 0.19 of its
+            # estimate of 30 digits (J's series at n = 0, else sigma*T + eps)
+            (0, 2.34e-08, 0.04166666636036138, 2.6124935548210715e-14, 67),
+            (38, 0.1731, 0.016288852937478476, 4.85722573273506e-16, 231),
+            (184, 2.788, 0.002158635625593452, 3.6806147955960897e-16, 1703),
+            # above a = 2 the length in y is 4/a, shrinking with the exponential
+            (5, 4 * math.pi, 0.005476768274054173, 1.691355389077387e-16, 109),
         ],
         ids=["0-2.34e-08", "38-0.1731", "184-2.788", "5-4pi"],
     )
@@ -685,8 +715,10 @@ class TestJIntegral:
     def test_top_of_float_range(self, n):
         # sqrt(a)*J_n(a) tends to (-1)^n F_n/(4 pi) as a -> inf, the next term
         # 1e-154 of it here.  j_integral answers by J's series; the direct
-        # quadrature forms z = 2 pi (a x) x, since 2 pi a overflows above
-        # a = 2.86e307, where every sample of 2 pi a x^2 was inf or NaN
+        # quadrature samples v = y/length with z = 2 pi (a length) v and
+        # x = sqrt(length) sqrt(v), since 2 pi a overflows above a = 2.86e307
+        # (every sample of 2 pi a x^2 was inf or NaN) and y near v = 0
+        # underflows from about a = 1e300
         def scaled(a):
             return math.sqrt(a) * j_integral(IntegralParams(n, a, 1e-12 / (4.0 * math.pi * math.sqrt(a)))).value
 
@@ -1368,7 +1400,7 @@ class TestErrorEstimateHolds:
             (38, 0.1731, "1.6288852937478504550237741934162e-2"),
             (60, 3.242, "3.4523468794866267023509683663399e-3"),
             (173, 8.526, "1.2822118508060311076390396983007e-3"),
-            # a > 4 pi, where the integrand is sampled in its own length scale
+            # large a, where the integrand is sampled in its own length scale
             (9, 101.8, "1.4784463104640715207353288086125e-3"),
             (4, 21290.0, "1.8400113582634959432241624299123e-4"),
             (2, 106500.0, "1.1344722295280721964715150027411e-4"),

@@ -213,7 +213,8 @@ class TestRunSuite:
         run_suite(TolProfile(checks=("dominance",)))
         assert calls["bound"] > 0
         # driver evaluations of a full run: 11 925 while eps's tolerance was
-        # 1e-6 B, whose G quadratures cost more than eps's own below n = 11
+        # 1e-6 B, whose G quadratures cost more than eps's own below n = 11,
+        # and 10 893 while J's quadrature integrated in x, not y = x^2
         evaluations = []
         driver = quadrature._integrate_expsinh
 
@@ -224,7 +225,7 @@ class TestRunSuite:
 
         monkeypatch.setattr(quadrature, "_integrate_expsinh", counted)
         run_suite()
-        assert sum(evaluations) == 10893
+        assert sum(evaluations) == 9487
 
     def test_empty_selection_is_vacuous_pass(self):
         report = run_suite(TolProfile(checks=()))
